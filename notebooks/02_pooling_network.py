@@ -16,7 +16,6 @@ from slidessl import (
     PoolingNetworkConfig,
     ParamStore,
     build_rulebook,
-    pool_forward,
     run_gradcheck,
     format_gradcheck_report,
     submconv_forward,
@@ -41,7 +40,7 @@ for offset, pairs in zip(kernel_offsets(3), book.pairs):
 
 w = rng.normal(size=(3, 3, 3, 5))
 b = rng.normal(size=5)
-out, _ = submconv_forward(smap, w, b, book)
+out = submconv_forward(smap.features, w, b, book.pairs)
 
 dense = np.zeros((8, 8, 3))
 for (i, j), f in zip(smap.sites, smap.features):
@@ -54,13 +53,13 @@ for i, j in smap.sites:
             if 0 <= i + di < 8 and 0 <= j + dj < 8:
                 acc = acc + dense[i + di, j + dj] @ w[di + 1, dj + 1]
     want.append(acc)
-print("max |sparse - dense|:", float(np.abs(out.features - np.stack(want)).max()))
+print("max |sparse - dense|:", float(np.abs(out - np.stack(want)).max()))
 
 ### The full network #########################################################
 
 cfg = PoolingNetworkConfig(in_channels=3, block_channels=(8, 8), out_dim=6)
 net = PoolingNetwork(cfg, ParamStore(), rng)
-vec = pool_forward(smap, net, training=False)
+vec = net.forward([smap], training=False)[0][0]
 print("pooled slide vector:", np.round(vec, 3))
 
 ### Gradients against finite differences #####################################

@@ -39,7 +39,6 @@ from slidessl.sparseconv import (
     Rulebook,
     build_rulebook,
     global_average_pool,
-    pool_forward,
     submconv_backward,
     submconv_forward,
 )
@@ -50,7 +49,6 @@ from slidessl.sparsemap import (
     augment_sparse_map,
     build_sparse_map,
     sample_slide_aug,
-    translate,
 )
 from slidessl.training import (
     SlideModel,
@@ -114,7 +112,6 @@ __all__ = [
     "load_model",
     "load_train_config",
     "nt_xent",
-    "pool_forward",
     "pretrain",
     "run_gradcheck",
     "run_selftest",
@@ -126,7 +123,6 @@ __all__ = [
     "submconv_backward",
     "submconv_forward",
     "train_step",
-    "translate",
     "verify_marginal_equality",
     "write_report_csv",
 ]

@@ -32,7 +32,7 @@ from .probe import (
     write_report_csv,
 )
 from .selfcheck import run_selftest
-from .training import TrainConfig, load_train_config, pretrain
+from .training import load_train_config, pretrain, train_config_from_values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,30 +177,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    if args.config:
-        cfg = load_train_config(args.config)
-    else:
-        cfg = TrainConfig()
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.tiles is not None:
-        overrides["tiles"] = args.tiles
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    if args.tau is not None:
-        overrides["temperature"] = args.tau
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.no_shared_aug:
-        overrides["shared_aug"] = False
-    if args.no_slide_aug:
-        overrides["slide_aug"] = False
-    if overrides or args.lr is not None:
-        import dataclasses
-        if args.lr is not None:
-            overrides["adam"] = dataclasses.replace(cfg.adam, lr=args.lr)
-        cfg = dataclasses.replace(cfg, **overrides)
+    base = load_train_config(args.config) if args.config else None
+    flags = {"epochs": args.epochs, "tiles": args.tiles,
+             "batch_size": args.batch, "temperature": args.tau,
+             "seed": args.seed, "adam.lr": args.lr,
+             "shared_aug": False if args.no_shared_aug else None,
+             "slide_aug": False if args.no_slide_aug else None}
+    cfg = train_config_from_values(
+        {k: v for k, v in flags.items() if v is not None}, base)
     report = pretrain(cfg, args.banks, args.checkpoint,
                       resume=args.resume, log_path=args.log,
                       report_path=args.report)
@@ -221,7 +205,7 @@ def cmd_embed(args) -> int:
                 bank = load_bank(path)
                 rows.append(average_mil_embed(bank))
                 ids.append(bank.slide_id)
-            except PipelineError as exc:
+            except (PipelineError, OSError) as exc:
                 failures.append((Path(path).stem, str(exc)))
         order = np.argsort(ids)
         ids = [ids[i] for i in order]

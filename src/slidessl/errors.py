@@ -38,10 +38,6 @@ class NonFiniteGradient(RuntimeFailure):
     """A gradient contained NaN or infinity; carries the parameter name."""
 
 
-class StaleRulebook(ValidationError):
-    """A rulebook was built for a different site set than the one supplied."""
-
-
 class NoForwardCache(ValidationError):
     """backward() called without the cache produced by forward()."""
 

@@ -52,19 +52,17 @@ def check_submconv(n_instances=DEFAULT_INSTANCES, seed=0) -> float:
         rng = np.random.default_rng([seed, 10, i])
         c_in, c_out = rng.integers(1, 4), rng.integers(1, 4)
         smap = _random_map(rng, rng.integers(3, 9), c_in)
-        rulebook = build_rulebook(smap, 3)
+        pairs = build_rulebook(smap, 3).pairs
         w = rng.normal(size=(3, 3, c_in, c_out))
         b = rng.normal(size=c_out)
         probe = rng.normal(size=(smap.n_sites, c_out))
 
         def loss(feats, weights, bias):
-            m = SparseMap(smap.sites, feats.reshape(smap.features.shape))
-            out, _ = submconv_forward(
-                m, weights.reshape(w.shape), bias, rulebook)
-            return float((out.features * probe).sum())
+            out = submconv_forward(feats.reshape(smap.features.shape),
+                                   weights.reshape(w.shape), bias, pairs)
+            return float((out * probe).sum())
 
-        out, cache = submconv_forward(smap, w, b, rulebook)
-        dx, dw, db = submconv_backward(probe, cache)
+        dx, dw, db = submconv_backward(probe, smap.features, w, pairs)
         worst = max(
             worst,
             max_rel_err(dx.ravel(),
@@ -118,16 +116,19 @@ def check_global_average_pool(n_instances=DEFAULT_INSTANCES, seed=0) -> float:
     worst = 0.0
     for i in range(n_instances):
         rng = np.random.default_rng([seed, 12, i])
-        n, c = int(rng.integers(1, 9)), int(rng.integers(1, 5))
-        smap = _random_map(rng, n, c)
-        probe = rng.normal(size=c)
-        analytic = np.repeat(probe[None] / n, n, axis=0)
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 4)))
+        c = int(rng.integers(1, 5))
+        ends = np.cumsum(sizes)
+        segs = list(zip((ends - sizes).tolist(), ends.tolist()))
+        x = rng.normal(size=(int(ends[-1]), c))
+        probe = rng.normal(size=(len(segs), c))
+        analytic = np.repeat(probe / sizes[:, None], sizes, axis=0)
 
         def loss(v):
-            m = SparseMap(smap.sites, v.reshape(n, c))
-            return float(global_average_pool(m) @ probe)
+            return float((global_average_pool(v.reshape(x.shape), segs)
+                          * probe).sum())
 
-        fd = finite_diff_grad(loss, smap.features.ravel())
+        fd = finite_diff_grad(loss, x.ravel())
         worst = max(worst, max_rel_err(analytic.ravel(), fd))
     return worst
 

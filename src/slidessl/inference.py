@@ -28,6 +28,7 @@ from .errors import (
     EmptyBag,
     FormatError,
     InsufficientTiles,
+    PipelineError,
 )
 from .sparsemap import build_sparse_map
 from .training import SlideModel
@@ -130,23 +131,20 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
         emb = embed_slide(bank, model, tiles=tiles, r_views=r_views, rng=rng)
         return emb
 
-    results: list[SlideEmbedding] = []
-    failures: list[tuple[str, str]] = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(one, item) for item in enumerate(paths)]
-            outcomes = [(p, f) for p, f in zip(paths, futures)]
-        for path, fut in outcomes:
-            try:
-                results.append(fut.result())
-            except Exception as exc:  # noqa: BLE001  (per-slide isolation)
-                failures.append((Path(path).stem, str(exc)))
+        jobs = [fut.result for fut in futures]
     else:
-        for item in enumerate(paths):
-            try:
-                results.append(one(item))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((Path(item[1]).stem, str(exc)))
+        jobs = [lambda item=item: one(item) for item in enumerate(paths)]
+    results: list[SlideEmbedding] = []
+    failures: list[tuple[str, str]] = []
+    for path, job in zip(paths, jobs):
+        # a broken bank is a failed slide; any other exception is a bug
+        try:
+            results.append(job())
+        except (PipelineError, OSError) as exc:
+            failures.append((path.stem, str(exc)))
 
     results.sort(key=lambda e: e.slide_id)
     ids = [e.slide_id for e in results]

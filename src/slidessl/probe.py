@@ -11,6 +11,7 @@ how label efficiency is measured.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,7 +88,8 @@ def fit_logistic(x: np.ndarray, labels, l2: float = DEFAULT_L2,
                  tol: float = GRAD_TOL, init=None) -> LinearProbe:
     """Fit the probe by gradient descent with backtracking line search.
 
-    Runs until the full gradient norm drops below ``tol``; with an l2
+    Runs until the full gradient norm drops below ``tol``, or warns with a
+    RuntimeWarning if ``max_iter`` steps end above it; with an l2
     penalty the objective is convex, so every starting point lands on the
     same loss. ``init`` optionally seeds (weights, bias). Normalization
     statistics come from ``x`` alone and are replayed onto any rows later
@@ -139,6 +141,10 @@ def fit_logistic(x: np.ndarray, labels, l2: float = DEFAULT_L2,
                 raise FloatingPointError("line search collapsed")
         w, b, loss, gw, gb = w_new, b_new, new_loss, gw_new, gb_new
     gnorm = float(np.sqrt((gw * gw).sum() + (gb * gb).sum()))
+    if gnorm >= tol:
+        warnings.warn(f"fit_logistic stopped at max_iter={max_iter} with "
+                      f"gradient norm {gnorm:.3e}, not below tol={tol:.3e}",
+                      RuntimeWarning, stacklevel=2)
     return LinearProbe(w, b, classes, normalization, apply_norm, gnorm, loss)
 
 

@@ -7,8 +7,12 @@ ReLU) over active sites only, a global average pool, and a linear head.
 Convolutions are submanifold: the output active-site set equals the input
 active-site set, and only active neighbors contribute. Site adjacency is
 enumerated once per map into a Rulebook (per kernel offset, the list of
-(input site, output site) index pairs), which both directions of the
-convolution then replay.
+(input site, output site) index pairs); the books of a batch are merged
+into global row indices, which both directions of the convolution then
+replay. ``submconv_forward``, ``submconv_backward`` and
+``global_average_pool`` are the only conv and pool implementations: the
+network, the finite-difference checks in ``gradcheck`` and the dense
+convolution oracle of the acceptance suite (A2) all call them.
 """
 
 from __future__ import annotations
@@ -17,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateBatch,
-    DimensionMismatch,
-    EmptyBag,
-    NoForwardCache,
-    StaleRulebook,
-)
+from .errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
 from .sparsemap import SparseMap
 
 
@@ -35,23 +33,10 @@ def kernel_offsets(kernel_size: int) -> list[tuple[int, int]]:
 
 @dataclass
 class Rulebook:
-    """Per kernel offset, (input site index, output site index) pairs.
-
-    ``sites`` keeps a copy of the map's site array so any attempt to replay
-    the book against a different map is caught.
-    """
+    """Per kernel offset, (input site index, output site index) pairs."""
 
     kernel_size: int
-    sites: np.ndarray
     pairs: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    def matches(self, smap: SparseMap) -> bool:
-        return (len(self.sites) == smap.n_sites
-                and np.array_equal(self.sites, smap.sites))
 
 
 def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
@@ -74,7 +59,7 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
                  for out_idx, (i, j) in enumerate(sites)
                  if (int(i) + di, int(j) + dj) in index]
         pairs.append(np.array(found, dtype=np.int64).reshape(-1, 2))
-    return Rulebook(kernel_size, sites.copy(), pairs)
+    return Rulebook(kernel_size, pairs)
 
 
 def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray]:
@@ -88,11 +73,21 @@ def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray
     return merged
 
 
-def _conv_pairs(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                pairs: list[np.ndarray], n_out: int) -> np.ndarray:
-    """out[t] = bias + sum over offsets o of W_o . x[source of t under o]."""
+def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                     pairs: list[np.ndarray]) -> np.ndarray:
+    """Submanifold convolution of the rows of ``x`` (one per active site).
+
+    out[t] = bias + sum over offsets o of W_o . x[source of t under o], with
+    ``pairs[o]`` the (input row, output row) pairs of offset o in row-major
+    order, as in ``Rulebook.pairs`` or ``merge_rulebooks``.
+    """
     k = weights.shape[0]
-    out = np.tile(bias, (n_out, 1))
+    if (weights.ndim != 4 or weights.shape[2] != x.shape[1]
+            or len(pairs) != k * weights.shape[1]):
+        raise DimensionMismatch(
+            f"weights {weights.shape} do not fit {x.shape[1]} input channels "
+            f"and {len(pairs)} kernel offsets")
+    out = np.tile(bias, (len(x), 1))
     for o, pr in enumerate(pairs):
         if len(pr) == 0:
             continue
@@ -102,9 +97,10 @@ def _conv_pairs(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _conv_pairs_backward(grad_out: np.ndarray, x: np.ndarray,
-                         weights: np.ndarray, pairs: list[np.ndarray]
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def submconv_backward(grad_out: np.ndarray, x: np.ndarray,
+                      weights: np.ndarray, pairs: list[np.ndarray]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. input rows, weights, and bias."""
     k = weights.shape[0]
     dx = np.zeros_like(x)
     dw = np.zeros_like(weights)
@@ -117,39 +113,6 @@ def _conv_pairs_backward(grad_out: np.ndarray, x: np.ndarray,
         dw[o // k, o % k] = x[src].T @ grad_out[dst]
         dx[src] += grad_out[dst] @ w.T
     return dx, dw, db
-
-
-def submconv_forward(smap: SparseMap, weights: np.ndarray, bias: np.ndarray,
-                     rulebook: Rulebook) -> tuple[SparseMap, dict]:
-    """Submanifold convolution over one map; returns output map and cache."""
-    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
-        raise DimensionMismatch(f"weights must be (k, k, C_in, C_out), "
-                                f"got {weights.shape}")
-    if weights.shape[0] != rulebook.kernel_size:
-        raise StaleRulebook(
-            f"rulebook built for kernel {rulebook.kernel_size}, "
-            f"weights are {weights.shape[0]}x{weights.shape[1]}")
-    if not rulebook.matches(smap):
-        raise StaleRulebook("rulebook was built for a different site set")
-    if smap.feat_dim != weights.shape[2]:
-        raise DimensionMismatch(
-            f"map has {smap.feat_dim} channels, weights expect {weights.shape[2]}")
-    out = _conv_pairs(smap.features, weights, bias, rulebook.pairs, smap.n_sites)
-    cache = {"x": smap.features, "weights": weights, "rulebook": rulebook}
-    return SparseMap(smap.sites, out), cache
-
-
-def submconv_backward(grad_out: np.ndarray, cache: dict | None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input features, weights, and bias."""
-    if not cache or not all(k in cache for k in ("x", "weights", "rulebook")):
-        raise NoForwardCache("submconv_backward needs the forward cache")
-    x, w, rb = cache["x"], cache["weights"], cache["rulebook"]
-    grad_out = np.asarray(grad_out)
-    if grad_out.shape != (len(x), w.shape[3]):
-        raise DimensionMismatch(
-            f"grad_out shape {grad_out.shape}, expected ({len(x)}, {w.shape[3]})")
-    return _conv_pairs_backward(grad_out, x, w, rb.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +181,10 @@ def sparse_batchnorm_backward(grad_out: np.ndarray, cache: dict | None
     return dx, dgamma, dbeta
 
 
-def global_average_pool(smap: SparseMap) -> np.ndarray:
-    """Element-wise mean of the features over active sites."""
-    if smap.n_sites == 0:
-        raise EmptyBag("cannot pool an empty map")
-    return smap.features.mean(axis=0)
+def global_average_pool(x: np.ndarray, segs: list[tuple[int, int]]
+                        ) -> np.ndarray:
+    """Mean of the rows of each ``(start, end)`` segment, one map each."""
+    return np.stack([x[s:e].mean(axis=0) for s, e in segs])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +287,7 @@ class PoolingNetwork:
             x, bc = self._block_forward(b, x, pairs, training)
             cache["blocks"].append(bc)
 
-        pooled = np.stack([x[s:e].mean(axis=0) for s, e in segs])
+        pooled = global_average_pool(x, segs)
         w, bias = self.store[self.prefix + "head.w"], self.store[self.prefix + "head.b"]
         z = pooled @ w + bias
         cache["pooled"] = pooled
@@ -336,11 +298,10 @@ class PoolingNetwork:
                        training: bool) -> tuple[np.ndarray, dict]:
         p = f"{self.prefix}block{b}."
         st = self.store
-        n = len(x)
-        y1 = _conv_pairs(x, st[p + "conv1.w"], st[p + "conv1.b"], pairs, n)
+        y1 = submconv_forward(x, st[p + "conv1.w"], st[p + "conv1.b"], pairs)
         y1n, bn1c = sparse_batchnorm_forward(y1, self._bn_state(p + "bn1"), training)
         a1 = np.maximum(y1n, 0.0)
-        y2 = _conv_pairs(a1, st[p + "conv2.w"], st[p + "conv2.b"], pairs, n)
+        y2 = submconv_forward(a1, st[p + "conv2.w"], st[p + "conv2.b"], pairs)
         y2n, bn2c = sparse_batchnorm_forward(y2, self._bn_state(p + "bn2"), training)
         if p + "proj.w" in st:
             skip = x @ st[p + "proj.w"][0, 0]
@@ -383,16 +344,16 @@ class PoolingNetwork:
         dy2, dg2, db2 = sparse_batchnorm_backward(dy2n, bc["bn2"])
         st.accumulate(p + "bn2.gamma", dg2)
         st.accumulate(p + "bn2.beta", db2)
-        da1, dw2, dbias2 = _conv_pairs_backward(dy2, bc["a1"],
-                                                st[p + "conv2.w"], pairs)
+        da1, dw2, dbias2 = submconv_backward(dy2, bc["a1"],
+                                             st[p + "conv2.w"], pairs)
         st.accumulate(p + "conv2.w", dw2)
         st.accumulate(p + "conv2.b", dbias2)
         dy1n = da1 * bc["mask1"]
         dy1, dg1, db1 = sparse_batchnorm_backward(dy1n, bc["bn1"])
         st.accumulate(p + "bn1.gamma", dg1)
         st.accumulate(p + "bn1.beta", db1)
-        dx, dw1, dbias1 = _conv_pairs_backward(dy1, bc["x"],
-                                               st[p + "conv1.w"], pairs)
+        dx, dw1, dbias1 = submconv_backward(dy1, bc["x"],
+                                            st[p + "conv1.w"], pairs)
         st.accumulate(p + "conv1.w", dw1)
         st.accumulate(p + "conv1.b", dbias1)
         if p + "proj.w" in st:
@@ -405,18 +366,3 @@ class PoolingNetwork:
             dx = dx + dskip
         return dx
 
-
-def residual_block_forward(network: PoolingNetwork, block: int,
-                           smap: SparseMap, training: bool = False
-                           ) -> tuple[SparseMap, dict]:
-    """Run one residual block of the network over a single map."""
-    rb = build_rulebook(smap, network.config.kernel_size)
-    out, bc = network._block_forward(block, smap.features, rb.pairs, training)
-    return SparseMap(smap.sites, out), bc
-
-
-def pool_forward(smap: SparseMap, network: PoolingNetwork,
-                 training: bool = False) -> np.ndarray:
-    """Embed a single map to a vector of length ``config.out_dim``."""
-    z, _ = network.forward([smap], training)
-    return z[0]

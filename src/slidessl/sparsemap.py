@@ -223,8 +223,3 @@ def sample_slide_aug(rng: np.random.Generator) -> SlideAugParams:
         scale_y=float(rng.uniform(lo, hi)),
     )
 
-
-def translate(smap: SparseMap, di: int, dj: int) -> SparseMap:
-    """Shift all sites by a constant offset (no normalization)."""
-    return SparseMap(smap.sites + np.array([di, dj], dtype=np.int64),
-                     smap.features)

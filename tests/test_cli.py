@@ -64,15 +64,21 @@ def test_pretrain_writes_artifacts(trained):
 def test_pretrain_flag_overrides_config(corpus, tmp_path, capsys):
     _, banks = corpus
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs = 5\ntiles = 4\nbatch_size = 4\n")
+    cfg.write_text("epochs = 5\ntiles = 4\nbatch_size = 4\n"
+                   "temperature = 0.2\nshared_aug = true\nslide_aug = true\n")
     rc = main(["pretrain", "--banks", str(banks),
                "--checkpoint", str(tmp_path / "m.ckpt"),
-               "--config", str(cfg), "--epochs", "1",
+               "--config", str(cfg), "--epochs", "1", "--tau", "0.7",
+               "--no-shared-aug", "--no-slide-aug",
                "--report", str(tmp_path / "r.json")])
     assert rc == 0
     doc = json.loads((tmp_path / "r.json").read_text())
-    assert doc["epochs"] == 1          # flag wins
+    assert doc["epochs"] == 1          # flags win
+    assert doc["temperature"] == 0.7
+    assert doc["shared_aug"] is False
+    assert doc["slide_aug"] is False
     assert doc["tiles"] == 4           # config survives
+    assert doc["batch_size"] == 4
 
 
 def test_pretrain_single_bank_exits_1(tmp_path, corpus):
@@ -143,6 +149,24 @@ def test_embed_corrupt_bank_exits_2(trained, tmp_path, capsys):
     from slidessl.inference import load_embeddings
     ids, _ = load_embeddings(out)
     assert len(ids) == 7  # survivors still written
+
+
+def test_embed_avgmil_unreadable_bank_exits_2(corpus, tmp_path, capsys):
+    _, banks = corpus
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for p in banks.glob("*.gsb"):
+        (broken / p.name).write_bytes(p.read_bytes())
+    victim = sorted(broken.glob("*.gsb"))[0]
+    victim.unlink()
+    victim.mkdir()  # reading it raises an OSError, not a PipelineError
+    out = tmp_path / "mil.gse"
+    rc = main(["embed", "--banks", str(broken), "--out", str(out), "--avgmil"])
+    assert rc == 2
+    assert victim.stem in capsys.readouterr().err
+    from slidessl.inference import load_embeddings
+    ids, _ = load_embeddings(out)
+    assert len(ids) == 7
 
 
 def test_probe_reports(trained, tmp_path, capsys):

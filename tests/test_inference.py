@@ -63,10 +63,9 @@ def test_exact_budget_bank_gives_single_view_vector():
     np.testing.assert_allclose(many.vector, one.vector, atol=1e-6)
 
     from slidessl.sparsemap import build_sparse_map
-    from slidessl.sparseconv import pool_forward
     smap = build_sparse_map((bank.coords[0].astype(np.int64),
                              bank.features[0].astype(np.float32)))
-    w1 = pool_forward(smap, model.net)
+    w1 = model.net.forward([smap], False)[0][0]
     np.testing.assert_allclose(one.vector, w1 / np.linalg.norm(w1), atol=1e-6)
 
 
@@ -233,6 +232,26 @@ def test_dataset_skips_and_reports_bad_bank(tmp_path):
     assert len(ids) == 2 and matrix.shape[0] == 2
     assert len(failures) == 1
     assert failures[0][0] == bad.stem
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dataset_unreadable_and_truncated_banks_are_failures(tmp_path, threads):
+    write_corpus(tmp_path)
+    paths = sorted(tmp_path.glob("*.gsb"))
+    paths[0].write_bytes(paths[0].read_bytes()[:-7])   # CorruptBank
+    paths[1].unlink()
+    paths[1].mkdir()                                   # open() -> OSError
+    ids, matrix, failures = embed_dataset(tmp_path, make_model(), r_views=3,
+                                          threads=threads)
+    assert ids == [paths[2].stem] and matrix.shape == (1, 10)
+    assert [sid for sid, _ in failures] == [paths[0].stem, paths[1].stem]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dataset_program_bug_is_raised_not_reported(tmp_path, threads):
+    write_corpus(tmp_path)
+    with pytest.raises(TypeError):
+        embed_dataset(tmp_path, make_model(), r_views=2.5, threads=threads)
 
 
 def test_dataset_failure_does_not_shift_other_seeds(tmp_path):

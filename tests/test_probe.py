@@ -1,5 +1,7 @@
 """Linear probe fitting, Mann-Whitney AUC, and budgeted bootstrap reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,25 @@ def test_separable_data_fits_to_perfect_train_auc():
     probe = fit_logistic(x, y, normalization="standard")
     assert probe.grad_norm < 1e-6
     assert auc(probe.scores(x), y) == 1.0
+
+
+def test_stopping_at_max_iter_warns():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 8))
+    y = rng.integers(0, 2, size=40)
+    with pytest.warns(RuntimeWarning, match=r"max_iter=5 .* tol=1\.000e-06"):
+        probe = fit_logistic(x, y, max_iter=5)
+    assert probe.grad_norm >= 1e-6
+
+
+def test_converged_fit_does_not_warn():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 8))
+    y = rng.integers(0, 2, size=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = fit_logistic(x, y)
+    assert probe.grad_norm < 1e-6
 
 
 def test_scores_are_probabilities():

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from slidessl.errors import (
-    DegenerateBatch,
-    DimensionMismatch,
-    EmptyBag,
-    NoForwardCache,
-    StaleRulebook,
-)
+from slidessl.errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
 from slidessl.numcore import ParamStore, finite_diff_grad, max_rel_err
 from slidessl.sparseconv import (
     BatchNormState,
@@ -18,14 +12,12 @@ from slidessl.sparseconv import (
     build_rulebook,
     global_average_pool,
     kernel_offsets,
-    pool_forward,
-    residual_block_forward,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
     submconv_backward,
     submconv_forward,
 )
-from slidessl.sparsemap import SparseMap, translate
+from slidessl.sparsemap import SparseMap
 
 
 def make_map(sites, feats=None, dim=3, seed=0):
@@ -124,7 +116,7 @@ class TestSubmConv:
         m = random_map(rng, n, dim=c_in)
         w = rng.normal(size=(k, k, c_in, c_out))
         b = rng.normal(size=c_out)
-        return m, w, b, build_rulebook(m, k)
+        return m, w, b, build_rulebook(m, k).pairs
 
     def test_single_site_center_tap(self):
         rng = np.random.default_rng(1)
@@ -132,16 +124,16 @@ class TestSubmConv:
         m = make_map([(5, 7)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
         b = rng.normal(size=4)
-        out, _ = submconv_forward(m, w, b, build_rulebook(m, 3))
-        np.testing.assert_allclose(out.features[0], f @ w[1, 1] + b, rtol=1e-12)
+        out = submconv_forward(m.features, w, b, build_rulebook(m, 3).pairs)
+        np.testing.assert_allclose(out[0], f @ w[1, 1] + b, rtol=1e-12)
 
     def test_identity_kernel(self):
         m = random_map(np.random.default_rng(2), 12, dim=5)
         w = np.zeros((3, 3, 5, 5))
         w[1, 1] = np.eye(5)
-        out, _ = submconv_forward(m, w, np.zeros(5), build_rulebook(m, 3))
-        np.testing.assert_array_equal(out.sites, m.sites)
-        np.testing.assert_allclose(out.features, m.features, rtol=1e-15)
+        out = submconv_forward(m.features, w, np.zeros(5),
+                               build_rulebook(m, 3).pairs)
+        np.testing.assert_allclose(out, m.features, rtol=1e-15)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -150,44 +142,39 @@ class TestSubmConv:
             m = random_map(rng, n, dim=3, extent=8)
             w = rng.normal(size=(3, 3, 3, 4))
             b = rng.normal(size=4)
-            out, _ = submconv_forward(m, w, b, build_rulebook(m, 3))
+            out = submconv_forward(m.features, w, b, build_rulebook(m, 3).pairs)
             ref = dense_conv_at_active(m, w, b, extent=8)
-            np.testing.assert_allclose(out.features, ref, atol=1e-6)
+            np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_dense_oracle_16_window_kernel5(self):
         rng = np.random.default_rng(6)
         m = random_map(rng, 40, dim=2, extent=16)
         w = rng.normal(size=(5, 5, 2, 3))
         b = rng.normal(size=3)
-        out, _ = submconv_forward(m, w, b, build_rulebook(m, 5))
+        out = submconv_forward(m.features, w, b, build_rulebook(m, 5).pairs)
         ref = dense_conv_at_active(m, w, b, extent=16)
-        np.testing.assert_allclose(out.features, ref, atol=1e-6)
+        np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_preserves_active_sites(self):
-        m, w, b, rb = self.setup_instance()
-        out, _ = submconv_forward(m, w, b, rb)
-        np.testing.assert_array_equal(out.sites, m.sites)
-
-    def test_stale_rulebook(self):
-        m, w, b, _ = self.setup_instance(seed=7)
-        other = random_map(np.random.default_rng(8), 9, dim=3)
-        with pytest.raises(StaleRulebook):
-            submconv_forward(m, w, b, build_rulebook(other, 3))
+        m, w, b, pairs = self.setup_instance()
+        out = submconv_forward(m.features, w, b, pairs)
+        assert out.shape == (m.n_sites, 4)
 
     def test_kernel_size_mismatch_is_stale(self):
         m, w, b, _ = self.setup_instance(k=3)
-        with pytest.raises(StaleRulebook):
-            submconv_forward(m, w, b, build_rulebook(m, 5))
+        with pytest.raises(DimensionMismatch):
+            submconv_forward(m.features, w, b, build_rulebook(m, 5).pairs)
 
     def test_channel_mismatch(self):
-        m, _, b, rb = self.setup_instance()
+        m, _, b, pairs = self.setup_instance()
         with pytest.raises(DimensionMismatch):
-            submconv_forward(m, np.zeros((3, 3, 7, 4)), np.zeros(4), rb)
+            submconv_forward(m.features, np.zeros((3, 3, 7, 4)), np.zeros(4),
+                             pairs)
 
     def test_backward_zero_grad(self):
-        m, w, b, rb = self.setup_instance()
-        _, cache = submconv_forward(m, w, b, rb)
-        dx, dw, db = submconv_backward(np.zeros((m.n_sites, 4)), cache)
+        m, w, b, pairs = self.setup_instance()
+        dx, dw, db = submconv_backward(np.zeros((m.n_sites, 4)), m.features,
+                                       w, pairs)
         assert not dx.any() and not dw.any() and not db.any()
 
     def test_backward_single_site_closed_form(self):
@@ -196,40 +183,32 @@ class TestSubmConv:
         g = rng.normal(size=4)
         m = make_map([(2, 2)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        _, cache = submconv_forward(m, w, np.zeros(4), build_rulebook(m, 3))
-        dx, dw, db = submconv_backward(g[None, :], cache)
+        dx, dw, db = submconv_backward(g[None, :], m.features, w,
+                                       build_rulebook(m, 3).pairs)
         np.testing.assert_allclose(db, g, rtol=1e-14)
         np.testing.assert_allclose(dw[1, 1], np.outer(f, g), rtol=1e-14)
         np.testing.assert_allclose(dx[0], g @ w[1, 1].T, rtol=1e-14)
         assert not dw[0, 0].any()
 
     def test_backward_matches_finite_differences(self):
-        m, w, b, rb = self.setup_instance(seed=10, n=14)
+        m, w, b, pairs = self.setup_instance(seed=10, n=14)
         rng = np.random.default_rng(11)
         r = rng.normal(size=(m.n_sites, 4))
 
-        out, cache = submconv_forward(m, w, b, rb)
-        dx, dw, db = submconv_backward(r, cache)
+        dx, dw, db = submconv_backward(r, m.features, w, pairs)
 
         def loss_x(x):
-            mm = SparseMap(m.sites, x)
-            return float(np.sum(submconv_forward(mm, w, b, rb)[0].features * r))
+            return float(np.sum(submconv_forward(x, w, b, pairs) * r))
 
         def loss_w(ww):
-            return float(np.sum(submconv_forward(m, ww, b, rb)[0].features * r))
+            return float(np.sum(submconv_forward(m.features, ww, b, pairs) * r))
 
         def loss_b(bb):
-            return float(np.sum(submconv_forward(m, w, bb, rb)[0].features * r))
+            return float(np.sum(submconv_forward(m.features, w, bb, pairs) * r))
 
         assert max_rel_err(dx, finite_diff_grad(loss_x, m.features)) < 1e-6
         assert max_rel_err(dw, finite_diff_grad(loss_w, w)) < 1e-6
         assert max_rel_err(db, finite_diff_grad(loss_b, b)) < 1e-6
-
-    def test_backward_requires_cache(self):
-        with pytest.raises(NoForwardCache):
-            submconv_backward(np.zeros((1, 4)), None)
-        with pytest.raises(NoForwardCache):
-            submconv_backward(np.zeros((1, 4)), {})
 
 
 def fresh_bn(c, eps=1e-5, momentum=0.1):
@@ -348,27 +327,39 @@ class TestBatchNorm:
 
 class TestGlobalAveragePool:
     def test_single_site(self):
-        m = make_map([(0, 0)], [[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(global_average_pool(m), [1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(global_average_pool(x, [(0, 1)]),
+                                      [[1.0, 2.0, 3.0]])
 
     def test_two_sites_mean(self):
-        m = make_map([(0, 0), (1, 0)], [[1.0, 2.0], [3.0, 6.0]])
-        np.testing.assert_allclose(global_average_pool(m), [2.0, 4.0])
+        x = np.array([[1.0, 2.0], [3.0, 6.0]])
+        np.testing.assert_allclose(global_average_pool(x, [(0, 2)]), [[2.0, 4.0]])
 
     def test_row_order_irrelevant(self):
         rng = np.random.default_rng(14)
-        sites = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
         feats = rng.normal(size=(4, 3))
         perm = [2, 0, 3, 1]
-        a = global_average_pool(SparseMap(sites, feats))
-        b = global_average_pool(SparseMap(sites[perm], feats[perm]))
+        a = global_average_pool(feats, [(0, 4)])
+        b = global_average_pool(feats[perm], [(0, 4)])
         np.testing.assert_allclose(a, b, rtol=1e-15)
+
+    def test_segments_pool_separately(self):
+        x = np.array([[1.0], [3.0], [10.0], [20.0], [30.0]])
+        np.testing.assert_allclose(global_average_pool(x, [(0, 2), (2, 5)]),
+                                   [[2.0], [20.0]])
 
 
 def build_network(config, seed=0, dtype=np.float64):
     store = ParamStore()
     net = PoolingNetwork(config, store, np.random.default_rng(seed), dtype=dtype)
     return net, store
+
+
+def block_forward(net, block, m, training=False):
+    """One residual block of the network over a single map's rows."""
+    pairs = build_rulebook(m, net.config.kernel_size).pairs
+    out, _ = net._block_forward(block, m.features, pairs, training)
+    return out
 
 
 class TestResidualBlock:
@@ -379,15 +370,15 @@ class TestResidualBlock:
             if name.endswith("gamma") or name.endswith(".w"):
                 store[name][...] = 0.0
         m = random_map(np.random.default_rng(15), 6, dim=4)
-        out, _ = residual_block_forward(net, 0, m, training=False)
-        np.testing.assert_allclose(out.features, np.maximum(m.features, 0.0),
+        out = block_forward(net, 0, m)
+        np.testing.assert_allclose(out, np.maximum(m.features, 0.0),
                                    atol=1e-15)
 
     def test_single_site_equals_dense_vector_math(self):
         cfg = PoolingNetworkConfig(in_channels=3, block_channels=(5,))
         net, store = build_network(cfg, seed=16)
         m = make_map([(4, 4)], seed=17, dim=3)
-        out, _ = residual_block_forward(net, 0, m, training=False)
+        out = block_forward(net, 0, m)
 
         p = "net.block0."
         x = m.features[0]
@@ -402,15 +393,15 @@ class TestResidualBlock:
         a1 = np.maximum(bn_eval(y1, p + "bn1"), 0.0)
         y2 = a1 @ store[p + "conv2.w"][1, 1] + store[p + "conv2.b"]
         pre = bn_eval(y2, p + "bn2") + x @ store[p + "proj.w"][0, 0]
-        np.testing.assert_allclose(out.features[0], np.maximum(pre, 0.0),
+        np.testing.assert_allclose(out[0], np.maximum(pre, 0.0),
                                    rtol=1e-12)
 
     def test_preserves_sites(self):
         cfg = PoolingNetworkConfig(in_channels=3, block_channels=(4,))
         net, _ = build_network(cfg)
         m = random_map(np.random.default_rng(18), 7, dim=3)
-        out, _ = residual_block_forward(net, 0, m, training=False)
-        np.testing.assert_array_equal(out.sites, m.sites)
+        out = block_forward(net, 0, m)
+        assert out.shape == (m.n_sites, 4)
 
 
 class TestPoolingNetwork:
@@ -430,21 +421,22 @@ class TestPoolingNetwork:
             store[name][...] = 0.0
         store["net.head.b"][...] = np.arange(6.0)
         m = random_map(np.random.default_rng(19), 5, dim=3)
-        np.testing.assert_allclose(pool_forward(m, net), np.arange(6.0),
+        np.testing.assert_allclose(net.forward([m], False)[0][0], np.arange(6.0),
                                    atol=1e-15)
 
     def test_translation_invariance_bit_exact(self):
         net, _ = build_network(self.small_cfg(), seed=20)
         m = random_map(np.random.default_rng(21), 9, dim=3)
-        a = pool_forward(m, net)
-        b = pool_forward(translate(m, 10, 7), net)
+        a = net.forward([m], False)[0][0]
+        b = net.forward([SparseMap(m.sites + [10, 7], m.features)], False)[0][0]
         assert np.array_equal(a, b)
 
     def test_translation_invariance_train_mode(self):
         net, _ = build_network(self.small_cfg(), seed=20)
         m = random_map(np.random.default_rng(22), 9, dim=3)
         za, _ = net.forward([m], training=True)
-        zb, _ = net.forward([translate(m, 3, 11)], training=True)
+        zb, _ = net.forward([SparseMap(m.sites + [3, 11], m.features)],
+                            training=True)
         assert np.array_equal(za, zb)
 
     def test_eval_batch_rows_match_single(self):
@@ -453,7 +445,8 @@ class TestPoolingNetwork:
                 for s in (24, 25, 26)]
         z, _ = net.forward(maps, training=False)
         for i, m in enumerate(maps):
-            np.testing.assert_allclose(pool_forward(m, net), z[i], rtol=1e-12)
+            np.testing.assert_allclose(net.forward([m], False)[0][0], z[i],
+                                       rtol=1e-12)
 
     def test_duplicate_maps_get_identical_rows_in_train_mode(self):
         net, _ = build_network(self.small_cfg(), seed=27)

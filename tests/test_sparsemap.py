@@ -14,7 +14,6 @@ from slidessl.sparsemap import (
     augment_sparse_map,
     build_sparse_map,
     sample_slide_aug,
-    translate,
 )
 
 
@@ -276,10 +275,3 @@ class TestProperties:
         b = np.sort(out.features.round(9), axis=0)
         assert np.array_equal(a, b)
 
-
-class TestTranslate:
-    def test_shifts_sites_only(self):
-        m = smap_of({(0, 0): [1.0], (2, 1): [2.0]})
-        out = translate(m, 5, -1)
-        assert as_dict(out).keys() == {(5, -1), (7, 0)}
-        np.testing.assert_allclose(out.features, m.features)
