@@ -9,6 +9,7 @@ We pretrain the pooling network with the normalized-temperature
 cross-entropy objective over pairs of augmented slide views.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -65,3 +66,5 @@ print("final loss from report:", round(report["final_loss"], 4))
 model, epoch = load_model(ckpt)
 print("reloaded checkpoint at epoch", epoch,
       "- views were trained with", model.train_tiles, "tiles")
+
+shutil.rmtree(work)

@@ -9,6 +9,7 @@ reduction. Downstream evaluation is a logistic probe over stratified
 train/test splits at several label budgets.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -79,3 +80,5 @@ reports = [bootstrap_eval(matrix, y, budget=b, splits=10, seed=0)
            for b in ("all", 0.5, 20)]
 print()
 print(format_report_table(reports))
+
+shutil.rmtree(work)

@@ -8,6 +8,7 @@ drives the same entry points in-process. Identical seeds give
 byte-identical artifacts, so runs are fully reproducible.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -48,3 +49,5 @@ print("artifacts in", work)
 for p in sorted(work.rglob("*")):
     if p.is_file():
         print(f"  {p.relative_to(work)}  ({p.stat().st_size} bytes)")
+
+shutil.rmtree(work)

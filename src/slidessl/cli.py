@@ -10,16 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .datagen import GenConfig, generate_corpus, verify_marginal_equality
-from .errors import PipelineError, RuntimeFailure, ValidationError
+from .errors import RuntimeFailure, ValidationError
 from .gradcheck import PASS_BOUND, format_gradcheck_report, run_gradcheck
 from .inference import (
     DEFAULT_R_VIEWS,
     average_mil_embed,
+    embed_banks,
     embed_dataset,
     export_embeddings_csv,
     save_embeddings,
@@ -195,22 +193,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .bank import list_banks, load_bank
-
     if args.avgmil:
-        ids, rows = [], []
-        failures = []
-        for path in list_banks(args.banks):
-            try:
-                bank = load_bank(path)
-                rows.append(average_mil_embed(bank))
-                ids.append(bank.slide_id)
-            except (PipelineError, OSError) as exc:
-                failures.append((Path(path).stem, str(exc)))
-        order = np.argsort(ids)
-        ids = [ids[i] for i in order]
-        matrix = (np.stack(rows)[order].astype(np.float32)
-                  if rows else np.zeros((0, 0), dtype=np.float32))
+        ids, matrix, failures = embed_banks(
+            args.banks, lambda _, bank: average_mil_embed(bank), dim=0)
     else:
         if not args.checkpoint:
             raise ValidationError("embed needs --checkpoint (or --avgmil)")

@@ -109,27 +109,23 @@ def average_mil_embed(bank: EmbeddingBank) -> np.ndarray:
     return bank.features[0].astype(np.float64).mean(axis=0)
 
 
-def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
-                  r_views: int = DEFAULT_R_VIEWS, seed: int = 0,
-                  threads: int = 1):
-    """Embed every bank in a directory.
+def embed_banks(bank_dir, embed, dim: int, threads: int = 1):
+    """Apply ``embed(slide_idx, bank)`` to every bank in a directory.
 
-    Returns ``(ids, matrix, failures)`` where rows of ``matrix`` follow the
-    lexicographic order of slide ids and ``failures`` is a list of
-    ``(slide_id, message)`` for banks that could not be embedded. Each
-    slide's random stream depends only on the seed and its position in the
-    sorted listing, so thread count and failures elsewhere never change a
-    slide's embedding.
+    ``slide_idx`` is the bank's position in the sorted listing and ``embed``
+    returns the slide's row. Returns ``(ids, matrix, failures)``: float32
+    rows in lexicographic order of slide id, ``(0, dim)`` when none
+    succeeded, and ``(slide_id, message)`` for each failed bank. Only a
+    ``PipelineError`` or ``OSError`` (a bank that cannot be read or
+    embedded) counts as a failed slide; any other exception is a bug and
+    propagates.
     """
     paths = list_banks(bank_dir)
-    tiles = _resolve_tiles(model, tiles)
 
     def one(item):
         slide_idx, path = item
-        rng = np.random.default_rng([seed, 2, slide_idx])
         bank = load_bank(path)
-        emb = embed_slide(bank, model, tiles=tiles, r_views=r_views, rng=rng)
-        return emb
+        return bank.slide_id, embed(slide_idx, bank)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -137,22 +133,41 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
         jobs = [fut.result for fut in futures]
     else:
         jobs = [lambda item=item: one(item) for item in enumerate(paths)]
-    results: list[SlideEmbedding] = []
+    results: list[tuple[str, np.ndarray]] = []
     failures: list[tuple[str, str]] = []
     for path, job in zip(paths, jobs):
-        # a broken bank is a failed slide; any other exception is a bug
         try:
             results.append(job())
         except (PipelineError, OSError) as exc:
             failures.append((path.stem, str(exc)))
 
-    results.sort(key=lambda e: e.slide_id)
-    ids = [e.slide_id for e in results]
+    results.sort(key=lambda r: r[0])
+    ids = [sid for sid, _ in results]
     if results:
-        matrix = np.stack([e.vector for e in results]).astype(np.float32)
+        matrix = np.stack([row for _, row in results]).astype(np.float32)
     else:
-        matrix = np.zeros((0, model.net_config.out_dim), dtype=np.float32)
+        matrix = np.zeros((0, dim), dtype=np.float32)
     return ids, matrix, failures
+
+
+def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
+                  r_views: int = DEFAULT_R_VIEWS, seed: int = 0,
+                  threads: int = 1):
+    """Embed every bank in a directory with ``embed_banks``.
+
+    Returns ``(ids, matrix, failures)`` as ``embed_banks`` does. Each
+    slide's random stream depends only on the seed and its position in the
+    sorted listing, so thread count and failures elsewhere never change a
+    slide's embedding.
+    """
+    tiles = _resolve_tiles(model, tiles)
+
+    def one(slide_idx, bank):
+        rng = np.random.default_rng([seed, 2, slide_idx])
+        return embed_slide(bank, model, tiles=tiles, r_views=r_views,
+                           rng=rng).vector
+
+    return embed_banks(bank_dir, one, model.net_config.out_dim, threads)
 
 
 # ---------------------------------------------------------------------------

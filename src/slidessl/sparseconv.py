@@ -7,12 +7,16 @@ ReLU) over active sites only, a global average pool, and a linear head.
 Convolutions are submanifold: the output active-site set equals the input
 active-site set, and only active neighbors contribute. Site adjacency is
 enumerated once per map into a Rulebook (per kernel offset, the list of
-(input site, output site) index pairs); the books of a batch are merged
-into global row indices, which both directions of the convolution then
-replay. ``submconv_forward``, ``submconv_backward`` and
-``global_average_pool`` are the only conv and pool implementations: the
-network, the finite-difference checks in ``gradcheck`` and the dense
-convolution oracle of the acceptance suite (A2) all call them.
+(input site, output site) index pairs) by one vectorized lookup: sites are
+packed into int64 keys on a padded row-major grid, sorted once, and every
+(offset, site) neighbour query is a single ``searchsorted`` (the hashed
+kernel map of MinkowskiEngine, with a sorted array standing in for the
+hash table). The books of a batch are merged into global row indices,
+which both directions of the convolution then replay.
+``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
+are the only conv and pool implementations: the network, the
+finite-difference checks in ``gradcheck`` and the dense convolution oracle
+of the acceptance suite (A2) all call them.
 """
 
 from __future__ import annotations
@@ -42,23 +46,44 @@ class Rulebook:
 def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     """Enumerate active-neighbor pairs for every kernel offset.
 
-    Offsets are scanned row-major over the window; the zero offset is always
-    the complete identity pairing.
+    Offsets are scanned row-major over the window. ``pairs[o]`` is an
+    ``(m, 2)`` int64 array of (input site, output site) with output sites
+    ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
+    offset is always the complete identity pairing. The pair order fixes
+    the summation order of ``submconv_backward``'s weight gradient, so it
+    is part of the contract.
+
+    The lookup is vectorized over all sites and offsets. Each site is packed
+    into one int64 key ``(i - lo_i) * width + (j - lo_j)``, with ``lo`` the
+    sites' minimum minus ``c = k // 2`` and a row ``width`` padded by ``c``
+    on both sides, so that a neighbour offset ``(di, dj)`` is the key step
+    ``di * width + dj`` and never wraps into the next row. One stable sort
+    of the keys and one ``searchsorted`` over the ``(k², n)`` query matrix
+    find every neighbour; ``np.nonzero`` of the hits yields the pairs
+    already ordered by offset and then by output site.
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd and positive, got {kernel_size}")
-    sites = smap.sites
-    index = {(int(i), int(j)): idx for idx, (i, j) in enumerate(sites)}
-    pairs: list[np.ndarray] = []
-    for di, dj in kernel_offsets(kernel_size):
-        if di == 0 and dj == 0:
-            eye = np.arange(len(sites), dtype=np.int64)
-            pairs.append(np.stack([eye, eye], axis=1))
-            continue
-        found = [(index[(int(i) + di, int(j) + dj)], out_idx)
-                 for out_idx, (i, j) in enumerate(sites)
-                 if (int(i) + di, int(j) + dj) in index]
-        pairs.append(np.array(found, dtype=np.int64).reshape(-1, 2))
+    c = kernel_size // 2
+    sites = np.asarray(smap.sites, dtype=np.int64)
+    lo_i, lo_j = (int(v) - c for v in sites.min(axis=0))
+    hi_i, hi_j = (int(v) + c for v in sites.max(axis=0))
+    width = hi_j - lo_j + 1
+    if (hi_i - lo_i + 1) * width > np.iinfo(np.int64).max:
+        raise ValueError("site coordinates span too far to pack into int64 keys")
+    keys = (sites[:, 0] - lo_i) * width + (sites[:, 1] - lo_j)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    steps = np.array([di * width + dj for di, dj in kernel_offsets(kernel_size)],
+                     dtype=np.int64)
+    queries = keys + steps[:, None]
+    # pos = -1 (query below every key) reads the largest key, never a hit
+    pos = np.searchsorted(sorted_keys, queries, side="right") - 1
+    offset, dst = np.nonzero(sorted_keys[pos] == queries)
+    found = np.stack([order[pos[offset, dst]], dst], axis=1)
+    pairs = np.split(found, np.searchsorted(offset, np.arange(1, len(steps))))
+    # every key finds itself, so this only matters for duplicate sites
+    pairs[len(steps) // 2][:, 0] = np.arange(len(sites))
     return Rulebook(kernel_size, pairs)
 
 

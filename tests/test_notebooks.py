@@ -1,8 +1,9 @@
 """Smoke test: every notebook script runs to completion against the package.
 
-Each script runs in its own interpreter with the source tree on the path.
-The notebooks create scratch directories with ``tempfile.mkdtemp`` and keep
-them for inspection, so TMPDIR points at the test's temporary directory.
+Each script runs in its own interpreter with the source tree on the path
+and TMPDIR pointed at the test's temporary directory. The notebooks that
+write files do so in a ``tempfile.mkdtemp`` scratch directory, which they
+must remove before they exit.
 """
 
 import os
@@ -29,3 +30,4 @@ def test_notebook_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("slidessl_demo_*"))

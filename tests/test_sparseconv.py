@@ -36,15 +36,21 @@ def random_map(rng, n_sites, dim, extent=8):
 
 
 def brute_force_pairs(sites, kernel_size):
-    """O(n^2) neighbor scan: the oracle the rulebook must reproduce."""
+    """O(n^2) neighbor scan: the oracle the rulebook must reproduce.
+
+    Per offset, an int64 ``(m, 2)`` array of (input, output) pairs with
+    output sites ascending: the order that fixes the bits of the weight
+    gradient.
+    """
     c = kernel_size // 2
-    out = {o: set() for o in kernel_offsets(kernel_size)}
+    out = {o: [] for o in kernel_offsets(kernel_size)}
     for out_idx, s in enumerate(sites):
         for in_idx, t in enumerate(sites):
             o = (int(t[0] - s[0]), int(t[1] - s[1]))
             if abs(o[0]) <= c and abs(o[1]) <= c:
-                out[o].add((in_idx, out_idx))
-    return out
+                out[o].append((in_idx, out_idx))
+    return {o: np.array(p, dtype=np.int64).reshape(-1, 2)
+            for o, p in out.items()}
 
 
 def dense_conv_at_active(smap, weights, bias, extent):
@@ -89,14 +95,30 @@ class TestRulebook:
                 assert len(by_offset[o]) == 0
 
     def test_matches_quadratic_oracle(self):
+        # exact arrays, not pair sets: dtype, shape (empty offsets included)
+        # and order, on sorted, unsorted, shifted, far-apart and 1-site maps
         rng = np.random.default_rng(4)
+        maps = []
         for trial in range(10):
-            m = random_map(rng, 20, dim=2, extent=6)
-            rb = build_rulebook(m, 3)
-            oracle = brute_force_pairs(m.sites, 3)
-            for o, off in enumerate(kernel_offsets(3)):
-                got = {tuple(p) for p in rb.pairs[o]}
-                assert got == oracle[off], (trial, off)
+            m = random_map(rng, int(rng.integers(2, 25)), dim=2, extent=6)
+            perm = rng.permutation(m.n_sites)
+            far = (m.sites + 7) * int(rng.integers(2, 10**6))
+            shift = rng.integers(-10**9, 0, size=2)
+            maps += [m, SparseMap(m.sites[perm], m.features[perm]),
+                     SparseMap(m.sites + shift, m.features),
+                     SparseMap(np.concatenate([m.sites, far]),
+                               np.concatenate([m.features, m.features])),
+                     SparseMap(m.sites[:1] + shift, m.features[:1])]
+        for k in (1, 3, 5):
+            for idx, m in enumerate(maps):
+                rb = build_rulebook(m, k)
+                oracle = brute_force_pairs(m.sites, k)
+                assert len(rb.pairs) == k * k
+                for o, off in enumerate(kernel_offsets(k)):
+                    got = rb.pairs[o]
+                    assert got.dtype == np.int64, (k, idx, off)
+                    assert got.shape == oracle[off].shape, (k, idx, off)
+                    assert np.array_equal(got, oracle[off]), (k, idx, off)
 
     def test_zero_offset_is_identity(self):
         rng = np.random.default_rng(5)
@@ -104,6 +126,9 @@ class TestRulebook:
         rb = build_rulebook(m, 5)
         center = kernel_offsets(5).index((0, 0))
         assert rb.pairs[center].tolist() == [[i, i] for i in range(15)]
+        # also when a hand-built map repeats a site
+        dup = make_map([(0, 0), (0, 0), (0, 1)], dim=2)
+        assert build_rulebook(dup, 3).pairs[4].tolist() == [[0, 0], [1, 1], [2, 2]]
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
