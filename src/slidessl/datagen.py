@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bank import EmbeddingBank, save_bank
 from .errors import ValidationError
@@ -92,6 +91,9 @@ def _prototypes(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _aug_transforms(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
     """One mild rotation per augmentation slice k >= 1, (K-1, F, F)."""
+    # imported here so that `import slidessl` does not pay for scipy
+    from scipy.linalg import expm
+
     out = np.zeros((cfg.n_augs - 1, cfg.feat_dim, cfg.feat_dim))
     for k in range(cfg.n_augs - 1):
         a = rng.normal(size=(cfg.feat_dim, cfg.feat_dim))

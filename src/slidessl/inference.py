@@ -7,6 +7,12 @@ the mean to unit length. Views are drawn from augmentation slice 0 only
 (the untouched tile embeddings) and no slide-level transform is applied:
 test-time geometry should be the recorded geometry.
 
+All views of a slide subsample one tile set, so ``embed_slide`` builds
+them as one batch: one canonical sort of the drawn tiles, one neighbour
+table on their distinct sites, one ``PoolingNetwork.forward_rows`` pass.
+Rows and pairs equal those of ``build_sparse_map`` per view followed by
+``PoolingNetwork.forward``, so the vectors are bit-identical to that path.
+
 The module also provides the mean-tile baseline and a small binary format
 for embedding matrices (magic ``GSLE``) with a CSV export.
 """
@@ -30,7 +36,8 @@ from .errors import (
     InsufficientTiles,
     PipelineError,
 )
-from .sparsemap import build_sparse_map
+from .sparseconv import neighbour_table, table_pairs
+from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_rows, tile_order
 from .training import SlideModel
 
 EMBED_MAGIC = b"GSLE"
@@ -63,20 +70,63 @@ def _resolve_tiles(model: SlideModel, tiles: int | None) -> int:
     return tiles
 
 
+def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
+                kernel_size: int):
+    """Views ``idx`` (R, T) of one tile set as network rows ``(x, pairs, segs)``:
+    row for row and pair for pair what ``build_sparse_map`` per view and
+    ``PoolingNetwork.forward`` build. A view's tiles sort in the order of
+    the whole set restricted to them; an ``(R, sites)`` row map restricts
+    the set's neighbour table to each view."""
+    r_views, tiles = idx.shape
+    # only drawn tiles are sorted: a paper-scale bank has thousands of tiles
+    used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
+    sites = coords[used] // DOWNSAMPLE_FACTOR
+    order = tile_order(sites, coords[used], feats[used])
+    sites = sites[order]
+    first = first_of_site(sites)
+    site_of = np.cumsum(first) - 1            # distinct-site id per sorted tile
+    rank = np.empty(len(coords), dtype=np.int64)
+    rank[used[order]] = np.arange(len(used))
+    pos = np.sort(rank[idx], axis=1).ravel()  # each view's tiles, sorted
+    view = np.repeat(np.arange(r_views), tiles)
+    tile_site = site_of[pos]
+    present = np.zeros((r_views, int(first.sum())), dtype=bool)
+    present[view, tile_site] = True
+    row_map = np.full(present.shape, -1, dtype=np.int64)
+    row_map[present] = np.arange(np.count_nonzero(present))
+    row_view, row_site = np.nonzero(present)
+    tile_row = row_map[view, tile_site]
+    tile_feats = feats[used[order[pos]]]
+    x = merge_rows(tile_feats, tile_row, len(row_view))
+    sizes = present.sum(axis=1)
+    # views without a collision keep their rows untouched, as in
+    # build_sparse_map (the merge would turn -0.0 into 0.0)
+    clean = (sizes == tiles)[view]
+    x[tile_row[clean]] = tile_feats[clean]
+    nbr = neighbour_table(sites[first], kernel_size)[:, row_site]
+    adj = np.where(nbr >= 0, row_map[row_view, nbr], -1)
+    ends = np.cumsum(sizes).tolist()
+    segs = list(zip([0] + ends[:-1], ends))
+    return x, table_pairs(adj), segs
+
+
 def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None,
                 r_views: int = DEFAULT_R_VIEWS,
                 rng: np.random.Generator | None = None) -> SlideEmbedding:
     """Ensemble ``r_views`` sampled views into one unit-norm slide vector.
 
     Each view draws ``tiles`` tile indices without replacement from
-    augmentation slice 0, runs the pooling network in eval mode, and the
-    view outputs are averaged then L2-normalized.
+    augmentation slice 0, all views run through the pooling network in
+    eval mode as one batch, and the view outputs are averaged then
+    L2-normalized.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     tiles = _resolve_tiles(model, tiles)
     if r_views < 1:
         raise InsufficientTiles(f"need at least 1 view, got {r_views}")
+    if tiles < 1:
+        raise InsufficientTiles(f"need at least 1 tile per view, got {tiles}")
     if tiles > bank.n_tiles:
         raise InsufficientTiles(
             f"{bank.slide_id}: {tiles} tiles per view requested, "
@@ -86,13 +136,12 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
             f"{bank.slide_id}: bank features have {bank.feat_dim} dims, "
             f"model expects {model.feat_dim}")
 
-    coords = bank.coords[0].astype(np.int64)
-    feats = bank.features[0].astype(model.dtype)
-    maps = []
-    for _ in range(r_views):
-        idx = np.sort(rng.choice(bank.n_tiles, size=tiles, replace=False))
-        maps.append(build_sparse_map((coords[idx], feats[idx])))
-    pooled, _ = model.net.forward(maps, training=False)
+    idx = np.stack([np.sort(rng.choice(bank.n_tiles, size=tiles, replace=False))
+                    for _ in range(r_views)])
+    x, pairs, segs = _view_batch(bank.coords[0].astype(np.int64),
+                                 bank.features[0].astype(model.dtype), idx,
+                                 model.net_config.kernel_size)
+    pooled, _ = model.net.forward_rows(x, pairs, segs, training=False)
     mean = pooled.mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:

@@ -6,13 +6,15 @@ ReLU) over active sites only, a global average pool, and a linear head.
 
 Convolutions are submanifold: the output active-site set equals the input
 active-site set, and only active neighbors contribute. Site adjacency is
-enumerated once per map into a Rulebook (per kernel offset, the list of
-(input site, output site) index pairs) by one vectorized lookup: sites are
-packed into int64 keys on a padded row-major grid, sorted once, and every
-(offset, site) neighbour query is a single ``searchsorted`` (the hashed
-kernel map of MinkowskiEngine, with a sorted array standing in for the
-hash table). The books of a batch are merged into global row indices,
-which both directions of the convolution then replay.
+one vectorized lookup, ``neighbour_table``: sites are packed into int64
+keys on a padded row-major grid, sorted once, and every (offset, site)
+neighbour query is a single ``searchsorted`` (the hashed kernel map of
+MinkowskiEngine, with a sorted array standing in for the hash table).
+``table_pairs`` turns a table into per-offset (input row, output row)
+pairs. ``PoolingNetwork.forward`` builds one Rulebook per map and merges
+the books into global rows; ``PoolingNetwork.forward_rows`` runs the
+network on any batch laid out as rows with such pairs, which is how
+inference runs a whole slide's views from one table.
 ``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
 are the only conv and pool implementations: the network, the
 finite-difference checks in ``gradcheck`` and the dense convolution oracle
@@ -43,29 +45,22 @@ class Rulebook:
     pairs: list[np.ndarray] = field(default_factory=list)
 
 
-def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
-    """Enumerate active-neighbor pairs for every kernel offset.
+def neighbour_table(sites: np.ndarray, kernel_size: int) -> np.ndarray:
+    """Row of each site's neighbour at each kernel offset, -1 where none.
 
-    Offsets are scanned row-major over the window. ``pairs[o]`` is an
-    ``(m, 2)`` int64 array of (input site, output site) with output sites
-    ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
-    offset is always the complete identity pairing. The pair order fixes
-    the summation order of ``submconv_backward``'s weight gradient, so it
-    is part of the contract.
-
-    The lookup is vectorized over all sites and offsets. Each site is packed
-    into one int64 key ``(i - lo_i) * width + (j - lo_j)``, with ``lo`` the
-    sites' minimum minus ``c = k // 2`` and a row ``width`` padded by ``c``
-    on both sides, so that a neighbour offset ``(di, dj)`` is the key step
-    ``di * width + dj`` and never wraps into the next row. One stable sort
-    of the keys and one ``searchsorted`` over the ``(k², n)`` query matrix
-    find every neighbour; ``np.nonzero`` of the hits yields the pairs
-    already ordered by offset and then by output site.
+    Returns a ``(k², n)`` int64 table, offsets row-major over the window.
+    Each site is packed into one int64 key ``(i - lo_i) * width + (j - lo_j)``,
+    with ``lo`` the sites' minimum minus ``c = k // 2`` and a row ``width``
+    padded by ``c`` on both sides, so that a neighbour offset ``(di, dj)``
+    is the key step ``di * width + dj`` and never wraps into the next row.
+    One stable sort of the keys and one ``searchsorted`` over the
+    ``(k², n)`` query matrix find every neighbour. Raises ``ValueError``
+    when a site repeats or the coordinate span cannot be packed.
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd and positive, got {kernel_size}")
     c = kernel_size // 2
-    sites = np.asarray(smap.sites, dtype=np.int64)
+    sites = np.asarray(sites, dtype=np.int64)
     lo_i, lo_j = (int(v) - c for v in sites.min(axis=0))
     hi_i, hi_j = (int(v) + c for v in sites.max(axis=0))
     width = hi_j - lo_j + 1
@@ -74,17 +69,39 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     keys = (sites[:, 0] - lo_i) * width + (sites[:, 1] - lo_j)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ValueError("sparse map repeats a site; sites must be unique")
     steps = np.array([di * width + dj for di, dj in kernel_offsets(kernel_size)],
                      dtype=np.int64)
     queries = keys + steps[:, None]
     # pos = -1 (query below every key) reads the largest key, never a hit
     pos = np.searchsorted(sorted_keys, queries, side="right") - 1
-    offset, dst = np.nonzero(sorted_keys[pos] == queries)
-    found = np.stack([order[pos[offset, dst]], dst], axis=1)
-    pairs = np.split(found, np.searchsorted(offset, np.arange(1, len(steps))))
-    # every key finds itself, so this only matters for duplicate sites
-    pairs[len(steps) // 2][:, 0] = np.arange(len(sites))
-    return Rulebook(kernel_size, pairs)
+    return np.where(sorted_keys[pos] == queries, order[pos], -1)
+
+
+def table_pairs(table: np.ndarray) -> list[np.ndarray]:
+    """Per offset, the (input row, output row) pairs of a neighbour table.
+
+    ``np.nonzero`` walks the ``(k², n)`` table row-major, so the pairs come
+    out ordered by offset and then by output row.
+    """
+    offset, dst = np.nonzero(table >= 0)
+    found = np.stack([table[offset, dst], dst], axis=1)
+    return np.split(found, np.searchsorted(offset, np.arange(1, len(table))))
+
+
+def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
+    """Enumerate active-neighbor pairs for every kernel offset.
+
+    Offsets are scanned row-major over the window. ``pairs[o]`` is an
+    ``(m, 2)`` int64 array of (input site, output site) with output sites
+    ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
+    offset is the complete identity pairing. The pair order fixes the
+    summation order of ``submconv_backward``'s weight gradient, so it is
+    part of the contract. Raises ``ValueError`` for a repeated site.
+    """
+    return Rulebook(kernel_size,
+                    table_pairs(neighbour_table(smap.sites, kernel_size)))
 
 
 def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray]:
@@ -302,10 +319,18 @@ class PoolingNetwork:
                     f"network expects {self.config.in_channels}")
         books = [build_rulebook(m, self.config.kernel_size) for m in maps]
         starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
-        pairs = merge_rulebooks(books, starts)
         segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
         x = np.concatenate([m.features for m in maps], axis=0)
+        return self.forward_rows(x, merge_rulebooks(books, starts), segs,
+                                 training)
 
+    def forward_rows(self, x: np.ndarray, pairs: list[np.ndarray],
+                     segs: list[tuple[int, int]], training: bool
+                     ) -> tuple[np.ndarray, dict]:
+        """``forward`` on a batch laid out as rows: ``x`` holds every map's
+        site features, map after map, ``segs`` the maps' ``(start, end)``
+        rows and ``pairs`` their adjacency in global rows, ordered as
+        ``merge_rulebooks`` orders it."""
         cache: dict = {"segs": segs, "pairs": pairs, "training": training,
                        "blocks": []}
         for b in range(self.config.n_blocks):

@@ -71,8 +71,10 @@ class SparseMap:
 
     ``sites`` is an ``(n, 2)`` int64 array of (i, j) lattice pairs, unique
     and lexicographically sorted; ``features`` is the aligned ``(n, F)``
-    float array. Instances are treated as immutable; transforms return new
-    maps.
+    float array. ``build_sparse_map`` and ``augment_sparse_map`` build maps
+    of this form; the constructor checks only shapes, and
+    ``build_rulebook`` rejects a map with a repeated site. Instances are
+    treated as immutable; transforms return new maps.
     """
 
     sites: np.ndarray
@@ -103,28 +105,60 @@ def _sort_keys(features: np.ndarray) -> list[np.ndarray]:
     return [bits[:, k] for k in range(bits.shape[1])]
 
 
-def _canonicalize(sites: np.ndarray, features: np.ndarray,
-                  tiebreak: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows by site, merge duplicate sites by feature mean, shift to origin.
+def _site_order(sites: np.ndarray, tiebreak: list[np.ndarray]) -> np.ndarray:
+    """Stable order by site, ``tiebreak`` keys (least significant first) next."""
+    return np.lexsort(tiebreak + [sites[:, 1], sites[:, 0]])
 
-    ``tiebreak`` keys (least significant first) order rows that share a site,
-    so the accumulation order, and hence the floating-point result, does not
-    depend on the permutation the rows arrived in.
+
+def tile_order(sites: np.ndarray, coords: np.ndarray,
+               features: np.ndarray) -> np.ndarray:
+    """Canonical tile order: lattice site, then pixel (x, y), then feature bits.
+
+    Feature bits break ties between tiles sharing a pixel, so the merge
+    order does not depend on the order tiles arrived in. The sort is
+    stable: a subset given in ascending index order sorts to this order
+    restricted to it.
     """
-    order = np.lexsort(tiebreak + [sites[:, 1], sites[:, 0]])
+    return _site_order(sites, _sort_keys(features) + [coords[:, 1], coords[:, 0]])
+
+
+def first_of_site(sites: np.ndarray) -> np.ndarray:
+    """True on the first row of each run of equal rows of sorted ``sites``."""
+    first = np.empty(len(sites), dtype=bool)
+    first[:1] = True
+    np.any(sites[1:] != sites[:-1], axis=1, out=first[1:])
+    return first
+
+
+def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Mean of the ``features`` rows sent to each output row by ``rows``.
+
+    Each output row starts at zero, adds its inputs in the order given, and
+    is divided by their count: the collision merge of every map.
+    """
+    merged = np.zeros((n_rows, features.shape[1]), dtype=features.dtype)
+    np.add.at(merged, rows, features)
+    merged /= np.bincount(rows, minlength=n_rows).astype(features.dtype)[:, None]
+    return merged
+
+
+def _canonicalize(sites: np.ndarray, features: np.ndarray,
+                  order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put rows in ``order``, merge duplicate sites by feature mean, shift to origin.
+
+    ``order`` (from ``_site_order``) fixes the merge order, so the floats do
+    not depend on the order rows arrived in. Without collisions the feature
+    rows stay untouched.
+    """
     sites = sites[order]
     features = features[order]
-
-    uniq, inverse, counts = np.unique(sites, axis=0, return_inverse=True,
-                                      return_counts=True)
-    if len(uniq) == len(sites):
+    first = first_of_site(sites)
+    if first.all():
         merged = features
     else:
-        merged = np.zeros((len(uniq), features.shape[1]), dtype=features.dtype)
-        np.add.at(merged, inverse, features)
-        merged /= counts.astype(features.dtype)[:, None]
-    uniq = uniq - uniq.min(axis=0)
-    return uniq, merged
+        merged = merge_rows(features, np.cumsum(first) - 1, int(first.sum()))
+    uniq = sites[first]
+    return uniq - uniq.min(axis=0), merged
 
 
 def build_sparse_map(tiles: Sequence[TileRecord] | tuple[np.ndarray, np.ndarray],
@@ -166,10 +200,8 @@ def build_sparse_map(tiles: Sequence[TileRecord] | tuple[np.ndarray, np.ndarray]
 
     coords = coords.astype(np.int64)
     sites = coords // int(downsample)
-    # Tiles may collide both in lattice site and in pixel position, so feature
-    # bits join the tiebreak to keep the merge order canonical.
-    tiebreak = _sort_keys(features) + [coords[:, 1], coords[:, 0]]
-    sites, merged = _canonicalize(sites, features, tiebreak)
+    sites, merged = _canonicalize(sites, features,
+                                  tile_order(sites, coords, features))
     return SparseMap(sites, merged)
 
 
@@ -202,8 +234,8 @@ def augment_sparse_map(smap: SparseMap, params: SlideAugParams) -> SparseMap:
 
     sites = np.stack([i, j], axis=1)
     # Input sites are unique (canonical map), so they are a total tiebreak.
-    tiebreak = [smap.sites[:, 1], smap.sites[:, 0]]
-    sites, merged = _canonicalize(sites, smap.features, tiebreak)
+    order = _site_order(sites, [smap.sites[:, 1], smap.sites[:, 0]])
+    sites, merged = _canonicalize(sites, smap.features, order)
     return SparseMap(sites, merged)
 
 

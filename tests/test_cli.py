@@ -1,10 +1,16 @@
 """End-to-end command-line behavior: artifacts, exit codes, help text."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidessl
 from slidessl.cli import _default_threads, _parse_budget, main
 from slidessl.errors import ValidationError
 
@@ -115,6 +121,28 @@ def test_embed_reproducible(trained, tmp_path):
                    "--out", str(out), "--views", "2", "--seed", "3"])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_embed_bytes_do_not_depend_on_thread_counts(tmp_path):
+    banks, ckpt = tmp_path / "banks", tmp_path / "m.ckpt"
+    assert main(["gen", "--out", str(banks), "--slides", "6", "--tiles", "24",
+                 "--augs", "3", "--dim", "6", "--extent", "2048",
+                 "--seed", "5"]) == 0
+    assert main(["pretrain", "--banks", str(banks), "--checkpoint", str(ckpt),
+                 "--epochs", "1", "--tiles", "6", "--batch", "3"]) == 0
+    src = str(Path(slidessl.__file__).resolve().parents[1])
+    outputs = []
+    for blas, threads in itertools.product("12", "12"):
+        out = tmp_path / f"blas{blas}_threads{threads}.gse"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "slidessl.cli", "embed",
+                        "--banks", str(banks), "--checkpoint", str(ckpt),
+                        "--out", str(out), "--threads", threads],
+                       check=True, env=env, capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    from slidessl.inference import load_embeddings
+    assert len(load_embeddings(out)[0]) == 6
+    assert all(blob == outputs[0] for blob in outputs[1:])
 
 
 def test_embed_avgmil_needs_no_checkpoint(corpus, tmp_path):

@@ -1,10 +1,14 @@
 """Synthetic corpus generator: structure, determinism, marginal equality."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidessl
 from slidessl.bank import list_banks, load_bank
 from slidessl.datagen import (
     GenConfig,
@@ -17,6 +21,16 @@ from slidessl.probe import load_labels_csv
 
 SMALL = dict(n_slides=12, n_classes=2, n_tiles=32, n_augs=4, feat_dim=8,
              grid_extent=2048, seed=3)
+
+
+def test_import_does_not_load_scipy():
+    # only corpus generation needs scipy; every other command skips its import
+    src = str(Path(slidessl.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import slidessl; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_corpus_files_exist(tmp_path):

@@ -10,8 +10,10 @@ from slidessl.errors import (
     EmptyBag,
     FormatError,
     InsufficientTiles,
+    PipelineError,
 )
 from slidessl.inference import (
+    _view_batch,
     average_mil_embed,
     embed_dataset,
     embed_slide,
@@ -19,7 +21,8 @@ from slidessl.inference import (
     load_embeddings,
     save_embeddings,
 )
-from slidessl.sparseconv import PoolingNetworkConfig
+from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
+from slidessl.sparsemap import build_sparse_map
 from slidessl.training import build_model
 
 
@@ -62,7 +65,6 @@ def test_exact_budget_bank_gives_single_view_vector():
                        rng=np.random.default_rng(7))
     np.testing.assert_allclose(many.vector, one.vector, atol=1e-6)
 
-    from slidessl.sparsemap import build_sparse_map
     smap = build_sparse_map((bank.coords[0].astype(np.int64),
                              bank.features[0].astype(np.float32)))
     w1 = model.net.forward([smap], False)[0][0]
@@ -148,6 +150,70 @@ def test_embedding_deterministic_given_rng_seed():
     a = embed_slide(bank, model, r_views=5, rng=np.random.default_rng(11))
     b = embed_slide(bank, model, r_views=5, rng=np.random.default_rng(11))
     assert np.array_equal(a.vector, b.vector)
+
+
+def crowded_bank(n_tiles, feat_dim, cells, same_pixel=0, seed=0):
+    """Tiles packed into a cells x cells lattice region, so several share a
+    site; the last ``same_pixel`` tiles repeat the first ones' positions,
+    and every fourth tile has a -0.0 feature."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, cells * 224, size=(1, n_tiles, 2))
+    if same_pixel:
+        coords[:, -same_pixel:] = coords[:, :same_pixel]
+    feats = rng.normal(size=(1, n_tiles, feat_dim))
+    feats[0, ::4, 0] = -0.0
+    return EmbeddingBank("s", coords, feats)
+
+
+@pytest.mark.parametrize(
+    "n_tiles,cells,same_pixel,tiles,r_views,kernel,feat_dim,blocks,dtype", [
+        (40, 3, 0, 12, 20, 3, 6, (8, 8), np.float32),     # many tiles per site
+        (30, 4, 10, 9, 15, 3, 6, (8, 8), np.float32),     # equal pixel positions
+        (30, 2, 15, 30, 4, 3, 6, (8, 8), np.float64),     # T = bank size
+        (25, 5, 5, 7, 1, 3, 8, (8, 8), np.float32),       # one view, no projection
+        (35, 4, 5, 10, 12, 1, 6, (8, 8), np.float32),     # k = 1
+        (35, 6, 5, 10, 12, 5, 6, (8, 12), np.float64),    # k = 5, two projections
+        (60, 20, 0, 5, 30, 3, 8, (8,), np.float32),       # sparse, few collisions
+    ])
+def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
+                                          r_views, kernel, feat_dim, blocks,
+                                          dtype):
+    bank = crowded_bank(n_tiles, feat_dim, cells, same_pixel, seed=n_tiles)
+    cfg = PoolingNetworkConfig(in_channels=feat_dim, block_channels=blocks,
+                               kernel_size=kernel, out_dim=10)
+    model = build_model(cfg, proj_dim=12, seed=1, dtype=dtype,
+                        train_tiles=tiles)
+    got = embed_slide(bank, model, r_views=r_views,
+                      rng=np.random.default_rng(4))
+
+    # the same draws, one map per view, one forward
+    rng = np.random.default_rng(4)
+    idx = np.stack([np.sort(rng.choice(n_tiles, size=tiles, replace=False))
+                    for _ in range(r_views)])
+    coords = bank.coords[0].astype(np.int64)
+    feats = bank.features[0].astype(dtype)
+    maps = [build_sparse_map((coords[i], feats[i])) for i in idx]
+    mean = model.net.forward(maps, False)[0].mean(axis=0)
+    want = (mean / np.linalg.norm(mean)).astype(np.float32)
+    assert got.vector.tobytes() == want.tobytes()
+
+    # and the batch's rows and pairs are those of the per-view path
+    x, pairs, segs = _view_batch(coords, feats, idx, kernel)
+    starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
+    assert segs == [(s, s + m.n_sites) for s, m in zip(starts, maps)]
+    assert x.tobytes() == np.concatenate([m.features for m in maps]).tobytes()
+    books = [build_rulebook(m, kernel) for m in maps]
+    want_pairs = merge_rulebooks(books, starts)
+    assert len(pairs) == len(want_pairs)
+    for a, b in zip(pairs, want_pairs):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_zero_tiles_is_a_failed_slide():
+    with pytest.raises(PipelineError):
+        embed_slide(make_bank(), make_model(train_tiles=None), tiles=0,
+                    r_views=3, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,10 @@ class TestRulebook:
         rb = build_rulebook(m, 5)
         center = kernel_offsets(5).index((0, 0))
         assert rb.pairs[center].tolist() == [[i, i] for i in range(15)]
-        # also when a hand-built map repeats a site
+        # a hand-built map that repeats a site has no well-defined pairing
         dup = make_map([(0, 0), (0, 0), (0, 1)], dim=2)
-        assert build_rulebook(dup, 3).pairs[4].tolist() == [[0, 0], [1, 1], [2, 2]]
+        with pytest.raises(ValueError, match="repeats a site"):
+            build_rulebook(dup, 3)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
