@@ -8,9 +8,10 @@ the mean to unit length. Views are drawn from augmentation slice 0 only
 test-time geometry should be the recorded geometry.
 
 All views of a slide subsample one tile set, so ``embed_slide`` builds
-them as one batch: one canonical sort of the drawn tiles, one neighbour
-table on their distinct sites, one ``PoolingNetwork.forward_rows`` pass.
-Rows and pairs equal those of ``build_sparse_map`` per view followed by
+them as one batch: one canonical sort of the drawn tiles, one collision
+merge (``sparsemap.merge_views``, as training uses), one neighbour table
+on their distinct sites, one ``PoolingNetwork.forward_rows`` pass. Rows
+and pairs equal those of ``build_sparse_map`` per view followed by
 ``PoolingNetwork.forward``, so the vectors are bit-identical to that path.
 
 The module also provides the mean-tile baseline and a small binary format
@@ -36,8 +37,8 @@ from .errors import (
     InsufficientTiles,
     PipelineError,
 )
-from .sparseconv import neighbour_table, table_pairs
-from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_rows, tile_order
+from .sparseconv import neighbour_table, table_pairs, view_segments
+from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_views, tile_order
 from .training import SlideModel
 
 EMBED_MAGIC = b"GSLE"
@@ -81,7 +82,7 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     # only drawn tiles are sorted: a paper-scale bank has thousands of tiles
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
     sites = coords[used] // DOWNSAMPLE_FACTOR
-    order = tile_order(sites, coords[used], feats[used])
+    order = tile_order(np.column_stack([sites, coords[used]]), feats[used])
     sites = sites[order]
     first = first_of_site(sites)
     site_of = np.cumsum(first) - 1            # distinct-site id per sorted tile
@@ -96,18 +97,10 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     row_map[present] = np.arange(np.count_nonzero(present))
     row_view, row_site = np.nonzero(present)
     tile_row = row_map[view, tile_site]
-    tile_feats = feats[used[order[pos]]]
-    x = merge_rows(tile_feats, tile_row, len(row_view))
-    sizes = present.sum(axis=1)
-    # views without a collision keep their rows untouched, as in
-    # build_sparse_map (the merge would turn -0.0 into 0.0)
-    clean = (sizes == tiles)[view]
-    x[tile_row[clean]] = tile_feats[clean]
+    x = merge_views(feats[used[order[pos]]], tile_row, view)
     nbr = neighbour_table(sites[first], kernel_size)[:, row_site]
     adj = np.where(nbr >= 0, row_map[row_view, nbr], -1)
-    ends = np.cumsum(sizes).tolist()
-    segs = list(zip([0] + ends[:-1], ends))
-    return x, table_pairs(adj), segs
+    return x, table_pairs(adj), view_segments(present.sum(axis=1))
 
 
 def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None,

@@ -11,10 +11,13 @@ keys on a padded row-major grid, sorted once, and every (offset, site)
 neighbour query is a single ``searchsorted`` (the hashed kernel map of
 MinkowskiEngine, with a sorted array standing in for the hash table).
 ``table_pairs`` turns a table into per-offset (input row, output row)
-pairs. ``PoolingNetwork.forward`` builds one Rulebook per map and merges
-the books into global rows; ``PoolingNetwork.forward_rows`` runs the
-network on any batch laid out as rows with such pairs, which is how
-inference runs a whole slide's views from one table.
+pairs. ``view_pairs`` gives the pairs of many maps laid out as rows from
+one table, moving each map's sites apart so that no kernel window spans
+two maps; ``PoolingNetwork.forward`` and training use it. ``build_rulebook``
+(one map) and ``merge_rulebooks`` give the same pairs map by map, the
+reference the tests hold the batch to. ``PoolingNetwork.forward_rows``
+runs the network on any batch laid out as rows with such pairs, which is
+how training runs a step's views and inference a slide's views.
 ``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
 are the only conv and pool implementations: the network, the
 finite-difference checks in ``gradcheck`` and the dense convolution oracle
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
-from .sparsemap import SparseMap
+from .sparsemap import SparseMap, view_starts
 
 
 def kernel_offsets(kernel_size: int) -> list[tuple[int, int]]:
@@ -98,10 +101,37 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
     offset is the complete identity pairing. The pair order fixes the
     summation order of ``submconv_backward``'s weight gradient, so it is
-    part of the contract. Raises ``ValueError`` for a repeated site.
+    part of the contract. Raises ``ValueError`` for a repeated site. This
+    is ``view_pairs`` of one map, so checks of a rulebook audit the
+    adjacency that training and ``PoolingNetwork.forward`` build.
     """
-    return Rulebook(kernel_size,
-                    table_pairs(neighbour_table(smap.sites, kernel_size)))
+    return Rulebook(kernel_size, view_pairs(np.zeros(smap.n_sites, dtype=np.int64),
+                                            smap.sites, kernel_size))
+
+
+def view_pairs(view: np.ndarray, sites: np.ndarray,
+               kernel_size: int) -> list[np.ndarray]:
+    """Pairs of maps laid out as rows, view after view, from one table.
+
+    ``view`` (non-decreasing, holding 0..V-1) names each row's map. View v's
+    i-coordinates are moved to start at ``v * (height + k)``, with height
+    the tallest map's span, so no kernel window reaches from one map into
+    the next, and one ``neighbour_table`` covers every map. The pairs are
+    those ``merge_rulebooks`` makes of the maps' own rulebooks: per offset,
+    ordered by output row. Raises ``ValueError`` when a map repeats a site.
+    """
+    starts = view_starts(view)
+    lo = np.minimum.reduceat(sites[:, 0], starts)
+    height = int((np.maximum.reduceat(sites[:, 0], starts) - lo).max()) + 1
+    i = sites[:, 0] - lo[view] + view * (height + kernel_size)
+    return table_pairs(neighbour_table(np.stack([i, sites[:, 1]], axis=1),
+                                       kernel_size))
+
+
+def view_segments(sizes) -> list[tuple[int, int]]:
+    """``(start, end)`` rows of maps of the given sizes laid out in order."""
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0] + ends[:-1], ends))
 
 
 def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray]:
@@ -317,12 +347,12 @@ class PoolingNetwork:
                 raise DimensionMismatch(
                     f"map has {m.feat_dim} channels, "
                     f"network expects {self.config.in_channels}")
-        books = [build_rulebook(m, self.config.kernel_size) for m in maps]
-        starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
-        segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
+        sizes = [m.n_sites for m in maps]
+        view = np.repeat(np.arange(len(maps)), sizes)
+        pairs = view_pairs(view, np.concatenate([m.sites for m in maps]),
+                           self.config.kernel_size)
         x = np.concatenate([m.features for m in maps], axis=0)
-        return self.forward_rows(x, merge_rulebooks(books, starts), segs,
-                                 training)
+        return self.forward_rows(x, pairs, view_segments(sizes), training)
 
     def forward_rows(self, x: np.ndarray, pairs: list[np.ndarray],
                      segs: list[tuple[int, int]], training: bool
@@ -330,7 +360,7 @@ class PoolingNetwork:
         """``forward`` on a batch laid out as rows: ``x`` holds every map's
         site features, map after map, ``segs`` the maps' ``(start, end)``
         rows and ``pairs`` their adjacency in global rows, ordered as
-        ``merge_rulebooks`` orders it."""
+        ``view_pairs`` and ``merge_rulebooks`` order it."""
         cache: dict = {"segs": segs, "pairs": pairs, "training": training,
                        "blocks": []}
         for b in range(self.config.n_blocks):

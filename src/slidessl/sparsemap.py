@@ -10,6 +10,11 @@ downsample factor, then optionally scaled / rotated / flipped at the slide
 level. Site collisions produced by downsampling or scaling are merged by
 taking the arithmetic mean of the colliding feature vectors, and the site
 set is shifted so its bounding box touches the origin after every transform.
+
+The sort, merge and shift exist once, for many views laid out as rows
+with a view id (``place_tiles``, ``augment_rows``): training builds all
+views of a step in one call, and ``build_sparse_map`` and
+``augment_sparse_map`` are one-view calls.
 """
 
 from __future__ import annotations
@@ -105,23 +110,6 @@ def _sort_keys(features: np.ndarray) -> list[np.ndarray]:
     return [bits[:, k] for k in range(bits.shape[1])]
 
 
-def _site_order(sites: np.ndarray, tiebreak: list[np.ndarray]) -> np.ndarray:
-    """Stable order by site, ``tiebreak`` keys (least significant first) next."""
-    return np.lexsort(tiebreak + [sites[:, 1], sites[:, 0]])
-
-
-def tile_order(sites: np.ndarray, coords: np.ndarray,
-               features: np.ndarray) -> np.ndarray:
-    """Canonical tile order: lattice site, then pixel (x, y), then feature bits.
-
-    Feature bits break ties between tiles sharing a pixel, so the merge
-    order does not depend on the order tiles arrived in. The sort is
-    stable: a subset given in ascending index order sorts to this order
-    restricted to it.
-    """
-    return _site_order(sites, _sort_keys(features) + [coords[:, 1], coords[:, 0]])
-
-
 def first_of_site(sites: np.ndarray) -> np.ndarray:
     """True on the first row of each run of equal rows of sorted ``sites``."""
     first = np.empty(len(sites), dtype=bool)
@@ -130,35 +118,134 @@ def first_of_site(sites: np.ndarray) -> np.ndarray:
     return first
 
 
+def view_starts(view: np.ndarray) -> np.ndarray:
+    """First row of each view; ``view`` is non-decreasing and holds 0..V-1."""
+    return np.flatnonzero(np.diff(view, prepend=-1))
+
+
+def tile_order(keys: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Canonical row order: the integer columns of ``keys`` (for tiles: view,
+    lattice site, pixel x, y), most significant first, then feature bits.
+
+    Feature bits break ties between tiles sharing a pixel, so the merge
+    order does not depend on the order tiles arrived in. They are sorted
+    only within runs of equal keys, which gives the full-key order without
+    sorting wide features for every tile. The sort is stable: a subset given
+    in ascending index order sorts to this order restricted to it.
+    """
+    order = np.lexsort(keys.T[::-1])
+    tie = ~first_of_site(keys[order])
+    if tie.any():
+        run = np.cumsum(~tie)
+        pos = np.flatnonzero(tie | np.append(tie[1:], False))
+        sub = order[pos]
+        order[pos] = sub[np.lexsort(_sort_keys(features[sub]) + [run[pos]])]
+    return order
+
+
 def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """Mean of the ``features`` rows sent to each output row by ``rows``.
 
-    Each output row starts at zero, adds its inputs in the order given, and
-    is divided by their count: the collision merge of every map.
+    ``rows`` is non-decreasing and names every output row, so the inputs of
+    an output row are one run. Each output row starts at zero, adds its
+    inputs in the order given, and is divided by their count: the collision
+    merge of every map. Pass r adds the r-th input of every run that has
+    one, longest runs first, so the work is one add per input even when
+    every input lands on one row.
     """
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
     merged = np.zeros((n_rows, features.shape[1]), dtype=features.dtype)
-    np.add.at(merged, rows, features)
-    merged /= np.bincount(rows, minlength=n_rows).astype(features.dtype)[:, None]
+    merged += features[starts]
+    by_size = np.argsort(-counts, kind="stable")
+    longer = np.searchsorted(-counts[by_size], -np.arange(1, counts.max()))
+    for r, n_runs in enumerate(longer.tolist(), start=1):
+        runs = by_size[:n_runs]
+        merged[runs] += features[starts[runs] + r]
+    merged /= counts.astype(features.dtype)[:, None]
     return merged
 
 
-def _canonicalize(sites: np.ndarray, features: np.ndarray,
-                  order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Put rows in ``order``, merge duplicate sites by feature mean, shift to origin.
+def merge_views(features: np.ndarray, rows: np.ndarray,
+                view: np.ndarray) -> np.ndarray:
+    """``merge_rows`` over rows grouped by view, one map per view.
 
-    ``order`` (from ``_site_order``) fixes the merge order, so the floats do
-    not depend on the order rows arrived in. Without collisions the feature
-    rows stay untouched.
+    ``rows`` and ``view`` are non-decreasing. A view in which no two inputs
+    share an output row keeps its rows untouched, as a single map without
+    collisions does: the merge would turn -0.0 into 0.0.
     """
-    sites = sites[order]
-    features = features[order]
-    first = first_of_site(sites)
-    if first.all():
-        merged = features
-    else:
-        merged = merge_rows(features, np.cumsum(first) - 1, int(first.sum()))
-    uniq = sites[first]
-    return uniq - uniq.min(axis=0), merged
+    n_rows = int(rows[-1]) + 1
+    if n_rows == len(rows):
+        return features
+    merged = merge_rows(features, rows, n_rows)
+    dirty = np.zeros(int(view[-1]) + 1, dtype=bool)
+    dirty[view[1:][rows[1:] == rows[:-1]]] = True
+    clean = ~dirty[view]
+    merged[rows[clean]] = features[clean]
+    return merged
+
+
+def canonical_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
+                   order: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Put rows in ``order``, merge a view's duplicate sites by feature mean,
+    shift each view so its bounding box touches the origin.
+
+    ``view`` holds 0..V-1; ``order`` sorts by view, then site, then a
+    tiebreak, and so fixes the merge order. Returns the merged rows'
+    ``(view, sites, features)``.
+    """
+    view, sites = view[order], sites[order]
+    first = first_of_site(np.column_stack([view, sites]))
+    merged = merge_views(features[order], np.cumsum(first) - 1, view)
+    view, sites = view[first], sites[first]
+    lo = np.minimum.reduceat(sites, view_starts(view), axis=0)
+    return view, sites - lo[view], merged
+
+
+def place_tiles(view: np.ndarray, coords: np.ndarray, features: np.ndarray,
+                downsample: int = DOWNSAMPLE_FACTOR
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tiles of views 0..V-1 on the lattice ``(x // d, y // d)``, as rows.
+
+    ``coords`` are non-negative int64 pixel positions. Each view becomes a
+    canonical map, as ``build_sparse_map`` builds it alone; all views share
+    one sort and one merge.
+    """
+    sites = coords // int(downsample)
+    order = tile_order(np.column_stack([view, sites, coords]), features)
+    return canonical_rows(view, sites, features, order)
+
+
+_QUARTER_COS = np.array([1, 0, -1, 0])
+_QUARTER_SIN = np.array([0, 1, 0, -1])
+
+
+def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
+                 params: Sequence[SlideAugParams]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``augment_sparse_map`` of views 0..V-1 at once, view v by ``params[v]``.
+
+    The rows are canonical maps, view after view. Scale, quarter turn and
+    flip act per row. A flip reflects about the view's bounding box, which
+    the shift to the origin makes a plain negation. A view with identity
+    parameters keeps its rows: its sites map to themselves, so the sort,
+    merge and shift leave it as it is.
+    """
+    def per_row(name):
+        return np.array([getattr(p, name) for p in params])[view]
+
+    i = np.floor(sites[:, 0] * per_row("scale_x")).astype(np.int64)
+    j = np.floor(sites[:, 1] * per_row("scale_y")).astype(np.int64)
+    r = per_row("rot_quarters")
+    cos, sin = _QUARTER_COS[r], _QUARTER_SIN[r]
+    i, j = cos * i - sin * j, sin * i + cos * j
+    i = np.where(per_row("flip_x"), -i, i)
+    j = np.where(per_row("flip_y"), -j, j)
+    # rows arrive sorted by view, then site: the stable sort keeps sites
+    # that collide in that order
+    order = np.lexsort([j, i, view])
+    return canonical_rows(view, np.stack([i, j], axis=1), features, order)
 
 
 def build_sparse_map(tiles: Sequence[TileRecord] | tuple[np.ndarray, np.ndarray],
@@ -198,10 +285,8 @@ def build_sparse_map(tiles: Sequence[TileRecord] | tuple[np.ndarray, np.ndarray]
     if coords.min() < 0:
         raise ValueError("tile coordinates must be non-negative")
 
-    coords = coords.astype(np.int64)
-    sites = coords // int(downsample)
-    sites, merged = _canonicalize(sites, features,
-                                  tile_order(sites, coords, features))
+    _, sites, merged = place_tiles(np.zeros(len(coords), dtype=np.int64),
+                                   coords.astype(np.int64), features, downsample)
     return SparseMap(sites, merged)
 
 
@@ -216,26 +301,8 @@ def augment_sparse_map(smap: SparseMap, params: SlideAugParams) -> SparseMap:
     if params.is_identity:
         return smap
 
-    i = np.floor(smap.sites[:, 0] * params.scale_x).astype(np.int64)
-    j = np.floor(smap.sites[:, 1] * params.scale_y).astype(np.int64)
-
-    r = params.rot_quarters
-    if r == 1:
-        i, j = -j, i
-    elif r == 2:
-        i, j = -i, -j
-    elif r == 3:
-        i, j = j, -i
-
-    if params.flip_x:
-        i = i.max() - i
-    if params.flip_y:
-        j = j.max() - j
-
-    sites = np.stack([i, j], axis=1)
-    # Input sites are unique (canonical map), so they are a total tiebreak.
-    order = _site_order(sites, [smap.sites[:, 1], smap.sites[:, 0]])
-    sites, merged = _canonicalize(sites, smap.features, order)
+    _, sites, merged = augment_rows(np.zeros(smap.n_sites, dtype=np.int64),
+                                    smap.sites, smap.features, [params])
     return SparseMap(sites, merged)
 
 

@@ -6,6 +6,12 @@ the slide level), embeds them with the pooling network, projects them, and
 applies the normalized-temperature cross-entropy loss across the batch.
 Augmentation slice 0 is never drawn here; it is reserved for inference.
 
+``train_step`` draws the views one by one, with the generator calls of
+``sample_view``, then builds all 2B of them as one batch (``sample_batch``:
+one tile sort and merge, one slide augmentation, one neighbour table) for
+``PoolingNetwork.forward_rows``. Training is bit-identical to building
+each view alone.
+
 Everything is seeded: epoch e uses the stream [seed, 1, e], so a resumed run
 continues bit-identically to an uninterrupted one.
 """
@@ -37,12 +43,17 @@ from .numcore import (
     mlp_projector_forward,
     save_checkpoint,
 )
-from .sparseconv import PoolingNetwork, PoolingNetworkConfig
+from .sparseconv import (
+    PoolingNetwork,
+    PoolingNetworkConfig,
+    view_pairs,
+    view_segments,
+)
 from .sparsemap import (
     SlideAugParams,
     SparseMap,
-    augment_sparse_map,
-    build_sparse_map,
+    augment_rows,
+    place_tiles,
     sample_slide_aug,
 )
 
@@ -152,14 +163,14 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # View sampling
 
-def sample_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator
-                ) -> tuple[SparseMap, ViewSpec]:
-    """Draw one training view from a bank.
+def _draw_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator):
+    """The random draws of one view, in their fixed order.
 
     Shared mode draws a single augmentation slice k >= 1 and then T tile
     indices without replacement; not-shared mode draws the T tile indices
-    first and then an independent slice index per tile. Draw order is fixed
-    so a seeded generator reproduces the view exactly.
+    first and then an independent slice index per tile. Slide augmentation
+    parameters come last. Returns ``(coords, features, slices, tiles,
+    params)``.
     """
     if cfg.tiles > bank.n_tiles:
         raise InsufficientTiles(
@@ -171,26 +182,55 @@ def sample_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator
             f"identity slice; training needs at least 2")
 
     if cfg.shared_aug:
-        k = int(rng.integers(1, bank.n_augs))
+        ks = int(rng.integers(1, bank.n_augs))
         tiles = np.sort(rng.choice(bank.n_tiles, size=cfg.tiles, replace=False))
-        coords = bank.coords[k, tiles]
-        feats = bank.features[k, tiles]
-        augs = (k,)
+        augs = (ks,)
     else:
         tiles = np.sort(rng.choice(bank.n_tiles, size=cfg.tiles, replace=False))
         ks = rng.integers(1, bank.n_augs, size=cfg.tiles)
-        coords = bank.coords[ks, tiles]
-        feats = bank.features[ks, tiles]
         augs = tuple(int(k) for k in ks)
+    params = sample_slide_aug(rng) if cfg.slide_aug else None
+    return bank.coords[ks, tiles], bank.features[ks, tiles], augs, tiles, params
 
-    smap = build_sparse_map((coords.astype(np.int64), feats))
-    params = None
-    if cfg.slide_aug:
-        params = sample_slide_aug(rng)
-        smap = augment_sparse_map(smap, params)
+
+def _view_rows(coords: list, feats: list, params: list, slide_aug: bool):
+    """Drawn views as canonical map rows ``(view, sites, features)``."""
+    view = np.repeat(np.arange(len(coords)), [len(c) for c in coords])
+    rows = place_tiles(view, np.concatenate(coords).astype(np.int64),
+                       np.concatenate(feats))
+    if slide_aug:
+        rows = augment_rows(*rows, params)
+    return rows
+
+
+def sample_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator
+                ) -> tuple[SparseMap, ViewSpec]:
+    """Draw one training view from a bank.
+
+    The draws are those of ``_draw_view``, so a seeded generator reproduces
+    the view exactly, and the map is the one ``sample_batch`` builds for it.
+    """
+    coords, feats, augs, tiles, params = _draw_view(bank, cfg, rng)
+    _, sites, x = _view_rows([coords], [feats], [params], cfg.slide_aug)
     spec = ViewSpec(bank.slide_id, cfg.shared_aug, augs,
                     tuple(int(t) for t in tiles), params)
-    return smap, spec
+    return SparseMap(sites, x), spec
+
+
+def sample_batch(banks: list[EmbeddingBank], cfg: TrainConfig,
+                 rng: np.random.Generator, kernel_size: int):
+    """Two views per bank as network rows ``(x, pairs, segs)``.
+
+    Draws each view as ``sample_view`` does, in bank order, then builds all
+    of them as one batch: one tile sort and merge, one slide augmentation,
+    one ``view_pairs`` table. Rows and pairs equal those of ``sample_view``
+    per view, ``build_rulebook`` and ``merge_rulebooks``.
+    """
+    coords, feats, _, _, params = zip(
+        *[_draw_view(bank, cfg, rng) for bank in banks for _ in range(2)])
+    view, sites, x = _view_rows(coords, feats, params, cfg.slide_aug)
+    return (x, view_pairs(view, sites, kernel_size),
+            view_segments(np.bincount(view)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +388,14 @@ def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
     if len(banks) < 2:
         raise DegenerateBatch(
             f"contrastive batch needs >= 2 slides, got {len(banks)}")
-    maps = []
     for bank in banks:
-        for _ in range(2):
-            smap, _ = sample_view(bank, cfg, rng)
-            maps.append(smap)
+        if bank.feat_dim != model.feat_dim:
+            raise DimensionMismatch(
+                f"bank '{bank.slide_id}' has {bank.feat_dim} feature dims, "
+                f"network expects {model.feat_dim}")
+    x, pairs, segs = sample_batch(banks, cfg, rng, model.net_config.kernel_size)
     model.store.zero_grads()
-    pooled, cache = model.net.forward(maps, training=True)
+    pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
     proj, pcache = mlp_projector_forward(pooled, model.store.params)
     loss, dproj = nt_xent(proj, temperature=cfg.temperature)
     dpooled, proj_grads = mlp_projector_backward(dproj, pcache)

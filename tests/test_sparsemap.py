@@ -11,9 +11,13 @@ from slidessl.sparsemap import (
     SlideAugParams,
     SparseMap,
     TileRecord,
+    _sort_keys,
+    augment_rows,
     augment_sparse_map,
     build_sparse_map,
+    merge_rows,
     sample_slide_aug,
+    tile_order,
 )
 
 
@@ -110,12 +114,114 @@ class TestBuild:
         assert len(set(as_tuples)) == len(as_tuples)
 
 
+class TestMergeRows:
+    @staticmethod
+    def add_at_oracle(features, rows, n_rows):
+        merged = np.zeros((n_rows, features.shape[1]), dtype=features.dtype)
+        np.add.at(merged, rows, features)
+        return merged / np.bincount(rows, minlength=n_rows).astype(
+            features.dtype)[:, None]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_runs_match_add_at_bytes(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n_rows = int(rng.integers(1, 40))
+            sizes = rng.geometric(0.4, size=n_rows)
+            rows = np.repeat(np.arange(n_rows), sizes)
+            feats = (rng.normal(size=(len(rows), 4)) * 1e3).astype(dtype)
+            feats[::3, 1] = -0.0
+            got = merge_rows(feats, rows, n_rows)
+            want = self.add_at_oracle(feats, rows, n_rows)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_all_inputs_on_one_row(self):
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(500, 3)).astype(np.float32) * 1e4
+        rows = np.zeros(500, dtype=np.int64)
+        got = merge_rows(feats, rows, 1)
+        assert got.tobytes() == self.add_at_oracle(feats, rows, 1).tobytes()
+
+    def test_single_inputs_lose_negative_zero(self):
+        # the merge starts at zero: 0.0 + -0.0 is 0.0
+        got = merge_rows(np.array([[-0.0], [1.0], [3.0]]), np.array([0, 1, 1]), 2)
+        assert got.tobytes() == np.array([[0.0], [2.0]]).tobytes()
+
+
+class TestTileOrder:
+    @staticmethod
+    def full_key_order(sites, coords, features):
+        """One lexsort over site, pixel and every feature column."""
+        return np.lexsort(_sort_keys(features) + [coords[:, 1], coords[:, 0],
+                                                  sites[:, 1], sites[:, 0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_full_key_order_with_pixel_ties(self, dtype):
+        rng = np.random.default_rng(13)
+        for _ in range(80):
+            n = int(rng.integers(1, 40))
+            coords = rng.integers(0, 3 * 224, size=(n, 2))
+            same = int(rng.integers(0, n // 2 + 1))
+            if same:
+                coords[-same:] = coords[rng.integers(0, n - same, size=same)]
+            feats = rng.normal(size=(n, 5)).astype(dtype)
+            feats[::4, 2] = -0.0
+            feats[-2:] = feats[:2]          # repeated tiles, equal in every key
+            sites = coords // 224
+            got = tile_order(np.column_stack([sites, coords]), feats)
+            assert np.array_equal(got, self.full_key_order(sites, coords, feats))
+
+    def test_shared_pixels_give_bit_exact_permutation_invariant_map(self):
+        rng = np.random.default_rng(14)
+        coords = np.repeat(rng.integers(0, 2 * 224, size=(6, 2)), 4, axis=0)
+        feats = rng.normal(size=(24, 3)) * 1e3
+        feats[::5, 0] = -0.0
+        base = build_sparse_map((coords, feats))
+        for _ in range(10):
+            perm = rng.permutation(24)
+            other = build_sparse_map((coords[perm], feats[perm]))
+            assert other.sites.tobytes() == base.sites.tobytes()
+            assert other.features.tobytes() == base.features.tobytes()
+        # the merge order is the full-key order: add in it, divide by count
+        sites = coords // 224
+        order = self.full_key_order(sites, coords, feats)
+        want = {}
+        for t in order:
+            key = tuple(sites[t] - sites.min(axis=0))
+            total, count = want.get(key, (np.zeros(3), 0))
+            want[key] = (total + feats[t], count + 1)
+        assert [tuple(s) for s in base.sites] == sorted(want)
+        merged = np.array([want[k][0] / want[k][1] for k in sorted(want)])
+        assert base.features.tobytes() == merged.tobytes()
+
+
 class TestAugment:
     def test_identity_returns_same_map(self):
         m = smap_of({(0, 0): [1.0], (2, 1): [2.0]})
         out = augment_sparse_map(m, SlideAugParams())
         assert np.array_equal(out.sites, m.sites)
         assert np.array_equal(out.features, m.features)
+
+    def test_batch_of_views_equals_single_maps(self):
+        # identity parameters inside a batch leave the view's rows as they
+        # are, -0.0 included, as augment_sparse_map returns the map itself
+        rng = np.random.default_rng(15)
+        maps, params = [], []
+        for v in range(12):
+            coords = rng.integers(0, 4 * 224, size=(int(rng.integers(1, 15)), 2))
+            feats = rng.normal(size=(len(coords), 3))
+            feats[::2, 1] = -0.0
+            maps.append(build_sparse_map((coords, feats)))
+            params.append(SlideAugParams() if v % 3 == 0 else sample_slide_aug(rng))
+        view = np.repeat(np.arange(12), [m.n_sites for m in maps])
+        got_view, sites, feats = augment_rows(
+            view, np.concatenate([m.sites for m in maps]),
+            np.concatenate([m.features for m in maps]), params)
+        want = [augment_sparse_map(m, p) for m, p in zip(maps, params)]
+        assert np.array_equal(np.bincount(got_view), [w.n_sites for w in want])
+        assert sites.tobytes() == np.concatenate([w.sites for w in want]).tobytes()
+        assert feats.tobytes() == np.concatenate([w.features for w in want]).tobytes()
 
     def test_scale_half_merges(self):
         # sites 0,1,2 on one row scale to 0,0,1: first two average

@@ -14,8 +14,16 @@ from slidessl.errors import (
     FormatError,
     InsufficientTiles,
 )
-from slidessl.numcore import finite_diff_grad, max_rel_err
-from slidessl.sparseconv import PoolingNetworkConfig
+from slidessl import training
+from slidessl.numcore import (
+    adam_step,
+    finite_diff_grad,
+    max_rel_err,
+    mlp_projector_backward,
+    mlp_projector_forward,
+)
+from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
+from slidessl.sparsemap import SlideAugParams, sample_slide_aug
 from slidessl.training import (
     SlideModel,
     TrainConfig,
@@ -26,6 +34,7 @@ from slidessl.training import (
     nt_xent,
     parse_config_text,
     pretrain,
+    sample_batch,
     sample_view,
     save_model,
     train_config_from_values,
@@ -370,6 +379,128 @@ class TestTrainStep:
                     for n in before)
         assert moved > len(before) / 2
         assert model.store.t == 1
+
+
+# ---------------------------------------------------------------------------
+# The training batch against the per-view path
+
+def tie_bank(slide_id, n, cells, same_pixel, seed, K=3, F=4, dtype=np.float32):
+    """Tiles packed into a cells x cells lattice region, so several share a
+    site; the last ``same_pixel`` tiles of each slice repeat the first ones'
+    pixel positions, and every third tile has a -0.0 feature. The bank
+    holds float32; a float64 bank gets its feature array replaced."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, cells * 224, size=(K, n, 2))
+    if same_pixel:
+        coords[:, -same_pixel:] = coords[:, :same_pixel]
+    feats = rng.normal(size=(K, n, F))
+    feats[:, ::3, 0] = -0.0
+    bank = EmbeddingBank(slide_id, coords, feats)
+    bank.features = bank.features.astype(dtype)
+    return bank
+
+
+def oracle_batch(banks, cfg, rng, kernel_size):
+    """One ``sample_view`` map per view, one rulebook per map, merged."""
+    maps = [sample_view(b, cfg, rng)[0] for b in banks for _ in range(2)]
+    starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
+    segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
+    books = [build_rulebook(m, kernel_size) for m in maps]
+    return (np.concatenate([m.features for m in maps]),
+            merge_rulebooks(books, starts), segs)
+
+
+def oracle_step(banks, model, cfg, rng):
+    """``train_step`` on the rows and pairs of ``oracle_batch``."""
+    x, pairs, segs = oracle_batch(banks, cfg, rng, model.net_config.kernel_size)
+    model.store.zero_grads()
+    pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
+    proj, pcache = mlp_projector_forward(pooled, model.store.params)
+    loss, dproj = nt_xent(proj, temperature=cfg.temperature)
+    dpooled, grads = mlp_projector_backward(dproj, pcache)
+    for name, g in grads.items():
+        model.store.accumulate(name, g.astype(model.store[name].dtype, copy=False))
+    model.net.backward(dpooled.astype(pooled.dtype, copy=False), cache)
+    adam_step(model.store, cfg.adam)
+    return loss
+
+
+def sometimes_identity(rng):
+    """Slide augmentation draws, every other one replaced by the identity."""
+    params = sample_slide_aug(rng)
+    return SlideAugParams() if rng.integers(0, 2) else params
+
+
+@pytest.mark.parametrize(
+    "shared,slide_aug,identity,n,cells,same_pixel,tiles,kernel,dtype", [
+        (True, True, False, 20, 3, 6, 8, 3, np.float32),     # crowded sites
+        (False, True, False, 20, 3, 6, 8, 3, np.float32),    # not shared
+        (True, False, False, 20, 3, 6, 8, 3, np.float32),    # no slide aug
+        (False, False, False, 16, 2, 8, 16, 5, np.float64),  # T = bank size
+        (True, True, True, 20, 4, 5, 6, 3, np.float32),      # identity params
+        (False, True, True, 12, 2, 4, 12, 1, np.float64),    # k = 1, T = n
+        (True, True, False, 10, 6, 0, 1, 3, np.float32),     # T = 1
+        (False, True, False, 30, 8, 10, 7, 5, np.float64),   # k = 5, sparse
+    ])
+def test_batch_equals_per_view_oracle(monkeypatch, shared, slide_aug, identity,
+                                      n, cells, same_pixel, tiles, kernel,
+                                      dtype):
+    if identity:
+        monkeypatch.setattr(training, "sample_slide_aug", sometimes_identity)
+    banks = [tie_bank(f"s{i}", n, cells, same_pixel, seed=10 * n + i, dtype=dtype)
+             for i in range(4)]
+    cfg = TrainConfig(tiles=tiles, batch_size=4, shared_aug=shared,
+                      slide_aug=slide_aug)
+    for seed in range(5):
+        x, pairs, segs = sample_batch(banks, cfg, np.random.default_rng(seed),
+                                      kernel)
+        want_x, want_pairs, want_segs = oracle_batch(
+            banks, cfg, np.random.default_rng(seed), kernel)
+        assert segs == want_segs
+        assert x.dtype == want_x.dtype and x.shape == want_x.shape
+        assert x.tobytes() == want_x.tobytes()
+        assert len(pairs) == len(want_pairs) == kernel * kernel
+        for a, b in zip(pairs, want_pairs):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shared,slide_aug,dtype", [
+    (True, True, np.float32), (False, True, np.float64),
+    (True, False, np.float32)])
+def test_train_steps_equal_per_view_oracle_steps(shared, slide_aug, dtype):
+    banks = [tie_bank(f"s{i}", 14, 3, 4, seed=i) for i in range(3)]
+    cfg = TrainConfig(tiles=6, batch_size=3, shared_aug=shared,
+                      slide_aug=slide_aug)
+    models = [tiny_model(seed=2, dtype=dtype) for _ in range(2)]
+    rngs = [np.random.default_rng(21) for _ in range(2)]
+    for _ in range(4):
+        loss = train_step(banks, models[0], cfg, rngs[0])
+        assert loss == oracle_step(banks, models[1], cfg, rngs[1])
+    got, want = models
+    assert got.store.t == want.store.t
+    for name, arr in want.store.state_arrays(include_optimizer=True).items():
+        assert got.store.state_arrays()[name].tobytes() == arr.tobytes(), name
+    for name, buf in want.net.buffers.items():
+        assert got.net.buffers[name].tobytes() == buf.tobytes(), name
+
+
+def test_batch_still_rejects_short_banks():
+    banks = [make_bank(slide_id="a", n=8), make_bank(slide_id="b", n=2)]
+    with pytest.raises(InsufficientTiles):
+        train_step(banks, tiny_model(), TrainConfig(tiles=3, batch_size=2),
+                   np.random.default_rng(0))
+    with pytest.raises(InsufficientTiles):
+        train_step([make_bank(slide_id="a"), make_bank(slide_id="b", K=1)],
+                   tiny_model(), TrainConfig(tiles=3, batch_size=2),
+                   np.random.default_rng(0))
+
+
+def test_train_step_rejects_feature_width_mismatch():
+    banks = [make_bank(slide_id="a", F=4), make_bank(slide_id="b", F=5)]
+    with pytest.raises(DimensionMismatch):
+        train_step(banks, tiny_model(F=4), TrainConfig(tiles=3, batch_size=2),
+                   np.random.default_rng(0))
 
 
 class TestPretrain:
