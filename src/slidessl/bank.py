@@ -6,22 +6,22 @@ coordinates and its embedding vector. Slice 0 holds the identity
 training views. Coordinates are stored per slice because each slice
 subsamples its own tile set.
 
-On disk a bank is a ".gsb" file: magic "GSLB", u32 version=1, u32 n_augs,
-u32 n_tiles, u32 feat_dim, then for each slice (outer) and tile (inner)
-i32 x, i32 y, feat_dim x f32, all little-endian. A JSON sidecar named
+On disk a bank is a ".gsb" ``container`` (magic "GSLB", version 1) with
+header fields n_augs, n_tiles, feat_dim, then for each slice (outer) and
+tile (inner) i32 x, i32 y, feat_dim x f32. A JSON sidecar named
 "<slide_id>.json" carries the slide id and generator provenance.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptBank, DimensionMismatch, EmptyBag, FormatError
+from .container import Reader, u32, write_atomic
+from .errors import CorruptBank, DimensionMismatch, EmptyBag
 
 BANK_MAGIC = b"GSLB"
 BANK_VERSION = 1
@@ -67,71 +67,46 @@ class EmbeddingBank:
     def feat_dim(self) -> int:
         return self.features.shape[2]
 
-    def slice(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, features) of augmentation slice k."""
-        return self.coords[k], self.features[k]
-
 
 def _record_dtype(feat_dim: int) -> np.dtype:
-    return np.dtype([("x", "<i4"), ("y", "<i4"), ("f", "<f4", (feat_dim,))])
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
+    return np.dtype([("xy", "<i4", (2,)), ("f", "<f4", (feat_dim,))])
 
 
 def save_bank(bank: EmbeddingBank, path, provenance: dict | None = None):
     """Write the binary bank plus its JSON sidecar (sorted keys, no clocks)."""
     path = Path(path)
-    header = BANK_MAGIC + struct.pack(
-        "<IIII", BANK_VERSION, bank.n_augs, bank.n_tiles, bank.feat_dim)
     rec = np.zeros((bank.n_augs, bank.n_tiles), dtype=_record_dtype(bank.feat_dim))
-    rec["x"] = bank.coords[:, :, 0]
-    rec["y"] = bank.coords[:, :, 1]
+    rec["xy"] = bank.coords
     rec["f"] = bank.features
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rec.tobytes())
+    write_atomic(path, [BANK_MAGIC, u32(BANK_VERSION, bank.n_augs, bank.n_tiles,
+                                        bank.feat_dim), rec])
     sidecar = {"slide_id": bank.slide_id, "provenance": provenance or {}}
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    text = json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
+    write_atomic(path.with_suffix(".json"), [text.encode("utf-8")])
 
 
 def load_bank(path) -> EmbeddingBank:
     """Read a .gsb file; slide id comes from the sidecar, else the stem."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != BANK_MAGIC:
-        raise FormatError(f"{path.name}: not a bank file (bad magic)")
-    if len(blob) < 20:
-        raise CorruptBank(f"{path.name}: truncated header")
-    version, n_augs, n_tiles, feat_dim = struct.unpack("<IIII", blob[4:20])
-    if version != BANK_VERSION:
-        raise FormatError(f"{path.name}: unsupported bank version {version}")
+    reader = Reader(path, BANK_MAGIC, BANK_VERSION, 3, error=CorruptBank)
+    n_augs, n_tiles, feat_dim = reader.fields
     if n_augs < 1 or n_tiles < 1 or feat_dim < 1:
         raise CorruptBank(f"{path.name}: degenerate header "
                           f"({n_augs} slices, {n_tiles} tiles, {feat_dim} dims)")
-    rec_dtype = _record_dtype(feat_dim)
-    expected = 20 + n_augs * n_tiles * rec_dtype.itemsize
-    if len(blob) != expected:
-        raise CorruptBank(
-            f"{path.name}: {len(blob)} bytes on disk, expected {expected}")
-    rec = np.frombuffer(blob, dtype=rec_dtype, offset=20).reshape(n_augs, n_tiles)
+    rec = reader.array(_record_dtype(feat_dim), (n_augs, n_tiles), "records")
+    reader.end()
 
     slide_id = path.stem
-    sidecar = _sidecar_path(path)
+    sidecar = path.with_suffix(".json")
     if sidecar.exists():
         try:
-            meta = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
+            meta = json.loads(sidecar.read_bytes())
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise CorruptBank(f"{sidecar.name}: invalid sidecar JSON") from exc
         slide_id = meta.get("slide_id", slide_id)
 
-    coords = np.stack([rec["x"], rec["y"]], axis=2)
     try:
-        return EmbeddingBank(slide_id, coords, rec["f"].copy())
+        return EmbeddingBank(slide_id, rec["xy"].copy(), rec["f"].copy())
     except CorruptBank as exc:
         raise CorruptBank(f"{path.name}: {exc}") from None
 

@@ -1,0 +1,76 @@
+"""Binary container of banks (.gsb), checkpoints (.ckpt) and embeddings (.gse).
+
+A file is a 4-byte magic, a u32 version, then little-endian fields: u32s,
+strings (u32 byte count, then UTF-8) and raw arrays. Each format picks the
+fields; parsing, its checks and atomic writes live here.
+"""
+
+import math
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def u32(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def string(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return u32(len(raw)) + raw
+
+
+def write_atomic(path, chunks) -> None:
+    """Write bytes or contiguous arrays in turn to a temp file beside ``path``,
+    fsync, ``os.replace``: a failure leaves the old file and no temp file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+class Reader:
+    """Cursor over one file's bytes; arrays are views into them. A bad magic
+    or version (checked after the version and ``n_fields`` header u32s are
+    read) raises ``FormatError``, a short file or trailing bytes ``error``."""
+
+    def __init__(self, path, magic, version, n_fields, error=FormatError):
+        self.name, self.error, self.off = Path(path).name, error, 4
+        self.blob = Path(path).read_bytes()
+        if self.blob[:4] != magic:
+            raise FormatError(f"{self.name}: bad magic {self.blob[:4]!r}")
+        got, *self.fields = self.u32(n_fields + 1, "header")
+        if got != version:
+            raise FormatError(f"{self.name}: unsupported version {got}")
+
+    def u32(self, n: int, what: str) -> list[int]:
+        return self.array("<u4", (n,), what).tolist()
+
+    def string(self, what: str) -> str:
+        (n,) = self.u32(1, what)
+        try:
+            return bytes(self.array("u1", (n,), what)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.name}: {what} is not UTF-8") from None
+
+    def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        dtype, count = np.dtype(dtype), math.prod(shape)
+        start, self.off = self.off, self.off + count * dtype.itemsize
+        if self.off > len(self.blob):
+            raise self.error(f"{self.name}: truncated while reading {what}")
+        return np.frombuffer(self.blob, dtype, count, start).reshape(shape)
+
+    def end(self) -> None:
+        if self.off != len(self.blob):
+            raise self.error(
+                f"{self.name}: {len(self.blob) - self.off} trailing bytes")

@@ -14,13 +14,12 @@ on their distinct sites, one ``PoolingNetwork.forward_rows`` pass. Rows
 and pairs equal those of ``build_sparse_map`` per view followed by
 ``PoolingNetwork.forward``, so the vectors are bit-identical to that path.
 
-The module also provides the mean-tile baseline and a small binary format
-for embedding matrices (magic ``GSLE``) with a CSV export.
+The module also provides the mean-tile baseline and the ``.gse`` file of
+embedding matrices (a ``container`` with magic ``GSLE``) with a CSV export.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .bank import EmbeddingBank, list_banks, load_bank
+from .container import Reader, string, u32, write_atomic
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
     EmptyBag,
-    FormatError,
     InsufficientTiles,
     PipelineError,
 )
@@ -216,54 +215,32 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
 # Embedding matrix I/O
 
 def save_embeddings(path, ids: list[str], matrix: np.ndarray) -> None:
-    """Write an embedding matrix: GSLE magic, version, counts, then rows.
-
-    Each row is a u32 id length, the UTF-8 id, and dim little-endian f32.
-    """
+    """Write an embedding matrix: a container with header fields slide count
+    and dim, then per slide its id (string) and dim little-endian f32."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match {len(ids)} ids")
-    parts = [EMBED_MAGIC,
-             struct.pack("<III", EMBED_VERSION, len(ids), matrix.shape[1])]
-    for sid, row in zip(ids, matrix):
-        raw = sid.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-        parts.append(row.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+
+    def chunks():
+        yield EMBED_MAGIC + u32(EMBED_VERSION, *matrix.shape)
+        for sid, row in zip(ids, matrix):
+            yield string(sid)
+            yield row
+
+    write_atomic(path, chunks())
 
 
 def load_embeddings(path):
     """Read a GSLE file back into ``(ids, matrix)``. Strict about layout."""
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != EMBED_MAGIC:
-        raise FormatError(f"{path.name}: bad magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise FormatError(f"{path.name}: truncated header")
-    version, n_slides, dim = struct.unpack_from("<III", blob, 4)
-    if version != EMBED_VERSION:
-        raise FormatError(f"{path.name}: unsupported version {version}")
-    off = 16
-    ids: list[str] = []
-    rows = []
+    reader = Reader(path, EMBED_MAGIC, EMBED_VERSION, 2)
+    n_slides, dim = reader.fields
+    ids, rows = [], [np.zeros((0, dim), dtype=np.float32)]
     for _ in range(n_slides):
-        if off + 4 > len(blob):
-            raise FormatError(f"{path.name}: truncated slide record")
-        (id_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        end = off + id_len + 4 * dim
-        if end > len(blob):
-            raise FormatError(f"{path.name}: truncated slide record")
-        ids.append(blob[off:off + id_len].decode("utf-8"))
-        off += id_len
-        rows.append(np.frombuffer(blob, dtype="<f4", count=dim, offset=off))
-        off += 4 * dim
-    if off != len(blob):
-        raise FormatError(f"{path.name}: {len(blob) - off} trailing bytes")
-    matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
-    return ids, matrix
+        ids.append(reader.string("slide id"))
+        rows.append(reader.array("<f4", (1, dim), "slide row"))
+    reader.end()
+    return ids, np.concatenate(rows)
 
 
 def export_embeddings_csv(path, ids: list[str], matrix: np.ndarray) -> None:

@@ -8,12 +8,12 @@ passes are checked against.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .container import Reader, string, u32, write_atomic
 from .errors import DimensionMismatch, FormatError, NonFiniteGradient
 
 CHECKPOINT_MAGIC = b"GSCK"
@@ -84,18 +84,12 @@ class ParamStore:
                 f"parameter has {self.params[name].shape}")
         self.grads[name] += grad
 
-    def n_scalars(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def state_arrays(self, include_optimizer: bool = True) -> dict[str, np.ndarray]:
+    def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of the store, moments under .m / .v."""
-        out: dict[str, np.ndarray] = {}
-        for name, p in self.params.items():
-            out[name] = p
-        if include_optimizer:
-            for name in self.params:
-                out[name + ".m"] = self.m[name]
-                out[name + ".v"] = self.v[name]
+        out = dict(self.params)
+        for name in self.params:
+            out[name + ".m"] = self.m[name]
+            out[name + ".v"] = self.v[name]
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]):
@@ -243,52 +237,28 @@ def mlp_projector_backward(grad_out: np.ndarray, cache: dict
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "GSCK", u32 version, u32 array count, then per
-# array u32 name length, UTF-8 name, u32 rank, u32 dims, raw little-endian
+# Checkpoint format: a ``container`` (magic "GSCK", version 1) with header field
+# array count, then per array its name (string), u32 rank, u32 dims and raw
 # float32 data. Optimizer moments ride along under names suffixed .m / .v.
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray],
-                    version: int = CHECKPOINT_VERSION):
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", version, len(arrays))]
-    for name, arr in arrays.items():
-        nb = name.encode("utf-8")
-        arr = np.asarray(arr)
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+def save_checkpoint(path, arrays: dict[str, np.ndarray]):
+    def chunks():
+        yield CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, len(arrays))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            yield string(name) + u32(arr.ndim, *arr.shape)
+            yield np.ascontiguousarray(arr, dtype="<f4")
+
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"checkpoint truncated while reading {what}")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    off = 0
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise FormatError("not a checkpoint file (bad magic)")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+    reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 1)
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(4 * n, f"data of '{name}'"), dtype="<f4")
-        arrays[name] = data.reshape(shape).copy()
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes after last array")
+    for _ in range(reader.fields[0]):
+        name = reader.string("name")
+        (rank,) = reader.u32(1, "rank")
+        shape = reader.u32(rank, "shape")
+        arrays[name] = reader.array("<f4", shape, f"data of '{name}'").copy()
+    reader.end()
     return arrays

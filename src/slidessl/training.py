@@ -346,8 +346,11 @@ def _config_json_array(model: SlideModel) -> np.ndarray:
 
 
 def save_model(model: SlideModel, path, epoch: int):
-    """Checkpoint parameters, optimizer moments, BN buffers, and metadata."""
-    arrays = dict(model.store.state_arrays(include_optimizer=True))
+    """Checkpoint parameters, optimizer moments, BN buffers, and metadata.
+    Epoch and Adam's step count are float32: 2**24 or more is a ValueError."""
+    if max(epoch, model.store.t) >= 2 ** 24:
+        raise ValueError(f"epoch {epoch} or step count {model.store.t} is >= 2**24")
+    arrays = model.store.state_arrays()
     arrays.update(model.net.buffers)
     arrays["meta.state"] = np.array([epoch, model.store.t], dtype=np.float32)
     arrays["meta.config_json"] = _config_json_array(model)
@@ -357,26 +360,25 @@ def save_model(model: SlideModel, path, epoch: int):
 def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
     """Rebuild a model from a checkpoint; returns (model, next epoch)."""
     arrays = load_checkpoint(path)
-    if "meta.config_json" not in arrays or "meta.state" not in arrays:
-        raise FormatError(f"{Path(path).name}: missing model metadata")
-    raw = arrays["meta.config_json"].astype(np.uint8).tobytes()
-    doc = json.loads(raw.decode("utf-8"))
-    net_config = PoolingNetworkConfig(
-        in_channels=int(doc["in_channels"]),
-        block_channels=tuple(int(c) for c in doc["block_channels"]),
-        kernel_size=int(doc["kernel_size"]),
-        out_dim=int(doc["out_dim"]))
-    tiles = doc.get("train_tiles")
-    model = build_model(net_config, proj_dim=int(doc["proj_dim"]), dtype=dtype,
-                        train_tiles=None if tiles is None else int(tiles))
+    try:
+        doc = json.loads(arrays["meta.config_json"].astype(np.uint8).tobytes())
+        net_config = PoolingNetworkConfig(
+            in_channels=int(doc["in_channels"]),
+            block_channels=tuple(int(c) for c in doc["block_channels"]),
+            kernel_size=int(doc["kernel_size"]),
+            out_dim=int(doc["out_dim"]))
+        tiles = doc.get("train_tiles")
+        model = build_model(net_config, proj_dim=int(doc["proj_dim"]), dtype=dtype,
+                            train_tiles=None if tiles is None else int(tiles))
+        epoch, model.store.t = (int(v) for v in arrays["meta.state"])
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise FormatError(f"{Path(path).name}: bad model metadata: {exc!r}") from None
     model.store.load_state(arrays)
     for name, buf in model.net.buffers.items():
         if name not in arrays:
             raise FormatError(f"{Path(path).name}: missing buffer '{name}'")
         buf[...] = arrays[name].astype(dtype)
-    epoch, t = arrays["meta.state"]
-    model.store.t = int(t)
-    return model, int(epoch)
+    return model, epoch
 
 
 # ---------------------------------------------------------------------------

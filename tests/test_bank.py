@@ -108,6 +108,13 @@ class TestErrors:
         with pytest.raises(CorruptBank):
             load_bank(tmp_path / "t.gsb")
 
+    def test_sidecar_not_utf8(self, tmp_path):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(), path)
+        (tmp_path / "s1.json").write_bytes(b'{"slide_id": "\xff"}')
+        with pytest.raises(CorruptBank, match="sidecar"):
+            load_bank(path)
+
     def test_non_finite_features_rejected_on_load(self, tmp_path):
         bank = make_bank(K=1, n=1, F=2)
         path = tmp_path / "s1.gsb"

@@ -389,6 +389,16 @@ def test_embeddings_trailing_bytes(tmp_path):
         load_embeddings(path)
 
 
+def test_embeddings_id_not_utf8(tmp_path):
+    path = tmp_path / "e.gse"
+    save_embeddings(path, ["ab"], np.zeros((1, 2), dtype=np.float32))
+    blob = bytearray(path.read_bytes())
+    blob[20:22] = b"\xc3\x28"  # an invalid two-byte sequence
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_embeddings(path)
+
+
 def test_embeddings_id_count_mismatch(tmp_path):
     with pytest.raises(DimensionMismatch):
         save_embeddings(tmp_path / "e.gse", ["a", "b"],

@@ -134,7 +134,7 @@ class TestParamStore:
         store.accumulate("w", np.array([[0.1, -0.2]]))
         store.accumulate("b", np.array([0.3]))
         adam_step(store, AdamConfig())
-        arrays = store.state_arrays(include_optimizer=True)
+        arrays = store.state_arrays()
         fresh = make_store(w=[[0.0, 0.0]], b=[0.0])
         fresh.load_state(arrays)
         np.testing.assert_array_equal(fresh["w"], store["w"])
@@ -336,8 +336,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(tmp_path / "g.ckpt")
 
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[16:17] = b"\xff"  # the one-byte name "w"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)}, version=9)
+        save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (9).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)

@@ -334,6 +334,39 @@ class TestModelCheckpoint:
         for name, buf in model.net.buffers.items():
             np.testing.assert_array_equal(loaded.net.buffers[name], buf)
 
+    @pytest.mark.parametrize("damage", ["cut_config", "state_len", "missing_key"])
+    def test_malformed_metadata(self, tmp_path, damage):
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        arrays = load_checkpoint(path)
+        if damage == "cut_config":
+            arrays["meta.config_json"] = arrays["meta.config_json"][:-5]
+        elif damage == "state_len":
+            arrays["meta.state"] = np.array([1.0, 2.0, 3.0])
+        else:
+            raw = arrays["meta.config_json"].astype(np.uint8).tobytes()
+            doc = json.loads(raw)
+            del doc["kernel_size"]
+            arrays["meta.config_json"] = np.frombuffer(
+                json.dumps(doc).encode(), dtype=np.uint8).astype(np.float32)
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="metadata"):
+            load_model(path)
+
+    @pytest.mark.parametrize("epoch,t", [(2 ** 24, 0), (0, 2 ** 24)])
+    def test_counters_beyond_float32_rejected_before_writing(self, tmp_path,
+                                                            epoch, t):
+        model = tiny_model()
+        model.store.t = t
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            save_model(model, path, epoch=epoch)
+        assert list(tmp_path.iterdir()) == []
+        model.store.t = min(t, 2 ** 24 - 1)
+        save_model(model, path, epoch=min(epoch, 2 ** 24 - 1))
+        assert load_model(path)[1] == min(epoch, 2 ** 24 - 1)
+
     def test_missing_metadata(self, tmp_path):
         from slidessl.numcore import save_checkpoint
         path = tmp_path / "bare.ckpt"
@@ -479,7 +512,7 @@ def test_train_steps_equal_per_view_oracle_steps(shared, slide_aug, dtype):
         assert loss == oracle_step(banks, models[1], cfg, rngs[1])
     got, want = models
     assert got.store.t == want.store.t
-    for name, arr in want.store.state_arrays(include_optimizer=True).items():
+    for name, arr in want.store.state_arrays().items():
         assert got.store.state_arrays()[name].tobytes() == arr.tobytes(), name
     for name, buf in want.net.buffers.items():
         assert got.net.buffers[name].tobytes() == buf.tobytes(), name
