@@ -10,6 +10,11 @@ On disk a bank is a ".gsb" ``container`` (magic "GSLB", version 1) with
 header fields n_augs, n_tiles, feat_dim, then for each slice (outer) and
 tile (inner) i32 x, i32 y, feat_dim x f32. A JSON sidecar named
 "<slide_id>.json" carries the slide id and generator provenance.
+
+``load_bank`` reads a file once and keeps those bytes: the loaded coords and
+features are read-only strided views into them, not copies. Every slice is
+still validated, one slice at a time, so a check never allocates more than
+one slice's worth of temporaries.
 """
 
 from __future__ import annotations
@@ -30,15 +35,19 @@ BANK_SUFFIX = ".gsb"
 
 @dataclass
 class EmbeddingBank:
-    """In-memory bank: coords (K, n, 2) int32 and features (K, n, F) float32."""
+    """In-memory bank: coords (K, n, 2) int32 and features (K, n, F) float32.
+
+    Arrays of those dtypes are kept as given, views and read-only arrays
+    included; anything else is converted.
+    """
 
     slide_id: str
     coords: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        self.coords = np.ascontiguousarray(self.coords, dtype=np.int32)
-        self.features = np.ascontiguousarray(self.features, dtype=np.float32)
+        self.coords = np.asarray(self.coords, dtype=np.int32)
+        self.features = np.asarray(self.features, dtype=np.float32)
         if self.coords.ndim != 3 or self.coords.shape[2] != 2:
             raise DimensionMismatch(
                 f"coords must be (K, n, 2), got {self.coords.shape}")
@@ -50,9 +59,9 @@ class EmbeddingBank:
                 f"coords {self.coords.shape} vs features {self.features.shape}")
         if self.n_augs < 1 or self.n_tiles < 1:
             raise EmptyBag(f"bank '{self.slide_id}' has no tiles")
-        if np.any(self.coords < 0):
+        if self.coords.min() < 0:
             raise CorruptBank(f"bank '{self.slide_id}' has negative coordinates")
-        if not np.isfinite(self.features).all():
+        if not all(np.isfinite(f).all() for f in self.features):
             raise CorruptBank(f"bank '{self.slide_id}' has non-finite features")
 
     @property
@@ -86,7 +95,8 @@ def save_bank(bank: EmbeddingBank, path, provenance: dict | None = None):
 
 
 def load_bank(path) -> EmbeddingBank:
-    """Read a .gsb file; slide id comes from the sidecar, else the stem."""
+    """Read a .gsb file into read-only views of its bytes; the slide id comes
+    from the sidecar (a JSON object), else the stem."""
     path = Path(path)
     reader = Reader(path, BANK_MAGIC, BANK_VERSION, 3, error=CorruptBank)
     n_augs, n_tiles, feat_dim = reader.fields
@@ -103,10 +113,15 @@ def load_bank(path) -> EmbeddingBank:
             meta = json.loads(sidecar.read_bytes())
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise CorruptBank(f"{sidecar.name}: invalid sidecar JSON") from exc
+        if not isinstance(meta, dict):
+            raise CorruptBank(f"{sidecar.name}: sidecar is not a JSON object")
         slide_id = meta.get("slide_id", slide_id)
+        if not isinstance(slide_id, str) or not slide_id:
+            raise CorruptBank(f"{sidecar.name}: slide_id must be a non-empty "
+                              f"string, got {slide_id!r}")
 
     try:
-        return EmbeddingBank(slide_id, rec["xy"].copy(), rec["f"].copy())
+        return EmbeddingBank(slide_id, rec["xy"], rec["f"])
     except CorruptBank as exc:
         raise CorruptBank(f"{path.name}: {exc}") from None
 

@@ -97,15 +97,19 @@ class ParamStore:
         for name, p in self.params.items():
             if name not in arrays:
                 raise FormatError(f"checkpoint is missing parameter '{name}'")
-            a = arrays[name]
-            if a.shape != p.shape:
-                raise DimensionMismatch(
-                    f"checkpoint array '{name}' has shape {a.shape}, "
-                    f"expected {p.shape}")
-            p[...] = a.astype(p.dtype)
+            copy_into(p, arrays[name], name)
             for suffix, dest in ((".m", self.m), (".v", self.v)):
                 if name + suffix in arrays:
-                    dest[name][...] = arrays[name + suffix].astype(p.dtype)
+                    copy_into(dest[name], arrays[name + suffix], name + suffix)
+
+
+def copy_into(dest: np.ndarray, src: np.ndarray, name: str) -> None:
+    """Copy a checkpoint array into ``dest``; shapes must match exactly, so a
+    one-element array never broadcasts."""
+    if src.shape != dest.shape:
+        raise DimensionMismatch(f"checkpoint array '{name}' has shape "
+                                f"{src.shape}, expected {dest.shape}")
+    dest[...] = src.astype(dest.dtype)
 
 
 def adam_step(store: ParamStore, cfg: AdamConfig):

@@ -37,6 +37,7 @@ from .numcore import (
     ParamStore,
     PROJECTOR_DIM,
     adam_step,
+    copy_into,
     init_projector,
     load_checkpoint,
     mlp_projector_backward,
@@ -377,7 +378,7 @@ def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
     for name, buf in model.net.buffers.items():
         if name not in arrays:
             raise FormatError(f"{Path(path).name}: missing buffer '{name}'")
-        buf[...] = arrays[name].astype(dtype)
+        copy_into(buf, arrays[name], name)
     return model, epoch
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,36 @@ class TestErrors:
         with pytest.raises(CorruptBank, match="negative"):
             load_bank(tmp_path / "n.gsb")
 
+    @pytest.mark.parametrize("sidecar", ["[]", '{"slide_id": 7}',
+                                         '{"slide_id": ""}'])
+    def test_sidecar_shape_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(), path)
+        (tmp_path / "s1.json").write_text(sidecar)
+        with pytest.raises(CorruptBank, match="s1.json"):
+            load_bank(path)
+
+    def test_non_finite_feature_in_last_slice_rejected(self, tmp_path):
+        K, n, F = 4, 5, 3
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=K, n=n, F=F), path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", np.nan)   # last feature of the last tile
+        (tmp_path / "n.gsb").write_bytes(bytes(blob))
+        with pytest.raises(CorruptBank, match="finite"):
+            load_bank(tmp_path / "n.gsb")
+
+    def test_negative_coord_in_last_record_rejected(self, tmp_path):
+        K, n, F = 4, 5, 3
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=K, n=n, F=F), path)
+        blob = bytearray(path.read_bytes())
+        y_at = len(blob) - 4 * F - 4
+        blob[y_at:y_at + 4] = struct.pack("<i", -1)
+        (tmp_path / "n.gsb").write_bytes(bytes(blob))
+        with pytest.raises(CorruptBank, match="negative"):
+            load_bank(tmp_path / "n.gsb")
+
     def test_constructor_validation(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingBank("s", np.zeros((2, 3, 3), dtype=np.int32),
@@ -142,6 +173,47 @@ class TestErrors:
         with pytest.raises(DimensionMismatch):
             EmbeddingBank("s", np.zeros((2, 3, 2), dtype=np.int32),
                           np.zeros((2, 4, 4), dtype=np.float32))
+
+
+class TestZeroCopy:
+    def test_arrays_are_read_only_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=3, n=4, F=5), path)
+        bank = load_bank(path)
+
+        def root(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a
+
+        # The xy and f fields interleave without overlapping, so
+        # np.shares_memory is False; both views end in the file's bytes.
+        assert root(bank.coords) is root(bank.features)
+        assert root(bank.coords) == path.read_bytes()
+        assert np.may_share_memory(bank.coords, bank.features)
+        with pytest.raises(ValueError):
+            bank.coords[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            bank.features[0, 0, 0] = 1.0
+
+    def test_load_peak_is_file_plus_one_slice(self, tmp_path):
+        # The file's bytes are read once and kept; validation may allocate
+        # one slice's n x F bool temporary, plus a fixed slack for numpy's
+        # reduction buffers and small objects.
+        K, n, F = 24, 300, 64
+        slack = 64 * 1024
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=K, n=n, F=F), path)
+        size = path.stat().st_size
+        load_bank(path)   # warm imports and caches outside the traced window
+        tracemalloc.start()
+        try:
+            bank = load_bank(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.n_augs == K
+        assert peak <= size + n * F + slack, (peak, size)
 
 
 class TestListBanks:

@@ -320,6 +320,21 @@ def test_dataset_program_bug_is_raised_not_reported(tmp_path, threads):
         embed_dataset(tmp_path, make_model(), r_views=2.5, threads=threads)
 
 
+@pytest.mark.parametrize("sidecar", ["[]", '{"slide_id": 7}'])
+def test_dataset_bad_sidecar_is_a_failed_slide(tmp_path, sidecar):
+    write_corpus(tmp_path)
+    model = make_model()
+    full_ids, full_matrix, _ = embed_dataset(tmp_path, model, r_views=3)
+    bad = sorted(tmp_path.glob("*.gsb"))[1]
+    bad.with_suffix(".json").write_text(sidecar)
+    ids, matrix, failures = embed_dataset(tmp_path, model, r_views=3)
+    assert [sid for sid, _ in failures] == [bad.stem]
+    assert failures[0][1].startswith(bad.with_suffix(".json").name)
+    assert ids == [sid for sid in full_ids if sid != bad.stem]
+    for sid, row in zip(ids, matrix):
+        np.testing.assert_array_equal(row, full_matrix[full_ids.index(sid)])
+
+
 def test_dataset_failure_does_not_shift_other_seeds(tmp_path):
     write_corpus(tmp_path)
     model = make_model()

@@ -151,6 +151,14 @@ class TestParamStore:
         with pytest.raises(DimensionMismatch):
             store.load_state({"w": np.zeros((2, 2))})
 
+    @pytest.mark.parametrize("suffix", [".m", ".v"])
+    @pytest.mark.parametrize("moment", [np.zeros(3), np.full(1, 5.0)],
+                             ids=["wrong_shape", "one_element"])
+    def test_load_moment_shape_must_match(self, suffix, moment):
+        store = make_store(w=[1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match=f"'w\\{suffix}'"):
+            store.load_state({"w": np.zeros(2), "w" + suffix: moment})
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

@@ -367,6 +367,22 @@ class TestModelCheckpoint:
         save_model(model, path, epoch=min(epoch, 2 ** 24 - 1))
         assert load_model(path)[1] == min(epoch, 2 ** 24 - 1)
 
+    @pytest.mark.parametrize("name", ["net.block0.conv1.w.m",
+                                      "net.block0.bn1.run_mean"])
+    @pytest.mark.parametrize("value", [np.zeros(5, dtype=np.float32),
+                                       np.full(1, 9.0, dtype=np.float32)],
+                             ids=["wrong_shape", "one_element"])
+    def test_moment_and_buffer_shapes_checked(self, tmp_path, name, value):
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        arrays = load_checkpoint(path)
+        assert name in arrays and arrays[name].size > 1
+        arrays[name] = value
+        save_checkpoint(path, arrays)
+        with pytest.raises(DimensionMismatch, match=name.replace(".", "\\.")):
+            load_model(path)
+
     def test_missing_metadata(self, tmp_path):
         from slidessl.numcore import save_checkpoint
         path = tmp_path / "bare.ckpt"
