@@ -235,6 +235,22 @@ def test_probe_bad_budget_exits_1(trained, tmp_path):
     assert rc == 1
 
 
+def test_probe_non_finite_embedding_exits_1(tmp_path, capsys):
+    from slidessl.inference import save_embeddings
+    ids = [f"s{i}" for i in range(12)]
+    matrix = np.random.default_rng(0).normal(size=(12, 4))
+    matrix[5, 2] = np.nan
+    gse = tmp_path / "nan.gse"
+    save_embeddings(gse, ids, matrix)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("slide_id,label\n" + "".join(
+        f"{sid},{i % 2}\n" for i, sid in enumerate(ids)))
+    rc = main(["probe", "--embeddings", str(gse), "--labels", str(labels)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "row 5" in err
+
+
 def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--instances", "2", "--seed", "0"])
     out = capsys.readouterr().out

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slidessl import probe
 from slidessl.errors import (
     BudgetTooSmall,
     DegenerateLabels,
     DimensionMismatch,
     FormatError,
+    ValidationError,
 )
 from slidessl.probe import (
     ProbeReport,
@@ -222,6 +224,112 @@ def test_unknown_normalization_rejected():
         fit_logistic(x, y, normalization="minmax")
 
 
+def reference_loss_and_grad_norm(x, labels, weights, bias, l2):
+    """The probe objective, written apart from the module's."""
+    n = x.shape[0]
+    logits = x @ weights + bias
+    top = logits.max(axis=1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    loss = (lse - logits[np.arange(n), labels]).mean() \
+        + 0.5 * l2 * (weights ** 2).sum()
+    resid = np.exp(logits - lse[:, None])
+    resid[np.arange(n), labels] -= 1.0
+    gw = x.T @ resid / n + l2 * weights
+    gb = resid.sum(axis=0) / n
+    return loss, np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
+
+
+def count_evaluations(monkeypatch):
+    calls = []
+    inner = probe._softmax_loss_grad
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(probe, "_softmax_loss_grad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_rejected_before_any_evaluation(monkeypatch, bad):
+    calls = count_evaluations(monkeypatch)
+    x, y = blobs(n_per_class=10)
+    x[7, 3] = bad
+    x[12, 0] = bad
+    with pytest.raises(ValidationError, match="row 7 "):
+        fit_logistic(x, y)
+    with pytest.raises(ValidationError, match="row 7 "):
+        bootstrap_eval(x, y, splits=2)
+    assert calls == []
+
+
+def test_benchmark_shaped_fit_takes_few_evaluations(monkeypatch):
+    # unit rows near one common direction, classes +-0.02 along another:
+    # badly conditioned; backtracking gradient descent needs about 4,800
+    rng = np.random.default_rng(0)
+    y = rng.permutation(np.arange(96) % 2)
+    x = 0.01 * rng.standard_normal((96, 64))
+    x[:, 0] += 1.0
+    x[:, 1] += np.where(y == 1, 0.02, -0.02)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    calls = count_evaluations(monkeypatch)
+    fit = fit_logistic(x, y)
+    assert fit.grad_norm < 1e-6
+    assert len(calls) <= 600
+
+
+@pytest.mark.parametrize("normalization", ["l2", "standard"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("random_init", [False, True])
+def test_returned_point_is_the_evaluated_one(normalization, n_classes,
+                                             random_init):
+    x, y = blobs(n_per_class=30, d=5, n_classes=n_classes, sep=1.0, seed=4)
+    init = None
+    if random_init:
+        rng = np.random.default_rng(1)
+        init = (rng.normal(size=(5, n_classes)), rng.normal(size=n_classes))
+    fit = fit_logistic(x, y, normalization=normalization, init=init)
+    loss, gnorm = reference_loss_and_grad_norm(
+        fit.apply_norm(x), np.searchsorted(fit.classes, y), fit.weights,
+        fit.bias, probe.DEFAULT_L2)
+    assert fit.loss == pytest.approx(loss, rel=1e-12)
+    assert fit.grad_norm == pytest.approx(gnorm, rel=0, abs=1e-12)
+    assert gnorm < 1e-6
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_fitted_loss_matches_lbfgs(n_classes):
+    from scipy.optimize import minimize
+    x, y = blobs(n_per_class=30, d=6, n_classes=n_classes, sep=1.0, seed=2)
+    fit = fit_logistic(x, y)
+    xn, idx = fit.apply_norm(x), np.searchsorted(fit.classes, y)
+    onehot = np.eye(n_classes)[idx]
+
+    def objective(theta):
+        w, b = theta[:-n_classes].reshape(6, n_classes), theta[-n_classes:]
+        loss, gw, gb = probe._softmax_loss_grad(w, b, xn, onehot,
+                                                probe.DEFAULT_L2)
+        return loss, np.concatenate([gw.ravel(), gb])
+
+    best = minimize(objective, np.zeros(7 * n_classes), jac=True,
+                    method="L-BFGS-B",
+                    options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 10000})
+    assert abs(fit.loss - best.fun) < 1e-9
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_no_steps_returns_init_and_warns(max_iter):
+    x, y = blobs(n_per_class=10, d=4)
+    rng = np.random.default_rng(3)
+    init = (rng.normal(size=(4, 2)), rng.normal(size=2))
+    with pytest.warns(RuntimeWarning, match=f"max_iter={max_iter} "):
+        fit = fit_logistic(x, y, max_iter=max_iter, init=init)
+    np.testing.assert_array_equal(fit.weights, init[0])
+    np.testing.assert_array_equal(fit.bias, init[1])
+    assert fit.grad_norm >= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # bootstrap_eval
 
@@ -268,6 +376,29 @@ def test_fraction_budget():
     rep = bootstrap_eval(x, y, budget=0.25, seed=0)
     assert rep.budget == "0.25"
     assert all(size == 20 for size in rep.train_sizes)  # 0.25 * 80
+
+
+# per-split AUCs of the seeded matrix below, recorded under the backtracking
+# gradient descent that preceded the accelerated solver; the optimum, not
+# the solver's path, decides them, so a change here changes the fit
+PINNED_AUCS = {
+    "all": (0.75, 0.5208333333333334, 0.6180555555555556, 0.6111111111111112,
+            0.7986111111111112, 0.7430555555555556, 0.5555555555555556,
+            0.7986111111111112, 0.4861111111111111, 0.6458333333333334),
+    20: (0.6527777777777778, 0.6527777777777778, 0.5, 0.4375,
+         0.5069444444444444, 0.6458333333333334, 0.4652777777777778,
+         0.5347222222222222, 0.2013888888888889, 0.625),
+}
+
+
+@pytest.mark.parametrize("budget", ["all", 20])
+def test_aucs_match_pinned_values(budget):
+    rng = np.random.default_rng(9)
+    y = np.arange(120) % 2
+    x = rng.normal(size=(120, 8))
+    x[:, 0] += 1.2 * y
+    rep = bootstrap_eval(x, y, budget=budget, seed=5, normalization="standard")
+    assert rep.aucs == PINNED_AUCS[budget]
 
 
 def test_same_seed_reproduces_report():
