@@ -12,7 +12,6 @@ import numpy as np
 
 from slidessl import (
     SlideAugParams,
-    TileRecord,
     augment_sparse_map,
     build_sparse_map,
     sample_slide_aug,
@@ -20,14 +19,15 @@ from slidessl import (
 
 rng = np.random.default_rng(7)
 
-### Build a map from tile records ############################################
-# Tile positions are top-left pixel corners of 224x224 tiles; the lattice
-# site is simply (x // 224, y // 224). Two tiles landing on one site are
-# merged by averaging their features.
+### Build a map from a bag of tiles ##########################################
+# A bag is two aligned arrays: the top-left pixel corners of 224x224 tiles
+# and one feature row per tile. The lattice site is simply
+# (x // 224, y // 224). Two tiles landing on one site are merged by
+# averaging their features.
 
-tiles = [TileRecord(x=224 * i, y=224 * j, feature=rng.normal(size=4))
-         for i, j in [(0, 0), (0, 1), (2, 1), (3, 3), (3, 4)]]
-smap = build_sparse_map(tiles)
+coords = 224 * np.array([(0, 0), (0, 1), (2, 1), (3, 3), (3, 4)])
+features = rng.normal(size=(len(coords), 4))
+smap = build_sparse_map((coords, features))
 print("sites:")
 print(smap.sites)
 print("feature matrix shape:", smap.features.shape)
@@ -36,8 +36,8 @@ print("feature matrix shape:", smap.features.shape)
 # Maps are canonicalized (site-sorted, origin at zero), so any permutation
 # of the input bag produces the identical object, bit for bit.
 
-perm = list(rng.permutation(len(tiles)))
-shuffled = build_sparse_map([tiles[i] for i in perm])
+perm = rng.permutation(len(coords))
+shuffled = build_sparse_map((coords[perm], features[perm]))
 print("permutation invariant:",
       np.array_equal(shuffled.sites, smap.sites)
       and np.array_equal(shuffled.features, smap.features))
@@ -46,8 +46,7 @@ print("permutation invariant:",
 # Shifting every tile by whole tiles leaves the canonical map unchanged;
 # slides scanned with different origins compare equal.
 
-moved = build_sparse_map([TileRecord(t.x + 224 * 10, t.y + 224 * 3, t.feature)
-                          for t in tiles])
+moved = build_sparse_map((coords + 224 * np.array([10, 3]), features))
 print("translation invariant:",
       np.array_equal(moved.sites, smap.sites)
       and np.array_equal(moved.features, smap.features))

@@ -45,7 +45,6 @@ from slidessl.sparseconv import (
 from slidessl.sparsemap import (
     SlideAugParams,
     SparseMap,
-    TileRecord,
     augment_sparse_map,
     build_sparse_map,
     sample_slide_aug,
@@ -83,7 +82,6 @@ __all__ = [
     "SlideEmbedding",
     "SlideModel",
     "SparseMap",
-    "TileRecord",
     "TrainConfig",
     "ValidationError",
     "adam_step",

@@ -163,9 +163,13 @@ def _require_finite(x: np.ndarray) -> None:
 def auc(scores: np.ndarray, labels) -> float:
     """ROC AUC. Binary labels use the Mann-Whitney statistic with ties
     counted half; multiclass scores average one-vs-rest AUCs (macro).
+    A NaN score has no rank and raises ``ValidationError``.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
+    nan_rows = np.isnan(scores).reshape(len(scores), -1).any(axis=1)
+    if nan_rows.any():
+        raise ValidationError(f"score row {int(np.argmax(nan_rows))} is NaN")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateLabels("AUC needs both labels present")

@@ -1,210 +1,223 @@
-"""Self-contained invariant checks runnable from the command line.
+"""The acceptance criteria that need no trained corpus: A1-A4 and A9.
 
-Each check exercises one property the package is built around, end to end
-and without pytest, so an installed copy can validate itself in seconds.
+Each returns ``(passed, detail)``. ``slidessl selftest`` and the release
+tests run the same functions; verdicts are computed, not asserted, so they
+hold under ``python -O``.
 """
 
-from __future__ import annotations
-
+import io
 import tempfile
+import time
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 
-from .bank import EmbeddingBank, list_banks, load_bank, save_bank
-from .datagen import GenConfig, generate_corpus, verify_marginal_equality
+from .bank import EmbeddingBank
 from .gradcheck import PASS_BOUND, run_gradcheck
 from .inference import embed_slide
-from .numcore import AdamConfig, ParamStore, adam_step, load_checkpoint, save_checkpoint
-from .probe import auc, fit_logistic
-from .sparseconv import PoolingNetworkConfig
-from .sparsemap import (
-    SlideAugParams,
-    augment_sparse_map,
-    build_sparse_map,
-    sample_slide_aug,
-)
-from .training import build_model, interleaved_pairing, nt_xent
+from .sparseconv import PoolingNetworkConfig, build_rulebook, submconv_forward
+from .sparsemap import SlideAugParams, SparseMap, augment_sparse_map
+from .training import build_model, nt_xent
+
+GRADCHECK_OPS = {"submconv", "batchnorm_train", "batchnorm_eval",
+                 "global_average_pool", "projector", "nt_xent",
+                 "network_train", "network_eval"}
+DENSE_MAPS = 100
+DENSE_WINDOW = 16
+DENSE_TOL = 1e-6
+CLOSED_FORM_TOL = 1e-9
+TRANSLATION_TOL = 1e-9
+NORM_TOL = 1e-6
 
 
-def _random_bank(rng, n_tiles=30, n_augs=3, feat_dim=6):
-    grid = rng.choice(24 * 24, size=n_tiles, replace=False)
-    coords = np.stack([grid // 24, grid % 24], axis=1) * 224
-    coords = np.repeat(coords[None], n_augs, axis=0)
-    feats = rng.normal(size=(n_augs, n_tiles, feat_dim))
-    return EmbeddingBank("s", coords, feats)
+def a1_gradient_suite(n_instances: int) -> tuple[bool, str]:
+    """Every op's backward pass against central finite differences."""
+    t0 = time.perf_counter()
+    results = run_gradcheck(n_instances, seed=0)
+    detail = (f"worst rel err {max(results.values()):.2e} over {len(results)} "
+              f"ops x {n_instances} instances (bound {PASS_BOUND:.0e}), "
+              f"{time.perf_counter() - t0:.1f}s")
+    passed = (set(results) == GRADCHECK_OPS
+              and all(err < PASS_BOUND for err in results.values()))
+    return passed, detail
 
 
-def check_map_permutation_invariance():
-    rng = np.random.default_rng(0)
-    coords = rng.integers(0, 4000, size=(40, 2))
-    feats = rng.normal(size=(40, 5))
-    base = build_sparse_map((coords, feats))
-    for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(40)
-        other = build_sparse_map((coords[perm], feats[perm]))
-        assert np.array_equal(base.sites, other.sites), "sites changed"
-        assert np.array_equal(base.features, other.features), "features changed"
+def dense_conv_at_active(smap, weights, bias, extent):
+    """Zero-fill a dense image, convolve with explicit loops, read active sites."""
+    c = weights.shape[0] // 2
+    img = np.zeros((extent, extent, weights.shape[2]))
+    for (i, j), f in zip(smap.sites, smap.features):
+        img[i, j] = f
+    rows = []
+    for i, j in smap.sites:
+        acc = bias.copy()
+        for di in range(-c, c + 1):
+            for dj in range(-c, c + 1):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < extent and 0 <= jj < extent:
+                    acc = acc + img[ii, jj] @ weights[di + c, dj + c]
+        rows.append(acc)
+    return np.stack(rows)
 
 
-def check_map_rigid_identities():
-    rng = np.random.default_rng(1)
-    coords = rng.integers(0, 4000, size=(30, 2))
-    feats = rng.normal(size=(30, 4))
-    base = build_sparse_map((coords, feats))
-    turned = base
-    quarter = SlideAugParams(rot_quarters=1)
-    for _ in range(4):
-        turned = augment_sparse_map(turned, quarter)
-    assert np.array_equal(turned.sites, base.sites), "4 quarter turns moved sites"
-    assert np.array_equal(turned.features, base.features), "4 quarter turns changed features"
-    both = SlideAugParams(flip_x=True, flip_y=True)
-    flipped = augment_sparse_map(augment_sparse_map(base, both), both)
-    assert np.array_equal(flipped.sites, base.sites), "double flip moved sites"
-
-
-def check_augmentation_sampler():
+def a2_dense_convolution_oracle() -> tuple[bool, str]:
+    """Sparse conv equals dense zero-padded conv at the active sites."""
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        params = sample_slide_aug(rng)
-        assert 0 <= params.rot_quarters <= 3
-        assert 0.5 <= params.scale_x <= 2.0 and 0.5 <= params.scale_y <= 2.0
+    t0 = time.perf_counter()
+    worst = 0.0
+    for _ in range(DENSE_MAPS):
+        n_sites = int(rng.integers(1, 41))
+        c_in = int(rng.integers(1, 5))
+        c_out = int(rng.integers(1, 5))
+        kernel = int(rng.choice([3, 5]))
+        cells = rng.choice(DENSE_WINDOW * DENSE_WINDOW, size=n_sites,
+                           replace=False)
+        sites = np.stack([cells // DENSE_WINDOW, cells % DENSE_WINDOW],
+                         axis=1).astype(np.int64)
+        smap = SparseMap(sites, rng.normal(size=(n_sites, c_in)))
+        weights = rng.normal(size=(kernel, kernel, c_in, c_out))
+        bias = rng.normal(size=c_out)
+        out = submconv_forward(smap.features, weights, bias,
+                               build_rulebook(smap, kernel).pairs)
+        want = dense_conv_at_active(smap, weights, bias, DENSE_WINDOW)
+        worst = max(worst, float(np.abs(out - want).max()))
+    detail = (f"{DENSE_MAPS} random maps in a {DENSE_WINDOW}x{DENSE_WINDOW} "
+              f"window, worst abs err {worst:.2e} (tol {DENSE_TOL:.0e}), "
+              f"{time.perf_counter() - t0:.1f}s")
+    return worst <= DENSE_TOL, detail
 
 
-def check_nt_xent_closed_forms():
-    one_pair = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, _ = nt_xent(one_pair, temperature=0.5)
-    assert loss == 0.0, f"B=1 loss {loss}"
-    same = np.tile(np.array([[1.0, 2.0, 3.0]]), (4, 1))
-    loss, _ = nt_xent(same, temperature=0.5)
-    assert abs(loss - np.log(3.0)) < 1e-9, f"identical-views loss {loss}"
-    # two aligned pairs, orthogonal across pairs
-    pairs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    loss, _ = nt_xent(pairs, temperature=1.0,
-                      pairing=interleaved_pairing(4))
-    expect = np.log((np.e + 2.0) / np.e)
-    assert abs(loss - expect) < 1e-9, f"orthogonal-pairs loss {loss}"
+def a3_nt_xent_closed_forms() -> tuple[bool, str]:
+    """NT-Xent on three inputs whose loss is known in closed form."""
+    # one pair: the denominator holds only the positive, loss is exactly 0
+    single, _ = nt_xent(np.array([[0.3, -1.2], [0.3, -1.2]]), temperature=0.5)
+    # two pairs, all four projections identical: each view reads -log(1/3)
+    identical, _ = nt_xent(np.ones((4, 3)), temperature=1.0)
+    # two aligned pairs, orthogonal across pairs, tau=1: positive logit 1
+    # against denominator e + 2
+    ortho = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    crossed, _ = nt_xent(ortho, temperature=1.0)
+    err_identical = abs(identical - np.log(3.0))
+    err_crossed = abs(crossed - np.log((np.e + 2.0) / np.e))
+    detail = (f"single-pair loss {single!r}; log 3 err {err_identical:.1e}; "
+              f"log((e+2)/e) err {err_crossed:.1e} "
+              f"(tol {CLOSED_FORM_TOL:.0e})")
+    passed = (single == 0.0 and err_identical < CLOSED_FORM_TOL
+              and err_crossed < CLOSED_FORM_TOL)
+    return passed, detail
 
 
-def check_gradients():
-    results = run_gradcheck(n_instances=3, seed=1)
-    bad = {k: v for k, v in results.items() if v >= PASS_BOUND}
-    assert not bad, f"gradient checks over bound: {bad}"
+def _toy_bank(rng, n_tiles=12, feat_dim=6, n_augs=2):
+    cells = rng.choice(64, size=n_tiles, replace=False)
+    coords = np.stack([cells // 8, cells % 8], axis=1).astype(np.int32) * 256
+    coords = np.broadcast_to(coords, (n_augs, n_tiles, 2)).copy()
+    feats = rng.normal(size=(n_augs, n_tiles, feat_dim)).astype(np.float32)
+    return EmbeddingBank("toy", coords, feats)
 
 
-def check_adam_first_step():
-    store = ParamStore()
-    store.add("w", np.array([1.0, -2.0]))
-    store.accumulate("w", np.array([1.0, -3.0]))
-    cfg = AdamConfig(lr=1e-3, weight_decay=0.0)
-    adam_step(store, cfg)
-    # unit gradient: bias corrections cancel, step is exactly lr/(1+eps)
-    expect = 1.0 - cfg.lr / (1.0 + cfg.eps)
-    assert abs(store["w"][0] - expect) < 1e-12, "first Adam step off closed form"
+def a4_invariance_suite() -> tuple[bool, str]:
+    """Embeddings ignore tile order and translation and are unit norm; rigid
+    moves that compose to the identity leave a map unchanged."""
+    rng = np.random.default_rng(4)
+    bank = _toy_bank(rng)
+    net = PoolingNetworkConfig(in_channels=6, block_channels=(8, 8), out_dim=8)
+    model = build_model(net, seed=3, train_tiles=bank.features.shape[1])
+
+    def embed(b, seed=0):
+        return embed_slide(b, model, r_views=5,
+                           rng=np.random.default_rng(seed)).vector
+
+    base = embed(bank)
+    # tile permutation: same multiset of tiles, bit-identical embedding
+    perm = rng.permutation(bank.features.shape[1])
+    permuted = EmbeddingBank("toy", bank.coords[:, perm], bank.features[:, perm])
+    perm_equal = np.array_equal(embed(permuted), base)
+    # global translation by whole tiles: canonical maps coincide
+    shifted = EmbeddingBank("toy", bank.coords + 224 * 10, bank.features)
+    translation_err = float(np.abs(embed(shifted) - base).max())
+    norm_err = abs(float(np.linalg.norm(base)) - 1.0)
+    # geometric identities on a raw sparse map
+    smap = SparseMap(np.array([[0, 0], [1, 2], [3, 1]]),
+                     np.arange(9, dtype=np.float64).reshape(3, 3))
+    ident = augment_sparse_map(smap, SlideAugParams())
+    quad = smap
+    for _ in range(4):
+        quad = augment_sparse_map(quad, SlideAugParams(rot_quarters=1))
+    both = SlideAugParams(flip_x=True, flip_y=True)
+    double_flip = augment_sparse_map(augment_sparse_map(smap, both), both)
+    identities = all(np.array_equal(m.sites, smap.sites)
+                     and np.array_equal(m.features, smap.features)
+                     for m in (ident, quad, double_flip))
+    detail = (f"permutation bit-exact {perm_equal}; translation err "
+              f"{translation_err:.1e} (tol {TRANSLATION_TOL:.0e}); "
+              f"norm err {norm_err:.1e} (tol {NORM_TOL:.0e}); "
+              f"identity/rotation/flip identities "
+              f"{'hold' if identities else 'broken'}")
+    passed = (perm_equal and translation_err <= TRANSLATION_TOL
+              and norm_err <= NORM_TOL and identities)
+    return passed, detail
 
 
-def check_checkpoint_roundtrip():
-    store = ParamStore()
-    rng = np.random.default_rng(3)
-    store.add("a.w", rng.normal(size=(4, 3)).astype(np.float32))
-    store.add("b.w", rng.normal(size=7).astype(np.float32))
+def _pipeline_argvs(root: Path) -> list[list[str]]:
+    banks, ckpt, emb = root / "banks", root / "model.ckpt", root / "emb.gse"
+    return [[str(a) for a in argv] for argv in (
+        ["gen", "--out", banks, "--slides", 8, "--classes", 2, "--tiles", 16,
+         "--augs", 3, "--dim", 8, "--extent", 1024, "--seed", 5],
+        ["pretrain", "--banks", banks, "--checkpoint", ckpt, "--epochs", 2,
+         "--tiles", 4, "--batch", 4, "--seed", 0],
+        ["embed", "--banks", banks, "--checkpoint", ckpt, "--out", emb,
+         "--views", 3, "--seed", 0, "--threads", 2],
+        ["probe", "--embeddings", emb, "--labels", banks / "labels.csv",
+         "--out", root / "report.csv", "--budget", "all", "--splits", 3,
+         "--seed", 0])]
+
+
+def a9_byte_identical_reruns() -> tuple[bool, str]:
+    """Two seeded gen -> pretrain -> embed -> probe runs write equal bytes."""
+    from .cli import main  # cli imports this module
+
     with tempfile.TemporaryDirectory() as tmp:
-        p1, p2 = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
-        save_checkpoint(p1, dict(store.state_arrays()))
-        save_checkpoint(p2, dict(store.state_arrays()))
-        assert p1.read_bytes() == p2.read_bytes(), "checkpoint bytes differ"
-        back = load_checkpoint(p1)
-        assert np.array_equal(back["a.w"], store["a.w"]), "values changed"
-
-
-def check_bank_roundtrip():
-    bank = _random_bank(np.random.default_rng(4))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "s.gsb"
-        save_bank(bank, path)
-        back = load_bank(path)
-        assert back.slide_id == bank.slide_id
-        assert np.array_equal(back.coords, bank.coords)
-        assert np.allclose(back.features,
-                           bank.features.astype(np.float32), atol=0)
-
-
-def check_embedding_invariances():
-    rng = np.random.default_rng(5)
-    bank = _random_bank(rng)
-    model = build_model(
-        PoolingNetworkConfig(in_channels=6, block_channels=(8, 8), out_dim=8),
-        proj_dim=8, seed=0, train_tiles=5)
-    emb = embed_slide(bank, model, r_views=4, rng=np.random.default_rng(0))
-    assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-6, "not unit norm"
-    moved = EmbeddingBank(bank.slide_id, bank.coords + 224 * 3, bank.features)
-    emb2 = embed_slide(moved, model, r_views=4, rng=np.random.default_rng(0))
-    assert np.allclose(emb.vector, emb2.vector, atol=1e-9), "translation leaked"
-
-
-def check_ensembling_variance():
-    rng = np.random.default_rng(6)
-    bank = _random_bank(rng, n_tiles=40)
-    model = build_model(
-        PoolingNetworkConfig(in_channels=6, block_channels=(8, 8), out_dim=8),
-        proj_dim=8, seed=0, train_tiles=5)
-    spread = []
-    for r in (1, 10):
-        vecs = [embed_slide(bank, model, r_views=r,
-                            rng=np.random.default_rng(s)).vector
-                for s in range(12)]
-        spread.append(float(np.stack(vecs).var(axis=0).mean()))
-    assert spread[1] < spread[0], f"variance did not shrink: {spread}"
-
-
-def check_probe_oracles():
-    assert auc(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0])) == 1.0
-    assert auc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1])) == 0.75
-    assert auc(np.full(4, 0.3), np.array([1, 0, 1, 0])) == 0.5
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(60, 2))
-    y = (x @ np.array([1.0, -2.0]) > 0).astype(int)
-    probe = fit_logistic(x, y, normalization="standard")
-    assert probe.grad_norm < 1e-6, "fit did not converge"
-    assert auc(probe.scores(x), y) == 1.0, "separable fit below AUC 1"
-
-
-def check_corpus_marginals():
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = GenConfig(n_slides=40, n_classes=2, n_tiles=48, n_augs=2,
-                        feat_dim=12, grid_extent=2048, seed=11)
-        generate_corpus(cfg, tmp)
-        stat = verify_marginal_equality(tmp)
-        assert stat < 3.0, f"marginal statistic {stat}"
-        assert len(list_banks(tmp)) == 40
+        first, second = Path(tmp) / "run1", Path(tmp) / "run2"
+        for root in (first, second):
+            for argv in _pipeline_argvs(root):
+                log = io.StringIO()
+                with redirect_stdout(log), redirect_stderr(log):
+                    rc = main(argv)
+                if rc != 0:
+                    return False, f"{argv[0]} exited {rc}: {log.getvalue()}"
+        files = sorted(p.relative_to(first)
+                       for p in first.rglob("*") if p.is_file())
+        differ = [str(rel) for rel in files
+                  if (first / rel).read_bytes() != (second / rel).read_bytes()]
+    if differ:
+        return False, f"{differ} differ between identically seeded runs"
+    kinds = sorted({rel.suffix for rel in files})
+    return {".gsb", ".gse", ".ckpt", ".csv"} <= set(kinds), (
+        f"{len(files)} artifacts byte-identical across reruns "
+        f"({', '.join(kinds)})")
 
 
 CHECKS = (
-    ("map permutation invariance", check_map_permutation_invariance),
-    ("map rigid-motion identities", check_map_rigid_identities),
-    ("augmentation sampler ranges", check_augmentation_sampler),
-    ("contrastive loss closed forms", check_nt_xent_closed_forms),
-    ("gradient finite differences", check_gradients),
-    ("optimizer first step", check_adam_first_step),
-    ("checkpoint roundtrip", check_checkpoint_roundtrip),
-    ("bank roundtrip", check_bank_roundtrip),
-    ("embedding invariances", check_embedding_invariances),
-    ("ensembling variance", check_ensembling_variance),
-    ("probe oracles", check_probe_oracles),
-    ("corpus marginal equality", check_corpus_marginals),
+    ("A1", lambda: a1_gradient_suite(3)),  # the release gate runs 20
+    ("A2", a2_dense_convolution_oracle),
+    ("A3", a3_nt_xent_closed_forms),
+    ("A4", a4_invariance_suite),
+    ("A9", a9_byte_identical_reruns),
 )
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Run every check; print one PASS/FAIL line each; True if all passed."""
+def run_selftest() -> bool:
+    """Run every check, print one PASS/FAIL line each (a check that raises
+    fails, with its traceback on stderr); True if all passed."""
     all_ok = True
-    for name, fn in CHECKS:
+    for name, check in CHECKS:
         try:
-            fn()
-            line = f"PASS  {name}"
+            passed, detail = check()
         except Exception as exc:  # noqa: BLE001  (report, do not abort)
-            line = f"FAIL  {name}: {exc}"
-            all_ok = False
-        if verbose:
-            print(line)
+            traceback.print_exc()
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        all_ok = all_ok and passed
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return all_ok

@@ -5,11 +5,12 @@ carrying one feature vector. Sites are kept in canonical (lexicographically
 sorted, duplicate-free) order so that every downstream computation is
 independent of the order tiles were supplied in.
 
-Transform pipeline for a view: pixel coordinates are floor-divided by the
-downsample factor, then optionally scaled / rotated / flipped at the slide
-level. Site collisions produced by downsampling or scaling are merged by
-taking the arithmetic mean of the colliding feature vectors, and the site
-set is shifted so its bounding box touches the origin after every transform.
+A bag of tiles is a ``(coords, features)`` pair of aligned arrays. For a
+view, pixel coordinates are floor-divided by the downsample factor, then
+optionally scaled / rotated / flipped at the slide level. Site collisions
+produced by downsampling or scaling are merged by taking the arithmetic
+mean of the colliding feature vectors, and the site set is shifted so its
+bounding box touches the origin after every transform.
 
 The sort, merge and shift exist once, for many views laid out as rows
 with a view id (``place_tiles``, ``augment_rows``): training builds all
@@ -31,15 +32,6 @@ DOWNSAMPLE_FACTOR = 224
 
 #: Inclusive range of the per-axis slide-level scale factor.
 SCALE_RANGE = (0.5, 2.0)
-
-
-@dataclass(frozen=True)
-class TileRecord:
-    """One tile: top-left pixel position plus its embedding vector."""
-
-    x: int
-    y: int
-    feature: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,38 +240,24 @@ def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
     return canonical_rows(view, np.stack([i, j], axis=1), features, order)
 
 
-def build_sparse_map(tiles: Sequence[TileRecord] | tuple[np.ndarray, np.ndarray],
+def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray],
                      downsample: int = DOWNSAMPLE_FACTOR) -> SparseMap:
     """Place tile embeddings on the integer lattice ``(x // d, y // d)``.
 
-    Accepts either a sequence of :class:`TileRecord` or a ``(coords, features)``
-    pair where ``coords`` is ``(n, 2)`` integer pixel positions. Tiles landing
-    on the same lattice site are merged by the element-wise mean of their
+    ``tiles`` is a ``(coords, features)`` pair: ``(n, 2)`` integer pixel
+    positions and the aligned ``(n, F)`` feature matrix. Tiles landing on
+    the same lattice site are merged by the element-wise mean of their
     features, and the result is origin-normalized.
 
-    Raises ``EmptyBag`` for an empty tile list and ``DimensionMismatch`` when
-    feature lengths disagree.
+    Raises ``EmptyBag`` for no tiles and ``DimensionMismatch`` when the
+    features are not one row per tile.
     """
-    if isinstance(tiles, tuple):
-        coords, features = tiles
-        coords = np.asarray(coords)
-        features = np.asarray(features)
-        if len(coords) == 0:
-            raise EmptyBag("no tiles supplied")
-        if features.ndim != 2 or len(features) != len(coords):
-            raise DimensionMismatch(
-                f"coords {coords.shape} vs features {features.shape}")
-    else:
-        if len(tiles) == 0:
-            raise EmptyBag("no tiles supplied")
-        dim = len(tiles[0].feature)
-        for t in tiles:
-            if len(t.feature) != dim:
-                raise DimensionMismatch(
-                    f"tile at ({t.x}, {t.y}) has feature length {len(t.feature)}, "
-                    f"expected {dim}")
-        coords = np.array([(t.x, t.y) for t in tiles], dtype=np.int64)
-        features = np.stack([np.asarray(t.feature) for t in tiles])
+    coords, features = (np.asarray(a) for a in tiles)
+    if len(coords) == 0:
+        raise EmptyBag("no tiles supplied")
+    if features.ndim != 2 or len(features) != len(coords):
+        raise DimensionMismatch(
+            f"coords {coords.shape} vs features {features.shape}")
     if downsample < 1:
         raise ValueError(f"downsample factor must be >= 1, got {downsample}")
     if coords.min() < 0:

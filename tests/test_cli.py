@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import slidessl
+from slidessl import selfcheck
 from slidessl.cli import _default_threads, _parse_budget, main
 from slidessl.errors import ValidationError
 
@@ -262,7 +263,10 @@ def test_selftest_passes(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") >= 10 and "FAIL" not in out
+    names = [name for name, _ in selfcheck.CHECKS]
+    assert names == ["A1", "A2", "A3", "A4", "A9"]
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        [f"PASS  {name}" for name in names]
 
 
 def test_unknown_flag_exits_1(capsys):

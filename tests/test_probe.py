@@ -68,6 +68,16 @@ def test_auc_single_class_rejected():
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
+def test_auc_rejects_nan_scores_naming_the_row():
+    with pytest.raises(ValidationError, match="row 0"):
+        auc(np.array([np.nan, 0.1, 0.2, 0.3]), np.array([1, 0, 1, 0]))
+    x, y = blobs()
+    probe = fit_logistic(x, y)
+    x[7, 2] = np.nan
+    with pytest.raises(ValidationError, match="row 7"):
+        auc(probe.scores(x), y)
+
+
 def test_auc_two_column_scores_use_positive_class():
     scores = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
     labels = np.array([1, 0, 1, 0])

@@ -5,6 +5,7 @@ import pytest
 
 from slidessl.errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
 from slidessl.numcore import ParamStore, finite_diff_grad, max_rel_err
+from slidessl.selfcheck import dense_conv_at_active
 from slidessl.sparseconv import (
     BatchNormState,
     PoolingNetwork,
@@ -51,26 +52,6 @@ def brute_force_pairs(sites, kernel_size):
                 out[o].append((in_idx, out_idx))
     return {o: np.array(p, dtype=np.int64).reshape(-1, 2)
             for o, p in out.items()}
-
-
-def dense_conv_at_active(smap, weights, bias, extent):
-    """Zero-fill a dense image, convolve by explicit loops, read active sites."""
-    k, _, c_in, c_out = weights.shape
-    c = k // 2
-    img = np.zeros((extent, extent, c_in))
-    for (i, j), f in zip(smap.sites, smap.features):
-        img[i, j] = f
-    out = np.zeros((extent, extent, c_out))
-    for i in range(extent):
-        for j in range(extent):
-            acc = bias.copy()
-            for di in range(-c, c + 1):
-                for dj in range(-c, c + 1):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < extent and 0 <= jj < extent:
-                        acc = acc + img[ii, jj] @ weights[di + c, dj + c]
-            out[i, j] = acc
-    return np.stack([out[i, j] for i, j in smap.sites])
 
 
 class TestRulebook:

@@ -10,7 +10,6 @@ from slidessl.sparsemap import (
     SCALE_RANGE,
     SlideAugParams,
     SparseMap,
-    TileRecord,
     _sort_keys,
     augment_rows,
     augment_sparse_map,
@@ -46,10 +45,8 @@ def oracle_build(coords, feats, d):
 class TestBuild:
     def test_floor_division_sites(self):
         # (0,0), (224,0), (0,448) at d=224 land on (0,0), (1,0), (0,2)
-        tiles = [TileRecord(0, 0, np.array([1.0])),
-                 TileRecord(224, 0, np.array([2.0])),
-                 TileRecord(0, 448, np.array([3.0]))]
-        m = build_sparse_map(tiles, downsample=224)
+        m = build_sparse_map((np.array([[0, 0], [224, 0], [0, 448]]),
+                              np.array([[1.0], [2.0], [3.0]])), downsample=224)
         assert as_dict(m).keys() == {(0, 0), (1, 0), (0, 2)}
         d = as_dict(m)
         assert d[(0, 0)] == pytest.approx([1.0])
@@ -57,16 +54,14 @@ class TestBuild:
         assert d[(0, 2)] == pytest.approx([3.0])
 
     def test_collision_merges_by_mean(self):
-        tiles = [TileRecord(10, 10, np.array([1.0, 3.0])),
-                 TileRecord(20, 20, np.array([3.0, 5.0]))]
-        m = build_sparse_map(tiles, downsample=224)
+        m = build_sparse_map((np.array([[10, 10], [20, 20]]),
+                              np.array([[1.0, 3.0], [3.0, 5.0]])), downsample=224)
         assert m.n_sites == 1
         np.testing.assert_allclose(m.features[0], [2.0, 4.0])
 
     def test_origin_normalized(self):
-        tiles = [TileRecord(2240, 4480, np.array([1.0])),
-                 TileRecord(2464, 4480, np.array([2.0]))]
-        m = build_sparse_map(tiles, downsample=224)
+        m = build_sparse_map((np.array([[2240, 4480], [2464, 4480]]),
+                              np.array([[1.0], [2.0]])), downsample=224)
         assert m.sites.min(axis=0).tolist() == [0, 0]
         assert as_dict(m).keys() == {(0, 0), (1, 0)}
 
@@ -81,16 +76,15 @@ class TestBuild:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyBag):
-            build_sparse_map([])
-        with pytest.raises(EmptyBag):
             build_sparse_map((np.zeros((0, 2), dtype=np.int64),
                               np.zeros((0, 4))))
 
-    def test_ragged_features_raise(self):
-        tiles = [TileRecord(0, 0, np.array([1.0])),
-                 TileRecord(224, 0, np.array([1.0, 2.0]))]
+    def test_features_not_one_row_per_tile_raise(self):
+        coords = np.array([[0, 0], [224, 0], [448, 0]])
         with pytest.raises(DimensionMismatch):
-            build_sparse_map(tiles)
+            build_sparse_map((coords, np.ones((2, 4))))
+        with pytest.raises(DimensionMismatch):
+            build_sparse_map((coords, np.ones(3)))
 
     def test_matches_dict_oracle(self):
         rng = np.random.default_rng(7)
