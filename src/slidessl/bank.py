@@ -103,8 +103,13 @@ def load_bank(path) -> EmbeddingBank:
     if n_augs < 1 or n_tiles < 1 or feat_dim < 1:
         raise CorruptBank(f"{path.name}: degenerate header "
                           f"({n_augs} slices, {n_tiles} tiles, {feat_dim} dims)")
+    # sized in Python ints first: numpy cannot build a dtype for a huge feat_dim
+    expected = n_augs * n_tiles * (8 + 4 * feat_dim)
+    if expected != len(reader.blob) - reader.off:
+        raise CorruptBank(f"{path.name}: header ({n_augs} slices, {n_tiles} tiles, "
+                          f"{feat_dim} dims) needs {expected} record bytes, file "
+                          f"holds {len(reader.blob) - reader.off}")
     rec = reader.array(_record_dtype(feat_dim), (n_augs, n_tiles), "records")
-    reader.end()
 
     slide_id = path.stem
     sidecar = path.with_suffix(".json")

@@ -75,8 +75,9 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     """Views ``idx`` (R, T) of one tile set as network rows ``(x, pairs, segs)``:
     row for row and pair for pair what ``build_sparse_map`` per view and
     ``PoolingNetwork.forward`` build. A view's tiles sort in the order of
-    the whole set restricted to them; an ``(R, sites)`` row map restricts
-    the set's neighbour table to each view."""
+    the whole set restricted to them; an ``(R, 1 + sites)`` row map, whose
+    column 0 is -1 for "no neighbour", restricts the set's neighbour table
+    to each view in one flat ``take``."""
     r_views, tiles = idx.shape
     # only drawn tiles are sorted: a paper-scale bank has thousands of tiles
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
@@ -90,15 +91,17 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     pos = np.sort(rank[idx], axis=1).ravel()  # each view's tiles, sorted
     view = np.repeat(np.arange(r_views), tiles)
     tile_site = site_of[pos]
-    present = np.zeros((r_views, int(first.sum())), dtype=bool)
+    n_sites = int(first.sum())
+    present = np.zeros((r_views, n_sites), dtype=bool)
     present[view, tile_site] = True
-    row_map = np.full(present.shape, -1, dtype=np.int64)
-    row_map[present] = np.arange(np.count_nonzero(present))
+    row_map = np.full((r_views, 1 + n_sites), -1, dtype=np.int64)
+    row_map[:, 1:][present] = np.arange(np.count_nonzero(present))
     row_view, row_site = np.nonzero(present)
-    tile_row = row_map[view, tile_site]
+    tile_row = row_map[view, 1 + tile_site]
     x = merge_views(feats[used[order[pos]]], tile_row, view)
     nbr = neighbour_table(sites[first], kernel_size)[:, row_site]
-    adj = np.where(nbr >= 0, row_map[row_view, nbr], -1)
+    nbr += 1 + row_view * (1 + n_sites)       # flat index, -1 -> column 0
+    adj = row_map.take(nbr)
     return x, table_pairs(adj), view_segments(present.sum(axis=1))
 
 
@@ -135,6 +138,9 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
                                  model.net_config.kernel_size)
     pooled, _ = model.net.forward_rows(x, pairs, segs, training=False)
     mean = pooled.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise DegenerateEmbedding(
+            f"{bank.slide_id}: view-averaged vector is not finite")
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         raise DegenerateEmbedding(

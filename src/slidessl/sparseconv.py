@@ -22,6 +22,15 @@ how training runs a step's views and inference a slide's views.
 are the only conv and pool implementations: the network, the
 finite-difference checks in ``gradcheck`` and the dense convolution oracle
 of the acceptance suite (A2) all call them.
+
+The conv kernel relies on the identity contract of ``build_rulebook``: the
+zero offset pairs every row with itself, so it is applied as one dense
+product over all rows (``x @ W_c``) instead of a gather and a scatter, and
+a zero offset without one pair per row is rejected. Every other offset
+gathers rows with ``np.take`` and writes each sum back with one
+assignment. Each row still adds its terms in offset order, from the same
+operands, so the output and gradient bytes equal those of a per-pair
+gather and ``+=`` for every offset.
 """
 
 from __future__ import annotations
@@ -99,7 +108,8 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     Offsets are scanned row-major over the window. ``pairs[o]`` is an
     ``(m, 2)`` int64 array of (input site, output site) with output sites
     ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
-    offset is the complete identity pairing. The pair order fixes the
+    offset is the complete identity pairing, which ``submconv_forward`` and
+    ``submconv_backward`` apply as a dense product. The pair order fixes the
     summation order of ``submconv_backward``'s weight gradient, so it is
     part of the contract. Raises ``ValueError`` for a repeated site. This
     is ``view_pairs`` of one map, so checks of a rulebook audit the
@@ -145,13 +155,26 @@ def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray
     return merged
 
 
+def _zero_offset(pairs: list[np.ndarray], n_rows: int) -> int:
+    """Index of the zero offset, checked to hold one pair per row."""
+    center = len(pairs) // 2
+    if len(pairs[center]) != n_rows:
+        raise DimensionMismatch(
+            f"zero offset holds {len(pairs[center])} pairs for {n_rows} rows; "
+            f"it must pair every row with itself")
+    return center
+
+
 def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                      pairs: list[np.ndarray]) -> np.ndarray:
     """Submanifold convolution of the rows of ``x`` (one per active site).
 
     out[t] = bias + sum over offsets o of W_o . x[source of t under o], with
     ``pairs[o]`` the (input row, output row) pairs of offset o in row-major
-    order, as in ``Rulebook.pairs`` or ``merge_rulebooks``.
+    order, as in ``Rulebook.pairs`` or ``merge_rulebooks``. The zero offset
+    is one dense product ``out += x @ W_c`` at its place in the offset order,
+    so the bytes equal a per-pair gather and ``+=`` (see the module
+    docstring); it must hold one pair per row, else ``DimensionMismatch``.
     """
     k = weights.shape[0]
     if (weights.ndim != 4 or weights.shape[2] != x.shape[1]
@@ -159,31 +182,42 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise DimensionMismatch(
             f"weights {weights.shape} do not fit {x.shape[1]} input channels "
             f"and {len(pairs)} kernel offsets")
+    center = _zero_offset(pairs, len(x))
     out = np.tile(bias, (len(x), 1))
     for o, pr in enumerate(pairs):
-        if len(pr) == 0:
-            continue
         w = weights[o // k, o % k]
-        # within one offset the output indices are distinct, += is safe
-        out[pr[:, 1]] += x[pr[:, 0]] @ w
+        if o == center:
+            out += x @ w
+        elif len(pr):
+            # within one offset the output rows are distinct
+            t = np.take(x, pr[:, 0], axis=0) @ w
+            t += np.take(out, pr[:, 1], axis=0)
+            out[pr[:, 1]] = t
     return out
 
 
 def submconv_backward(grad_out: np.ndarray, x: np.ndarray,
                       weights: np.ndarray, pairs: list[np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input rows, weights, and bias."""
+    """Gradients w.r.t. input rows, weights, and bias; the zero offset is
+    dense (``dw_c = x.T @ g``, ``dx += g @ W_c.T``) as in the forward."""
     k = weights.shape[0]
+    center = _zero_offset(pairs, len(x))
     dx = np.zeros_like(x)
     dw = np.zeros_like(weights)
     db = grad_out.sum(axis=0)
     for o, pr in enumerate(pairs):
-        if len(pr) == 0:
-            continue
         w = weights[o // k, o % k]
-        src, dst = pr[:, 0], pr[:, 1]
-        dw[o // k, o % k] = x[src].T @ grad_out[dst]
-        dx[src] += grad_out[dst] @ w.T
+        if o == center:
+            dw[o // k, o % k] = x.T @ grad_out
+            dx += grad_out @ w.T
+        elif len(pr):
+            src = pr[:, 0]
+            g = np.take(grad_out, pr[:, 1], axis=0)
+            dw[o // k, o % k] = np.take(x, src, axis=0).T @ g
+            t = g @ w.T
+            t += np.take(dx, src, axis=0)
+            dx[src] = t
     return dx, dw, db
 
 
@@ -227,8 +261,10 @@ def sparse_batchnorm_forward(x: np.ndarray, state: BatchNormState,
         mean = state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean) * inv_std
-    out = state.gamma * xhat + state.beta
+    xhat = x - mean
+    xhat *= inv_std
+    out = state.gamma * xhat
+    out += state.beta
     cache = {"xhat": xhat, "inv_std": inv_std, "gamma": state.gamma,
              "training": training}
     return out, cache
@@ -379,17 +415,18 @@ class PoolingNetwork:
         p = f"{self.prefix}block{b}."
         st = self.store
         y1 = submconv_forward(x, st[p + "conv1.w"], st[p + "conv1.b"], pairs)
-        y1n, bn1c = sparse_batchnorm_forward(y1, self._bn_state(p + "bn1"), training)
-        a1 = np.maximum(y1n, 0.0)
+        a1, bn1c = sparse_batchnorm_forward(y1, self._bn_state(p + "bn1"), training)
+        np.maximum(a1, 0.0, out=a1)
         y2 = submconv_forward(a1, st[p + "conv2.w"], st[p + "conv2.b"], pairs)
-        y2n, bn2c = sparse_batchnorm_forward(y2, self._bn_state(p + "bn2"), training)
+        out, bn2c = sparse_batchnorm_forward(y2, self._bn_state(p + "bn2"), training)
         if p + "proj.w" in st:
-            skip = x @ st[p + "proj.w"][0, 0]
+            out += x @ st[p + "proj.w"][0, 0]
         else:
-            skip = x
-        pre = y2n + skip
-        out = np.maximum(pre, 0.0)
-        return out, {"x": x, "a1": a1, "mask1": y1n > 0.0, "masko": pre > 0.0,
+            out += x
+        np.maximum(out, 0.0, out=out)
+        # backward's ReLU masks are a1 > 0 and out > 0, equal to the tests
+        # on the values before ReLU
+        return out, {"x": x, "a1": a1, "out": out,
                      "bn1": bn1c, "bn2": bn2c, "p": p}
 
     def backward(self, grad_z: np.ndarray, cache: dict) -> list[np.ndarray]:
@@ -419,7 +456,7 @@ class PoolingNetwork:
                         pairs: list[np.ndarray]) -> np.ndarray:
         st = self.store
         p = bc["p"]
-        dpre = dout * bc["masko"]
+        dpre = dout * (bc["out"] > 0.0)
         dy2n, dskip = dpre, dpre
         dy2, dg2, db2 = sparse_batchnorm_backward(dy2n, bc["bn2"])
         st.accumulate(p + "bn2.gamma", dg2)
@@ -428,7 +465,7 @@ class PoolingNetwork:
                                              st[p + "conv2.w"], pairs)
         st.accumulate(p + "conv2.w", dw2)
         st.accumulate(p + "conv2.b", dbias2)
-        dy1n = da1 * bc["mask1"]
+        dy1n = da1 * (bc["a1"] > 0.0)
         dy1, dg1, db1 = sparse_batchnorm_backward(dy1n, bc["bn1"])
         st.accumulate(p + "bn1.gamma", dg1)
         st.accumulate(p + "bn1.beta", db1)

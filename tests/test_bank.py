@@ -109,6 +109,17 @@ class TestErrors:
         with pytest.raises(CorruptBank):
             load_bank(tmp_path / "t.gsb")
 
+    @pytest.mark.parametrize("feat_dim", [2 ** 29, 2 ** 32 - 1])
+    def test_oversized_feat_dim_header(self, tmp_path, feat_dim):
+        # too wide for a numpy record dtype: the size check must come first
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", feat_dim)
+        (tmp_path / "h.gsb").write_bytes(bytes(blob))
+        with pytest.raises(CorruptBank, match="record bytes"):
+            load_bank(tmp_path / "h.gsb")
+
     def test_sidecar_not_utf8(self, tmp_path):
         path = tmp_path / "s1.gsb"
         save_bank(make_bank(), path)

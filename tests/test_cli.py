@@ -180,6 +180,47 @@ def test_embed_corrupt_bank_exits_2(trained, tmp_path, capsys):
     assert len(ids) == 7  # survivors still written
 
 
+def test_embed_oversized_bank_header_exits_2(trained, tmp_path, capsys):
+    _, banks, ckpt = trained
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for p in banks.glob("*.gsb"):
+        (broken / p.name).write_bytes(p.read_bytes())
+    victim = sorted(broken.glob("*.gsb"))[0]
+    blob = bytearray(victim.read_bytes())
+    blob[16:20] = (2 ** 29).to_bytes(4, "little")   # feat_dim header field
+    victim.write_bytes(bytes(blob))
+    out = tmp_path / "e.gse"
+    rc = main(["embed", "--banks", str(broken), "--checkpoint", str(ckpt),
+               "--out", str(out), "--views", "2"])
+    assert rc == 2
+    assert f"failed: {victim.stem}: " in capsys.readouterr().err
+    from slidessl.inference import load_embeddings
+    ids, _ = load_embeddings(out)
+    assert len(ids) == 7 and victim.stem not in ids
+
+
+def test_embed_nan_checkpoint_fails_slides_instead_of_nan_rows(
+        trained, tmp_path, capsys):
+    _, banks, ckpt = trained
+    from slidessl.inference import load_embeddings
+    from slidessl.training import load_model, save_model
+    model, epoch = load_model(ckpt)
+    model.store["net.head.w"][0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_model(model, bad, epoch)
+    out = tmp_path / "nan.gse"
+    rc = main(["embed", "--banks", str(banks), "--checkpoint", str(bad),
+               "--out", str(out), "--views", "2"])
+    assert rc == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed: ")]
+    assert len(failed) == 8
+    assert all("not finite" in line for line in failed)
+    ids, matrix = load_embeddings(out)
+    assert ids == [] and matrix.shape[0] == 0
+
+
 def test_embed_avgmil_unreadable_bank_exits_2(corpus, tmp_path, capsys):
     _, banks = corpus
     broken = tmp_path / "broken"

@@ -145,6 +145,14 @@ def test_zero_network_output_is_degenerate():
                     rng=np.random.default_rng(0))
 
 
+def test_non_finite_network_output_is_degenerate():
+    model = make_model()
+    model.store.params["net.head.w"][0, 0] = np.nan
+    with pytest.raises(DegenerateEmbedding, match="not finite"):
+        embed_slide(make_bank(), model, r_views=3,
+                    rng=np.random.default_rng(0))
+
+
 def test_embedding_deterministic_given_rng_seed():
     bank, model = make_bank(), make_model()
     a = embed_slide(bank, model, r_views=5, rng=np.random.default_rng(11))

@@ -17,6 +17,8 @@ from slidessl.sparseconv import (
     sparse_batchnorm_forward,
     submconv_backward,
     submconv_forward,
+    view_pairs,
+    view_segments,
 )
 from slidessl.sparsemap import SparseMap
 
@@ -218,6 +220,87 @@ class TestSubmConv:
         assert max_rel_err(db, finite_diff_grad(loss_b, b)) < 1e-6
 
 
+def loop_submconv_forward(x, weights, bias, pairs):
+    """The per-pair form of the convolution: gather, product, ``+=``
+    scatter for every offset, the zero offset included."""
+    k = weights.shape[0]
+    out = np.tile(bias, (len(x), 1))
+    for o, pr in enumerate(pairs):
+        if len(pr):
+            out[pr[:, 1]] += x[pr[:, 0]] @ weights[o // k, o % k]
+    return out
+
+
+def loop_submconv_backward(grad_out, x, weights, pairs):
+    """The per-pair form of the convolution's backward pass."""
+    k = weights.shape[0]
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(weights)
+    db = grad_out.sum(axis=0)
+    for o, pr in enumerate(pairs):
+        if len(pr):
+            src, dst = pr[:, 0], pr[:, 1]
+            dw[o // k, o % k] = x[src].T @ grad_out[dst]
+            dx[src] += grad_out[dst] @ weights[o // k, o % k].T
+    return dx, dw, db
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_cases():
+    """(x, weights, bias, grad_out, pairs) over random maps, one-site maps,
+    maps whose off-centre offsets are all empty, k = 5 and one channel."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for k, n_sites, c_in, c_out, extent in [
+            (3, 30, 4, 5, 8), (3, 60, 3, 3, 12), (5, 25, 2, 6, 8),
+            (3, 1, 3, 4, 8), (5, 1, 1, 1, 8), (3, 20, 1, 3, 6),
+            (3, 12, 4, 1, 5), (1, 9, 3, 2, 8)]:
+        maps = [random_map(rng, n_sites, dim=c_in, extent=extent),
+                random_map(rng, min(n_sites, 4), dim=c_in, extent=extent)]
+        # sites three cells apart: every offset but the centre is empty
+        far = SparseMap(np.array([[0, 0], [0, 3], [3, 0]]) * k,
+                        rng.normal(size=(3, c_in)))
+        for m in maps + [far]:
+            cases.append((m.features, rng.normal(size=(k, k, c_in, c_out)),
+                          rng.normal(size=c_out),
+                          rng.normal(size=(m.n_sites, c_out)),
+                          build_rulebook(m, k).pairs))
+    # many maps laid out as rows, as training and inference run them
+    sizes = [7, 1, 12, 5]
+    maps = [random_map(rng, n, dim=3, extent=6) for n in sizes]
+    cases.append((np.concatenate([m.features for m in maps]),
+                  rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4),
+                  rng.normal(size=(sum(sizes), 4)),
+                  view_pairs(np.repeat(np.arange(4), sizes),
+                             np.concatenate([m.sites for m in maps]), 3)))
+    return cases
+
+
+class TestKernelBytes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_per_pair_form(self, dtype):
+        for x, w, b, g, pairs in kernel_cases():
+            x, w, b, g = (a.astype(dtype) for a in (x, w, b, g))
+            assert same_bytes(submconv_forward(x, w, b, pairs),
+                              loop_submconv_forward(x, w, b, pairs))
+            for got, want in zip(submconv_backward(g, x, w, pairs),
+                                 loop_submconv_backward(g, x, w, pairs)):
+                assert same_bytes(got, want)
+
+    def test_zero_offset_must_pair_every_row(self):
+        x, w, b, g, pairs = kernel_cases()[0]
+        center = len(pairs) // 2
+        for bad in (pairs[center][1:], np.concatenate([pairs[center]] * 2)):
+            broken = pairs[:center] + [bad] + pairs[center + 1:]
+            with pytest.raises(DimensionMismatch, match="zero offset"):
+                submconv_forward(x, w, b, broken)
+            with pytest.raises(DimensionMismatch, match="zero offset"):
+                submconv_backward(g, x, w, broken)
+
+
 def fresh_bn(c, eps=1e-5, momentum=0.1):
     return BatchNormState(gamma=np.ones(c), beta=np.zeros(c),
                           running_mean=np.zeros(c), running_var=np.ones(c),
@@ -369,6 +452,77 @@ def block_forward(net, block, m, training=False):
     return out
 
 
+def reference_bn(x, gamma, beta, run_mean, run_var, training, eps=1e-5):
+    """Batch norm as plain formulas; updates the running stats given."""
+    if training:
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        run_mean += 0.1 * (mean - run_mean)
+        run_var += 0.1 * (var - run_var)
+    else:
+        mean, var = run_mean, run_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    return gamma * xhat + beta, {"xhat": xhat, "inv_std": inv_std,
+                                 "gamma": gamma, "training": training}
+
+
+def reference_rows(net, x, pairs, segs, training, grad_z):
+    """``forward_rows`` then ``backward`` of ``net`` written out block by
+    block with the per-pair convolution, explicit ReLU masks and no
+    in-place update. Returns (z, input grads, parameter grads, buffers)
+    without touching ``net``'s own gradients or buffers."""
+    st = net.store
+    buffers = {n: b.copy() for n, b in net.buffers.items()}
+    grads = {n: np.zeros_like(st[n]) for n in st.names()}
+    blocks = []
+    for b in range(net.config.n_blocks):
+        p = f"net.block{b}."
+
+        def bn(v, name):
+            return reference_bn(v, st[p + name + ".gamma"], st[p + name + ".beta"],
+                                buffers[p + name + ".run_mean"],
+                                buffers[p + name + ".run_var"], training)
+
+        y1n, bn1 = bn(loop_submconv_forward(x, st[p + "conv1.w"],
+                                            st[p + "conv1.b"], pairs), "bn1")
+        a1 = np.maximum(y1n, 0.0)
+        y2n, bn2 = bn(loop_submconv_forward(a1, st[p + "conv2.w"],
+                                            st[p + "conv2.b"], pairs), "bn2")
+        skip = x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
+        pre = y2n + skip
+        blocks.append((p, x, a1, y1n > 0.0, pre > 0.0, bn1, bn2))
+        x = np.maximum(pre, 0.0)
+    pooled = global_average_pool(x, segs)
+    z = pooled @ st["net.head.w"] + st["net.head.b"]
+
+    grads["net.head.w"] += pooled.T @ grad_z
+    grads["net.head.b"] += grad_z.sum(axis=0)
+    dpooled = grad_z @ st["net.head.w"].T
+    dx = np.zeros_like(x)
+    for (s, e), row in zip(segs, dpooled):
+        dx[s:e] = row / (e - s)
+    for p, xin, a1, mask1, masko, bn1, bn2 in reversed(blocks):
+        dpre = dx * masko
+        dy2, grads_g2, grads_b2 = sparse_batchnorm_backward(dpre, bn2)
+        da1, dw2, dbias2 = loop_submconv_backward(dy2, a1, st[p + "conv2.w"], pairs)
+        dy1, grads_g1, grads_b1 = sparse_batchnorm_backward(da1 * mask1, bn1)
+        dx, dw1, dbias1 = loop_submconv_backward(dy1, xin, st[p + "conv1.w"], pairs)
+        for name, g in [("bn2.gamma", grads_g2), ("bn2.beta", grads_b2),
+                        ("conv2.w", dw2), ("conv2.b", dbias2),
+                        ("bn1.gamma", grads_g1), ("bn1.beta", grads_b1),
+                        ("conv1.w", dw1), ("conv1.b", dbias1)]:
+            grads[p + name] += g
+        if p + "proj.w" in st:
+            wp = st[p + "proj.w"]
+            dwp = np.zeros_like(wp)
+            dwp[0, 0] = xin.T @ dpre
+            grads[p + "proj.w"] += dwp
+            dx = dx + dpre @ wp[0, 0].T
+        else:
+            dx = dx + dpre
+    return z, [dx[s:e] for s, e in segs], grads, buffers
+
+
 class TestResidualBlock:
     def test_zero_weights_zero_gamma_is_relu_skip(self):
         cfg = PoolingNetworkConfig(in_channels=4, block_channels=(4,))
@@ -409,6 +563,39 @@ class TestResidualBlock:
         m = random_map(np.random.default_rng(18), 7, dim=3)
         out = block_forward(net, 0, m)
         assert out.shape == (m.n_sites, 4)
+
+
+class TestRowsBytes:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks,k", [((4, 5), 3), ((3, 3), 5), ((1,), 3)])
+    def test_equal_block_formulas(self, training, dtype, blocks, k):
+        cfg = PoolingNetworkConfig(in_channels=3, block_channels=blocks,
+                                   kernel_size=k, out_dim=6)
+        net, store = build_network(cfg, seed=41, dtype=dtype)
+        rng = np.random.default_rng(42)
+        for name in net.buffers:     # running stats away from 0 and 1
+            net.buffers[name][...] = rng.uniform(0.5, 1.5, net.buffers[name].shape)
+        sizes = [9, 1, 14, 6]
+        maps = [random_map(rng, n, dim=3, extent=6) for n in sizes]
+        x = np.concatenate([m.features for m in maps]).astype(dtype)
+        pairs = view_pairs(np.repeat(np.arange(4), sizes),
+                           np.concatenate([m.sites for m in maps]), k)
+        segs = view_segments(sizes)
+        grad_z = rng.normal(size=(4, 6)).astype(dtype)
+
+        want_z, want_dx, want_grads, want_buffers = reference_rows(
+            net, x, pairs, segs, training, grad_z)
+        z, cache = net.forward_rows(x, pairs, segs, training)
+        store.zero_grads()
+        dx = net.backward(grad_z, cache)
+        assert same_bytes(z, want_z)
+        for got, want in zip(dx, want_dx):
+            assert same_bytes(got, want)
+        for name in store.names():
+            assert same_bytes(store.grads[name], want_grads[name]), name
+        for name, buf in net.buffers.items():
+            assert same_bytes(buf, want_buffers[name]), name
 
 
 class TestPoolingNetwork:
