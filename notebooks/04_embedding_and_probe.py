@@ -65,7 +65,7 @@ for r in (1, 20):
 # Averaging tile features ignores arrangement, and the generator put the
 # entire class signal in arrangement; this should hover near chance.
 
-bank_objs = [load_bank(p) for p in list_banks(banks)]
+bank_objs = [load_bank(p, slices=1) for p in list_banks(banks)]
 mil = np.stack([average_mil_embed(b) for b in bank_objs])
 mil_auc = bootstrap_eval(mil, align_labels([b.slide_id for b in bank_objs],
                                            labels_map),

@@ -12,9 +12,11 @@ tile (inner) i32 x, i32 y, feat_dim x f32. A JSON sidecar named
 "<slide_id>.json" carries the slide id and generator provenance.
 
 ``load_bank`` reads a file once and keeps those bytes: the loaded coords and
-features are read-only strided views into them, not copies. Every slice is
-still validated, one slice at a time, so a check never allocates more than
-one slice's worth of temporaries.
+features are read-only strided views into them, not copies. Every slice read
+is validated, one slice at a time, so a check never allocates more than one
+slice's worth of temporaries. Pretraining reads and validates all slices;
+embedding reads and validates slice 0 only (``slices=1``), the one it draws
+views from.
 """
 
 from __future__ import annotations
@@ -94,22 +96,35 @@ def save_bank(bank: EmbeddingBank, path, provenance: dict | None = None):
     write_atomic(path.with_suffix(".json"), [text.encode("utf-8")])
 
 
-def load_bank(path) -> EmbeddingBank:
+def load_bank(path, slices: int | None = None) -> EmbeddingBank:
     """Read a .gsb file into read-only views of its bytes; the slide id comes
-    from the sidecar (a JSON object), else the stem."""
+    from the sidecar (a JSON object), else the stem.
+
+    With ``slices=k`` only the first k slices (all, if the bank has fewer)
+    are read and validated; the header is still checked against the size of
+    the whole file."""
     path = Path(path)
-    reader = Reader(path, BANK_MAGIC, BANK_VERSION, 3, error=CorruptBank)
+    if slices is not None and slices < 1:
+        raise ValueError(f"slices must be >= 1, got {slices}")
+
+    def record_bytes(fields, size):
+        n_augs, n_tiles, feat_dim = fields
+        if n_augs < 1 or n_tiles < 1 or feat_dim < 1:
+            raise CorruptBank(f"{path.name}: degenerate header "
+                              f"({n_augs} slices, {n_tiles} tiles, {feat_dim} dims)")
+        # sized in Python ints first: numpy cannot build a dtype for a huge feat_dim
+        per_slice = n_tiles * (8 + 4 * feat_dim)
+        if n_augs * per_slice != size:
+            raise CorruptBank(f"{path.name}: header ({n_augs} slices, {n_tiles} "
+                              f"tiles, {feat_dim} dims) needs {n_augs * per_slice} "
+                              f"record bytes, file holds {size}")
+        return min(n_augs, slices or n_augs) * per_slice
+
+    reader = Reader(path, BANK_MAGIC, BANK_VERSION, 3, error=CorruptBank,
+                    body=record_bytes)
     n_augs, n_tiles, feat_dim = reader.fields
-    if n_augs < 1 or n_tiles < 1 or feat_dim < 1:
-        raise CorruptBank(f"{path.name}: degenerate header "
-                          f"({n_augs} slices, {n_tiles} tiles, {feat_dim} dims)")
-    # sized in Python ints first: numpy cannot build a dtype for a huge feat_dim
-    expected = n_augs * n_tiles * (8 + 4 * feat_dim)
-    if expected != len(reader.blob) - reader.off:
-        raise CorruptBank(f"{path.name}: header ({n_augs} slices, {n_tiles} tiles, "
-                          f"{feat_dim} dims) needs {expected} record bytes, file "
-                          f"holds {len(reader.blob) - reader.off}")
-    rec = reader.array(_record_dtype(feat_dim), (n_augs, n_tiles), "records")
+    rec = reader.array(_record_dtype(feat_dim),
+                       (min(n_augs, slices or n_augs), n_tiles), "records")
 
     slide_id = path.stem
     sidecar = path.with_suffix(".json")

@@ -42,16 +42,28 @@ def write_atomic(path, chunks) -> None:
 class Reader:
     """Cursor over one file's bytes; arrays are views into them. A bad magic
     or version (checked after the version and ``n_fields`` header u32s are
-    read) raises ``FormatError``, a short file or trailing bytes ``error``."""
+    read) raises ``FormatError``, a short file or trailing bytes ``error``.
 
-    def __init__(self, path, magic, version, n_fields, error=FormatError):
+    The whole file is read unless ``body(fields, size)`` is given: it sees
+    the header fields and the byte count after the header on disk, may
+    raise, and returns how many of those bytes to read."""
+
+    def __init__(self, path, magic, version, n_fields, error=FormatError,
+                 body=None):
         self.name, self.error, self.off = Path(path).name, error, 4
-        self.blob = Path(path).read_bytes()
-        if self.blob[:4] != magic:
-            raise FormatError(f"{self.name}: bad magic {self.blob[:4]!r}")
-        got, *self.fields = self.u32(n_fields + 1, "header")
-        if got != version:
-            raise FormatError(f"{self.name}: unsupported version {got}")
+        with open(path, "rb") as fh:
+            self.blob = fh.read(4 * (n_fields + 2))
+            if self.blob[:4] != magic:
+                raise FormatError(f"{self.name}: bad magic {self.blob[:4]!r}")
+            got, *self.fields = self.u32(n_fields + 1, "header")
+            if got != version:
+                raise FormatError(f"{self.name}: unsupported version {got}")
+            size = os.fstat(fh.fileno()).st_size - self.off
+            if body is not None:
+                size = body(self.fields, size)
+            # a sized read fills one bytes object; read() would join two
+            fh.seek(0)
+            self.blob = fh.read(self.off + size)
 
     def u32(self, n: int, what: str) -> list[int]:
         return self.array("<u4", (n,), what).tolist()

@@ -194,7 +194,7 @@ def verify_marginal_equality(bank_dir, label_map: dict[str, str] | None = None) 
         label_map = load_labels_csv(bank_dir / "labels.csv")
     means_by_class: dict[str, list[np.ndarray]] = {}
     for path in list_banks(bank_dir):
-        bank = load_bank(path)
+        bank = load_bank(path, slices=1)
         label = label_map[bank.slide_id]
         means_by_class.setdefault(label, []).append(
             bank.features[0].astype(np.float64).mean(axis=0))

@@ -160,7 +160,8 @@ def embed_banks(bank_dir, embed, dim: int, threads: int = 1):
     """Apply ``embed(slide_idx, bank)`` to every bank in a directory.
 
     ``slide_idx`` is the bank's position in the sorted listing and ``embed``
-    returns the slide's row. Returns ``(ids, matrix, failures)``: float32
+    returns the slide's row. Only slice 0 of each bank is read, so ``embed``
+    sees a one-slice bank. Returns ``(ids, matrix, failures)``: float32
     rows in lexicographic order of slide id, ``(0, dim)`` when none
     succeeded, and ``(slide_id, message)`` for each failed bank. Only a
     ``PipelineError`` or ``OSError`` (a bank that cannot be read or
@@ -171,7 +172,7 @@ def embed_banks(bank_dir, embed, dim: int, threads: int = 1):
 
     def one(item):
         slide_idx, path = item
-        bank = load_bank(path)
+        bank = load_bank(path, slices=1)
         return bank.slide_id, embed(slide_idx, bank)
 
     if threads > 1:

@@ -359,8 +359,12 @@ def save_model(model: SlideModel, path, epoch: int):
 
 
 def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
-    """Rebuild a model from a checkpoint; returns (model, next epoch)."""
+    """Rebuild a model from a checkpoint; returns (model, next epoch). An
+    array holding NaN or infinity is a ``FormatError`` naming the first."""
     arrays = load_checkpoint(path)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{Path(path).name}: '{name}' holds NaN or infinity")
     try:
         doc = json.loads(arrays["meta.config_json"].astype(np.uint8).tobytes())
         net_config = PoolingNetworkConfig(

@@ -18,6 +18,34 @@ def make_bank(slide_id="s1", K=2, n=3, F=4, seed=0):
     return EmbeddingBank(slide_id, coords, feats)
 
 
+def _root(a):
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
+def _put(at, raw):
+    def edit(blob):
+        blob[at:at + len(raw)] = raw
+    return edit
+
+
+def _cut(n):
+    def edit(blob):
+        del blob[-n:]
+    return edit
+
+
+def _damage(tmp_path, edit, K=4, n=5, F=3):
+    """Save a bank, apply ``edit(blob)`` to its bytes, return the new path."""
+    path = tmp_path / "s1.gsb"
+    save_bank(make_bank(K=K, n=n, F=F), path)
+    blob = bytearray(path.read_bytes())
+    edit(blob)
+    (tmp_path / "d.gsb").write_bytes(bytes(blob))
+    return tmp_path / "d.gsb"
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         bank = make_bank()
@@ -192,15 +220,10 @@ class TestZeroCopy:
         save_bank(make_bank(K=3, n=4, F=5), path)
         bank = load_bank(path)
 
-        def root(a):
-            while isinstance(a, np.ndarray) and a.base is not None:
-                a = a.base
-            return a
-
         # The xy and f fields interleave without overlapping, so
         # np.shares_memory is False; both views end in the file's bytes.
-        assert root(bank.coords) is root(bank.features)
-        assert root(bank.coords) == path.read_bytes()
+        assert _root(bank.coords) is _root(bank.features)
+        assert _root(bank.coords) == path.read_bytes()
         assert np.may_share_memory(bank.coords, bank.features)
         with pytest.raises(ValueError):
             bank.coords[0, 0, 0] = 1
@@ -225,6 +248,100 @@ class TestZeroCopy:
             tracemalloc.stop()
         assert bank.n_augs == K
         assert peak <= size + n * F + slack, (peak, size)
+
+
+class TestSlices:
+    """``load_bank(path, slices=k)`` reads and validates the first k slices."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_prefix_equals_full_load(self, tmp_path, k):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=4, n=5, F=3), path)
+        full, part = load_bank(path), load_bank(path, slices=k)
+        assert part.slide_id == full.slide_id
+        assert part.coords.shape == (k, 5, 2) and part.features.shape == (k, 5, 3)
+        np.testing.assert_array_equal(part.coords, full.coords[:k])
+        np.testing.assert_array_equal(part.features, full.features[:k])
+
+    def test_one_slice_buffer_holds_one_slice(self, tmp_path):
+        K, n, F = 6, 5, 3
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=K, n=n, F=F), path)
+        bank = load_bank(path, slices=1)
+        assert bank.coords.shape == (1, n, 2) and bank.features.shape == (1, n, F)
+        assert _root(bank.coords) is _root(bank.features)
+        assert _root(bank.coords) == path.read_bytes()[:20 + n * (8 + 4 * F)]
+        with pytest.raises(ValueError):
+            bank.features[0, 0, 0] = 1.0
+
+    def test_one_slice_peak_is_one_slice(self, tmp_path):
+        K, n, F = 24, 300, 64
+        slack = 64 * 1024
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=K, n=n, F=F), path)
+        load_bank(path, slices=1)
+        tracemalloc.start()
+        try:
+            bank = load_bank(path, slices=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.n_augs == 1
+        assert peak <= n * (8 + 4 * F) + n * F + slack, peak
+
+    def test_more_slices_than_stored_reads_all(self, tmp_path):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(K=2), path)
+        assert load_bank(path, slices=5).n_augs == 2
+
+    @pytest.mark.parametrize("slices", [0, -1])
+    def test_slice_count_must_be_positive(self, tmp_path, slices):
+        path = tmp_path / "s1.gsb"
+        save_bank(make_bank(), path)
+        with pytest.raises(ValueError, match="slices"):
+            load_bank(path, slices=slices)
+
+    @pytest.mark.parametrize("edit,error,match", [
+        (_cut(7), CorruptBank, "record bytes"),
+        (_cut(200), CorruptBank, "record bytes"),        # into slice 1
+        (lambda b: b.extend(b"zz"), CorruptBank, "record bytes"),
+        (_put(16, struct.pack("<I", 2 ** 29)), CorruptBank, "record bytes"),
+        (_put(16, struct.pack("<I", 2 ** 32 - 1)), CorruptBank, "record bytes"),
+        (_put(12, struct.pack("<I", 0)), CorruptBank, "degenerate header"),
+        (_put(0, b"NOPE"), FormatError, "magic"),
+        (_put(4, struct.pack("<I", 9)), FormatError, "version"),
+        (_cut(420 - 12), CorruptBank, "header"),         # 12 bytes left
+        (_put(28, struct.pack("<f", np.nan)), CorruptBank, "finite"),
+        (_put(20, struct.pack("<i", -5)), CorruptBank, "negative"),
+        # the last tile of slice 0 (5 tiles of 20 bytes): y, then last feature
+        (_put(20 + 80 + 4, struct.pack("<i", -1)), CorruptBank, "negative"),
+        (_put(20 + 100 - 4, struct.pack("<f", np.inf)), CorruptBank, "finite"),
+    ], ids=["cut_tail", "cut_into_slice_1", "trailing", "feat_dim_2**29",
+            "feat_dim_2**32-1", "zero_tiles", "magic", "version", "short_header",
+            "nan_feature", "negative_x", "negative_last_y", "inf_last_feature"])
+    def test_damage_still_raises(self, tmp_path, edit, error, match):
+        path = _damage(tmp_path, edit)
+        for slices in (1, None):
+            with pytest.raises(error, match=match):
+                load_bank(path, slices=slices)
+
+    def test_bad_values_past_the_prefix_are_not_read(self, tmp_path):
+        K, n, F = 4, 5, 3
+
+        def edit(blob):
+            blob[-4:] = struct.pack("<f", np.nan)         # last slice, last tile
+            y_at = 20 + n * (8 + 4 * F) + 4               # slice 1, first tile
+            blob[y_at:y_at + 4] = struct.pack("<i", -1)
+
+        path = _damage(tmp_path, edit, K=K, n=n, F=F)
+        clean = load_bank(tmp_path / "s1.gsb", slices=1)
+        bank = load_bank(path, slices=1)
+        np.testing.assert_array_equal(bank.coords, clean.coords)
+        np.testing.assert_array_equal(bank.features, clean.features)
+        with pytest.raises(CorruptBank):
+            load_bank(path)
+        with pytest.raises(CorruptBank):
+            load_bank(path, slices=2)
 
 
 class TestListBanks:

@@ -203,7 +203,6 @@ def test_embed_oversized_bank_header_exits_2(trained, tmp_path, capsys):
 def test_embed_nan_checkpoint_fails_slides_instead_of_nan_rows(
         trained, tmp_path, capsys):
     _, banks, ckpt = trained
-    from slidessl.inference import load_embeddings
     from slidessl.training import load_model, save_model
     model, epoch = load_model(ckpt)
     model.store["net.head.w"][0, 0] = np.nan
@@ -212,13 +211,12 @@ def test_embed_nan_checkpoint_fails_slides_instead_of_nan_rows(
     out = tmp_path / "nan.gse"
     rc = main(["embed", "--banks", str(banks), "--checkpoint", str(bad),
                "--out", str(out), "--views", "2"])
-    assert rc == 2
-    failed = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("failed: ")]
-    assert len(failed) == 8
-    assert all("not finite" in line for line in failed)
-    ids, matrix = load_embeddings(out)
-    assert ids == [] and matrix.shape[0] == 0
+    # the checkpoint is refused when it loads, before any slide is embedded
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'net.head.w'" in err[0]
+    assert not out.exists()
 
 
 def test_embed_avgmil_unreadable_bank_exits_2(corpus, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """View-ensembled slide embedding, the mean-tile baseline, and GSLE files."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from slidessl.bank import EmbeddingBank, save_bank
+from slidessl.bank import EmbeddingBank, list_banks, load_bank, save_bank
 from slidessl.errors import (
+    CorruptBank,
     DegenerateEmbedding,
     DimensionMismatch,
     EmptyBag,
@@ -15,6 +18,7 @@ from slidessl.errors import (
 from slidessl.inference import (
     _view_batch,
     average_mil_embed,
+    embed_banks,
     embed_dataset,
     embed_slide,
     export_embeddings_csv,
@@ -23,7 +27,7 @@ from slidessl.inference import (
 )
 from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
 from slidessl.sparsemap import build_sparse_map
-from slidessl.training import build_model
+from slidessl.training import TrainConfig, build_model, pretrain
 
 
 def make_bank(slide_id="s", n_tiles=24, n_augs=3, feat_dim=6, seed=0):
@@ -354,6 +358,51 @@ def test_dataset_failure_does_not_shift_other_seeds(tmp_path):
     assert failures[0][0] == bad_id
     for sid, row in zip(ids, matrix):
         np.testing.assert_array_equal(row, full_matrix[full_ids.index(sid)])
+
+
+def embed_mil(bank_dir):
+    return embed_banks(bank_dir, lambda _, bank: average_mil_embed(bank), dim=0)
+
+
+@pytest.mark.parametrize("n_augs", [1, 2, 5])
+def test_dataset_rows_equal_full_load_rows(tmp_path, n_augs):
+    # embedding reads slice 0 only; its rows are those of the whole banks
+    for i in range(4):
+        save_bank(make_bank(f"slide_{i}", n_augs=n_augs, seed=i),
+                  tmp_path / f"slide_{i}.gsb")
+    full = [load_bank(p) for p in list_banks(tmp_path)]
+    model = make_model()
+    ids, matrix, failures = embed_dataset(tmp_path, model, r_views=4, seed=5)
+    expect = np.stack([embed_slide(bank, model, r_views=4,
+                                   rng=np.random.default_rng([5, 2, i])).vector
+                       for i, bank in enumerate(full)])
+    assert failures == [] and ids == [bank.slide_id for bank in full]
+    assert matrix.tobytes() == expect.astype(np.float32).tobytes()
+    ids, matrix, failures = embed_mil(tmp_path)
+    expect = np.stack([average_mil_embed(bank) for bank in full])
+    assert failures == [] and ids == [bank.slide_id for bank in full]
+    assert matrix.tobytes() == expect.astype(np.float32).tobytes()
+    _, seen, _ = embed_banks(tmp_path, lambda _, bank: [bank.n_augs], dim=1)
+    assert seen.ravel().tolist() == [1, 1, 1, 1]
+
+
+def test_nan_in_last_slice_embeds_like_the_clean_bank(tmp_path):
+    write_corpus(tmp_path)
+    model = make_model()
+    clean, clean_mil = embed_dataset(tmp_path, model, r_views=3), embed_mil(tmp_path)
+    bad = sorted(tmp_path.glob("*.gsb"))[1]
+    blob = bytearray(bad.read_bytes())
+    blob[-4:] = struct.pack("<f", np.nan)    # last feature of the last slice
+    bad.write_bytes(bytes(blob))
+    for before, after in ((clean, embed_dataset(tmp_path, model, r_views=3)),
+                          (clean_mil, embed_mil(tmp_path))):
+        assert after[0] == before[0] and after[2] == []
+        assert after[1].tobytes() == before[1].tobytes()
+    with pytest.raises(CorruptBank, match="finite"):
+        load_bank(bad)
+    with pytest.raises(CorruptBank, match=bad.name):
+        pretrain(TrainConfig(tiles=3, batch_size=2, epochs=1), tmp_path,
+                 tmp_path / "m.ckpt")
 
 
 # ---------------------------------------------------------------------------

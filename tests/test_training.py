@@ -383,6 +383,31 @@ class TestModelCheckpoint:
         with pytest.raises(DimensionMismatch, match=name.replace(".", "\\.")):
             load_model(path)
 
+    @pytest.mark.parametrize("name", ["net.head.w", "net.block0.conv1.w.m",
+                                      "proj.w1.v", "net.block0.bn1.run_var"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected_naming_it(self, tmp_path, name, value):
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        arrays = load_checkpoint(path)
+        arrays[name].flat[-1] = value
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match=f"'{name}' holds NaN or infinity"):
+            load_model(path)
+
+    def test_first_non_finite_array_is_named(self, tmp_path):
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        arrays = load_checkpoint(path)
+        names = [n for n in arrays if not n.startswith("meta.")]
+        for name in (names[-1], names[2]):
+            arrays[name].flat[0] = np.nan
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match=f"'{names[2]}'"):
+            load_model(path)
+
     def test_missing_metadata(self, tmp_path):
         from slidessl.numcore import save_checkpoint
         path = tmp_path / "bare.ckpt"
