@@ -8,7 +8,6 @@ writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .datagen import GenConfig, generate_corpus, verify_marginal_equality
@@ -40,16 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("GIGASSL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--avgmil", action="store_true",
                      help="mean-tile baseline instead of the trained model")
     emb.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    emb.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: GIGASSL_THREADS or all cores)")
+    emb.add_argument("--threads", type=int,
+                     help="accepted and ignored: slides embed one at a time")
 
     prb = sub.add_parser("probe", help="linear probe embeddings against labels")
     prb.add_argument("--embeddings", required=True, help="embedding file (.gse)")
@@ -201,10 +190,9 @@ def cmd_embed(args) -> int:
             raise ValidationError("embed needs --checkpoint (or --avgmil)")
         from .training import load_model
         model, _ = load_model(args.checkpoint)
-        threads = args.threads if args.threads else _default_threads()
         ids, matrix, failures = embed_dataset(
             args.banks, model, tiles=args.tiles, r_views=args.views,
-            seed=args.seed, threads=threads)
+            seed=args.seed)
 
     save_embeddings(args.out, ids, matrix)
     if args.csv:

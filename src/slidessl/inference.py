@@ -13,6 +13,7 @@ merge (``sparsemap.merge_views``, as training uses), one neighbour table
 on their distinct sites, one ``PoolingNetwork.forward_rows`` pass. Rows
 and pairs equal those of ``build_sparse_map`` per view followed by
 ``PoolingNetwork.forward``, so the vectors are bit-identical to that path.
+A directory is embedded one slide at a time, on the calling thread.
 
 The module also provides the mean-tile baseline and the ``.gse`` file of
 embedding matrices (a ``container`` with magic ``GSLE``) with a CSV export.
@@ -21,7 +22,7 @@ embedding matrices (a ``container`` with magic ``GSLE``) with a CSV export.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,11 @@ import numpy as np
 from .bank import EmbeddingBank, list_banks, load_bank
 from .container import Reader, string, u32, write_atomic
 from .errors import (
+    CorruptBank,
     DegenerateEmbedding,
     DimensionMismatch,
     EmptyBag,
+    FormatError,
     InsufficientTiles,
     PipelineError,
 )
@@ -74,10 +77,10 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
                 kernel_size: int):
     """Views ``idx`` (R, T) of one tile set as network rows ``(x, pairs, segs)``:
     row for row and pair for pair what ``build_sparse_map`` per view and
-    ``PoolingNetwork.forward`` build. A view's tiles sort in the order of
-    the whole set restricted to them; an ``(R, 1 + sites)`` row map, whose
-    column 0 is -1 for "no neighbour", restricts the set's neighbour table
-    to each view in one flat ``take``."""
+    ``PoolingNetwork.forward`` build. A view's tiles, in any order, sort
+    in the order of the whole set restricted to them; an ``(R, 1 + sites)``
+    row map, whose column 0 is -1 for "no neighbour", restricts the set's
+    neighbour table to each view in one flat ``take``."""
     r_views, tiles = idx.shape
     # only drawn tiles are sorted: a paper-scale bank has thousands of tiles
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
@@ -131,8 +134,8 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
             f"{bank.slide_id}: bank features have {bank.feat_dim} dims, "
             f"model expects {model.feat_dim}")
 
-    idx = np.stack([np.sort(rng.choice(bank.n_tiles, size=tiles, replace=False))
-                    for _ in range(r_views)])
+    idx = np.stack([rng.choice(bank.n_tiles, size=tiles, replace=False)
+                    for _ in range(r_views)])   # _view_batch sorts views
     x, pairs, segs = _view_batch(bank.coords[0].astype(np.int64),
                                  bank.features[0].astype(model.dtype), idx,
                                  model.net_config.kernel_size)
@@ -156,36 +159,29 @@ def average_mil_embed(bank: EmbeddingBank) -> np.ndarray:
     return bank.features[0].astype(np.float64).mean(axis=0)
 
 
-def embed_banks(bank_dir, embed, dim: int, threads: int = 1):
-    """Apply ``embed(slide_idx, bank)`` to every bank in a directory.
+def embed_banks(bank_dir, embed, dim: int):
+    """Apply ``embed(slide_idx, bank)`` to every bank in a directory, one
+    bank at a time on the calling thread, in listing order.
 
     ``slide_idx`` is the bank's position in the sorted listing and ``embed``
     returns the slide's row. Only slice 0 of each bank is read, so ``embed``
     sees a one-slice bank. Returns ``(ids, matrix, failures)``: float32
     rows in lexicographic order of slide id, ``(0, dim)`` when none
-    succeeded, and ``(slide_id, message)`` for each failed bank. Only a
-    ``PipelineError`` or ``OSError`` (a bank that cannot be read or
-    embedded) counts as a failed slide; any other exception is a bug and
-    propagates.
+    succeeded, and ``(slide_id, message)`` for each failed bank, among them
+    a bank whose slide id an earlier bank names. Only a ``PipelineError``
+    or ``OSError`` (a bank that cannot be read or embedded) counts as a
+    failed slide; any other exception is a bug and propagates.
     """
-    paths = list_banks(bank_dir)
-
-    def one(item):
-        slide_idx, path = item
-        bank = load_bank(path, slices=1)
-        return bank.slide_id, embed(slide_idx, bank)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, item) for item in enumerate(paths)]
-        jobs = [fut.result for fut in futures]
-    else:
-        jobs = [lambda item=item: one(item) for item in enumerate(paths)]
+    owner: dict[str, str] = {}
     results: list[tuple[str, np.ndarray]] = []
     failures: list[tuple[str, str]] = []
-    for path, job in zip(paths, jobs):
+    for slide_idx, path in enumerate(list_banks(bank_dir)):
         try:
-            results.append(job())
+            bank = load_bank(path, slices=1)
+            if owner.setdefault(bank.slide_id, path.name) != path.name:
+                raise CorruptBank(f"{path.name}: slide id {bank.slide_id!r} "
+                                  f"is already used by {owner[bank.slide_id]}")
+            results.append((bank.slide_id, embed(slide_idx, bank)))
         except (PipelineError, OSError) as exc:
             failures.append((path.stem, str(exc)))
 
@@ -205,8 +201,8 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
 
     Returns ``(ids, matrix, failures)`` as ``embed_banks`` does. Each
     slide's random stream depends only on the seed and its position in the
-    sorted listing, so thread count and failures elsewhere never change a
-    slide's embedding.
+    sorted listing, so failures elsewhere never change a slide's embedding.
+    ``threads`` is ignored: a slide's many small numpy calls hold the GIL.
     """
     tiles = _resolve_tiles(model, tiles)
 
@@ -215,7 +211,7 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
         return embed_slide(bank, model, tiles=tiles, r_views=r_views,
                            rng=rng).vector
 
-    return embed_banks(bank_dir, one, model.net_config.out_dim, threads)
+    return embed_banks(bank_dir, one, model.net_config.out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +243,9 @@ def load_embeddings(path):
         ids.append(reader.string("slide id"))
         rows.append(reader.array("<f4", (1, dim), "slide row"))
     reader.end()
+    dup = [sid for sid, n in Counter(ids).items() if n > 1]
+    if dup:
+        raise FormatError(f"{reader.name}: slide id {dup[0]!r} is repeated")
     return ids, np.concatenate(rows)
 
 

@@ -19,9 +19,9 @@ reference the tests hold the batch to. ``PoolingNetwork.forward_rows``
 runs the network on any batch laid out as rows with such pairs, which is
 how training runs a step's views and inference a slide's views.
 ``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
-are the only conv and pool implementations: the network, the
-finite-difference checks in ``gradcheck`` and the dense convolution oracle
-of the acceptance suite (A2) all call them.
+with its backward are the only conv and pool implementations: the
+network, the finite-difference checks in ``gradcheck`` and the dense
+convolution oracle of the acceptance suite (A2) all call them.
 
 The conv kernel relies on the identity contract of ``build_rulebook``: the
 zero offset pairs every row with itself, so it is applied as one dense
@@ -291,8 +291,24 @@ def sparse_batchnorm_backward(grad_out: np.ndarray, cache: dict | None
 
 def global_average_pool(x: np.ndarray, segs: list[tuple[int, int]]
                         ) -> np.ndarray:
-    """Mean of the rows of each ``(start, end)`` segment, one map each."""
-    return np.stack([x[s:e].mean(axis=0) for s, e in segs])
+    """Mean of the rows of each ``(start, end)`` segment, for segments that
+    tile the rows from row 0. Row r of each segment goes to slab r of a
+    buffer padded with -0.0; summing the slabs in order adds what ``mean``
+    adds, in its order, but for one column, which ``mean`` sums pairwise."""
+    if x.shape[1] < 2 or not x.flags.c_contiguous:
+        return np.stack([x[s:e].mean(axis=0) for s, e in segs])
+    sizes = np.diff(segs)
+    seg, row = np.nonzero(np.arange(sizes.max()) < sizes)
+    buf = np.full((sizes.max(), len(segs), x.shape[1]), -0.0, dtype=x.dtype)
+    buf[row, seg] = x
+    return (buf.sum(axis=0) / sizes).astype(x.dtype)   # as mean divides
+
+
+def global_average_pool_backward(dpooled: np.ndarray,
+                                 segs: list[tuple[int, int]]) -> np.ndarray:
+    """The pool's gradient, for segments that tile the rows from row 0."""
+    sizes = np.diff(segs)
+    return np.repeat(dpooled / sizes.astype(dpooled.dtype), sizes[:, 0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +423,6 @@ class PoolingNetwork:
         w, bias = self.store[self.prefix + "head.w"], self.store[self.prefix + "head.b"]
         z = pooled @ w + bias
         cache["pooled"] = pooled
-        cache["x_final"] = x
         return z, cache
 
     def _block_forward(self, b: int, x: np.ndarray, pairs: list[np.ndarray],
@@ -441,12 +456,9 @@ class PoolingNetwork:
         w = st[self.prefix + "head.w"]
         st.accumulate(self.prefix + "head.w", cache["pooled"].T @ grad_z)
         st.accumulate(self.prefix + "head.b", grad_z.sum(axis=0))
-        dpooled = grad_z @ w.T
 
-        dx = np.zeros_like(cache["x_final"])
-        for (s, e), row in zip(segs, dpooled):
-            dx[s:e] = row / (e - s)
-
+        dx = global_average_pool_backward(grad_z @ w.T, segs).astype(
+            cache["pooled"].dtype, copy=False)
         for b in range(self.config.n_blocks - 1, -1, -1):
             dx = self._block_backward(dx, cache["blocks"][b], pairs)
 

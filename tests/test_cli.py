@@ -12,7 +12,7 @@ import pytest
 
 import slidessl
 from slidessl import selfcheck
-from slidessl.cli import _default_threads, _parse_budget, main
+from slidessl.cli import _parse_budget, main
 from slidessl.errors import ValidationError
 
 
@@ -219,6 +219,32 @@ def test_embed_nan_checkpoint_fails_slides_instead_of_nan_rows(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("avgmil", [False, True])
+def test_embed_duplicate_slide_id_exits_2(trained, tmp_path, capsys, avgmil):
+    _, banks, ckpt = trained
+    dup = tmp_path / "dup"
+    dup.mkdir()
+    for p in banks.glob("*.gsb"):
+        for f in (p, p.with_suffix(".json")):
+            (dup / f.name).write_bytes(f.read_bytes())
+    first = sorted(dup.glob("*.gsb"))[0]
+    for suffix in (".gsb", ".json"):      # the copy lists last
+        (dup / f"zz_copy{suffix}").write_bytes(
+            first.with_suffix(suffix).read_bytes())
+    out = tmp_path / "dup.gse"
+    model = ["--avgmil"] if avgmil else ["--checkpoint", str(ckpt)]
+    rc = main(["embed", "--banks", str(dup), "--out", str(out), *model])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("failed: ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("failed: zz_copy: zz_copy.gsb: ")
+    assert first.name in failed[0]
+    from slidessl.inference import load_embeddings
+    ids, _ = load_embeddings(out)
+    assert len(ids) == 8 and ids.count(first.stem) == 1
+
+
 def test_embed_avgmil_unreadable_bank_exits_2(corpus, tmp_path, capsys):
     _, banks = corpus
     broken = tmp_path / "broken"
@@ -349,11 +375,3 @@ def test_parse_budget_forms():
     with pytest.raises(ValidationError):
         _parse_budget("half")
 
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("GIGASSL_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("GIGASSL_THREADS", "junk")
-    assert _default_threads() >= 1
-    monkeypatch.delenv("GIGASSL_THREADS")
-    assert _default_threads() >= 1

@@ -1,6 +1,7 @@
 """View-ensembled slide embedding, the mean-tile baseline, and GSLE files."""
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -360,6 +361,76 @@ def test_dataset_failure_does_not_shift_other_seeds(tmp_path):
         np.testing.assert_array_equal(row, full_matrix[full_ids.index(sid)])
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+def test_dataset_embeds_on_the_calling_thread_in_listing_order(
+        tmp_path, monkeypatch, threads):
+    from slidessl import inference
+    write_corpus(tmp_path, n=4)
+    caller, running = threading.get_ident(), threading.active_count()
+    seen = []
+
+    def recorded(bank, model, **kwargs):
+        seen.append((bank.slide_id, threading.get_ident(),
+                     threading.active_count()))
+        return embed_slide(bank, model, **kwargs)
+    monkeypatch.setattr(inference, "embed_slide", recorded)
+    ids, _, failures = embed_dataset(tmp_path, make_model(), r_views=2,
+                                     threads=threads)
+    assert failures == [] and len(ids) == 4
+    listing = [p.stem for p in list_banks(tmp_path)]
+    assert seen == [(sid, caller, running) for sid in listing]
+
+
+def test_embed_banks_passes_increasing_slide_idx(tmp_path):
+    write_corpus(tmp_path, n=4)
+    calls = []
+
+    def embed(slide_idx, bank):
+        calls.append((slide_idx, bank.slide_id, threading.get_ident(),
+                      threading.active_count()))
+        return [float(slide_idx)]
+    running = threading.active_count()
+    ids, matrix, _ = embed_banks(tmp_path, embed, dim=1)
+    listing = [p.stem for p in list_banks(tmp_path)]
+    assert calls == [(i, sid, threading.get_ident(), running)
+                     for i, sid in enumerate(listing)]
+    assert matrix.ravel().tolist() == [listing.index(sid) for sid in ids]
+
+
+def copy_bank(src, dst):
+    for suffix in (".gsb", ".json"):
+        dst.with_suffix(suffix).write_bytes(src.with_suffix(suffix).read_bytes())
+
+
+def test_duplicate_slide_id_fails_the_later_bank(tmp_path):
+    write_corpus(tmp_path)
+    model = make_model()
+    clean = embed_dataset(tmp_path, model, r_views=3)
+    clean_mil = embed_mil(tmp_path)
+    first = sorted(tmp_path.glob("*.gsb"))[0]
+    copy_bank(first, tmp_path / "zz_copy")        # lists after every bank
+    for before, after in ((clean, embed_dataset(tmp_path, model, r_views=3)),
+                          (clean_mil, embed_mil(tmp_path))):
+        assert after[0] == before[0]
+        assert after[1].tobytes() == before[1].tobytes()
+        assert len(after[2]) == 1
+        sid, message = after[2][0]
+        assert sid == "zz_copy"
+        assert message == (f"zz_copy.gsb: slide id {first.stem!r} is already "
+                           f"used by {first.name}")
+
+
+def test_duplicate_slide_id_listed_first_keeps_the_id(tmp_path):
+    write_corpus(tmp_path)
+    last = sorted(tmp_path.glob("*.gsb"))[-1]
+    copy_bank(last, tmp_path / "aa_copy")         # lists before every bank
+    ids, matrix, failures = embed_mil(tmp_path)
+    assert ids.count(last.stem) == 1 and len(ids) == 3
+    assert [sid for sid, _ in failures] == [last.stem]
+    assert failures[0][1].startswith(f"{last.name}: ")
+    assert "aa_copy.gsb" in failures[0][1]
+
+
 def embed_mil(bank_dir):
     return embed_banks(bank_dir, lambda _, bank: average_mil_embed(bank), dim=0)
 
@@ -468,6 +539,13 @@ def test_embeddings_id_not_utf8(tmp_path):
     blob[20:22] = b"\xc3\x28"  # an invalid two-byte sequence
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="UTF-8"):
+        load_embeddings(path)
+
+
+def test_embeddings_repeated_id(tmp_path):
+    path = tmp_path / "e.gse"
+    save_embeddings(path, ["a", "b", "a"], np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(FormatError, match="e.gse: slide id 'a' is repeated"):
         load_embeddings(path)
 
 

@@ -12,6 +12,7 @@ from slidessl.sparseconv import (
     PoolingNetworkConfig,
     build_rulebook,
     global_average_pool,
+    global_average_pool_backward,
     kernel_offsets,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
@@ -437,6 +438,57 @@ class TestGlobalAveragePool:
         x = np.array([[1.0], [3.0], [10.0], [20.0], [30.0]])
         np.testing.assert_allclose(global_average_pool(x, [(0, 2), (2, 5)]),
                                    [[2.0], [20.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 2, 16, 64])
+    def test_equals_per_segment_mean_byte_for_byte(self, width, dtype):
+        rng = np.random.default_rng(width)
+        sizes = np.concatenate([[1, 1, 1], rng.integers(2, 300, size=40)])
+        rng.shuffle(sizes)
+        segs = view_segments(sizes)
+        scale = 10.0 ** rng.uniform(-4, 4, size=width)
+        x = (rng.normal(size=(int(sizes.sum()), width)) * scale).astype(dtype)
+        x[rng.random(len(x)) < 0.1] = -0.0       # -0.0 rows among others
+        x[:sizes[0]] = -0.0                      # and a segment of them
+        want = np.stack([x[s:e].mean(axis=0) for s, e in segs])
+        got = global_average_pool(x, segs)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        # a column-major x sums each column pairwise, and so must the pool
+        strided = np.asfortranarray(x)
+        want = np.stack([strided[s:e].mean(axis=0) for s, e in segs])
+        assert global_average_pool(strided, segs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_per_segment_loop(self, dtype):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 50, size=20)
+        segs = view_segments(sizes)
+        dpooled = rng.normal(size=(len(segs), 7)).astype(dtype)
+        want = np.zeros((int(sizes.sum()), 7), dtype=dtype)
+        for (s, e), row in zip(segs, dpooled):
+            want[s:e] = row / (e - s)
+        got = global_average_pool_backward(dpooled, segs)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_network_and_gradcheck_use_the_one_backward(self, monkeypatch):
+        from slidessl import gradcheck, sparseconv
+        calls = []
+
+        def counted(dpooled, segs):
+            calls.append(len(segs))
+            return global_average_pool_backward(dpooled, segs)
+        monkeypatch.setattr(sparseconv, "global_average_pool_backward", counted)
+        monkeypatch.setattr(gradcheck, "global_average_pool_backward", counted)
+        net, _ = build_network(PoolingNetworkConfig(in_channels=3,
+                                                    block_channels=(4,)))
+        maps = [random_map(np.random.default_rng(i), 3 + i, dim=3)
+                for i in range(2)]
+        z, cache = net.forward(maps, True)
+        net.backward(np.ones_like(z), cache)
+        assert calls == [2]
+        gradcheck.check_global_average_pool(n_instances=2)
+        assert len(calls) == 3
 
 
 def build_network(config, seed=0, dtype=np.float64):
