@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bank import EmbeddingBank, save_bank
+from .container import write_atomic
 from .errors import ValidationError
 
 GRID_STRIDE = 256
@@ -168,9 +169,9 @@ def generate_corpus(cfg: GenConfig, out_dir) -> dict:
     lines = ["slide_id,label"]
     for sid in sorted(labels):
         lines.append(f"{sid},{labels[sid]}")
-    (out_dir / "labels.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / "corpus.json").write_text(
-        json.dumps(asdict(cfg), sort_keys=True, indent=1) + "\n")
+    config = json.dumps(asdict(cfg), sort_keys=True, indent=1)
+    for name, text in (("labels.csv", "\n".join(lines)), ("corpus.json", config)):
+        write_atomic(out_dir / name, [(text + "\n").encode("utf-8")])
     return {"n_slides": cfg.n_slides, "out_dir": str(out_dir),
             "labels_csv": str(out_dir / "labels.csv")}
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
     FormatError,
     InsufficientTiles,
     PipelineError,
+    ValidationError,
 )
 from .sparseconv import neighbour_table, table_pairs, view_segments
 from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_views, tile_order
@@ -219,11 +219,15 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
 
 def save_embeddings(path, ids: list[str], matrix: np.ndarray) -> None:
     """Write an embedding matrix: a container with header fields slide count
-    and dim, then per slide its id (string) and dim little-endian f32."""
+    and dim, then per slide its id (string) and dim little-endian f32.
+    A repeated id raises ``ValidationError`` before anything is written."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match {len(ids)} ids")
+    dup = _repeated_id(ids)
+    if dup is not None:
+        raise ValidationError(f"slide id {dup!r} is repeated")
 
     def chunks():
         yield EMBED_MAGIC + u32(EMBED_VERSION, *matrix.shape)
@@ -243,10 +247,14 @@ def load_embeddings(path):
         ids.append(reader.string("slide id"))
         rows.append(reader.array("<f4", (1, dim), "slide row"))
     reader.end()
-    dup = [sid for sid, n in Counter(ids).items() if n > 1]
-    if dup:
-        raise FormatError(f"{reader.name}: slide id {dup[0]!r} is repeated")
+    dup = _repeated_id(ids)
+    if dup is not None:
+        raise FormatError(f"{reader.name}: slide id {dup!r} is repeated")
     return ids, np.concatenate(rows)
+
+
+def _repeated_id(ids: list[str]) -> str | None:
+    return next((sid for sid, n in Counter(ids).items() if n > 1), None)
 
 
 def export_embeddings_csv(path, ids: list[str], matrix: np.ndarray) -> None:
@@ -259,4 +267,4 @@ def export_embeddings_csv(path, ids: list[str], matrix: np.ndarray) -> None:
     lines = ["id," + ",".join(f"v{j}" for j in range(dim))]
     for sid, row in zip(ids, matrix):
         lines.append(sid + "," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from slidessl.bank import EmbeddingBank, load_bank, save_bank
-from slidessl.inference import load_embeddings, save_embeddings
+from slidessl.inference import (export_embeddings_csv, load_embeddings,
+                                save_embeddings)
 from slidessl.numcore import save_checkpoint
+from slidessl.probe import ProbeReport, write_report_csv
 from slidessl.sparseconv import PoolingNetworkConfig
 from slidessl.training import build_model, load_model, save_model
 
@@ -75,6 +77,9 @@ SAVES = {
     "checkpoint": lambda p: save_checkpoint(p, {"w": np.ones(3)}),
     "model": lambda p: save_model(small_model(), p, epoch=1),
     "embeddings": lambda p: save_embeddings(p, *small_embeddings()),
+    "embeddings_csv": lambda p: export_embeddings_csv(p, *small_embeddings()),
+    "report_csv": lambda p: write_report_csv(
+        p, [ProbeReport("t", "all", (0.5, 0.75), (8, 8))]),
 }
 
 

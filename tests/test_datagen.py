@@ -1,6 +1,7 @@
 """Synthetic corpus generator: structure, determinism, marginal equality."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,23 @@ def test_rerun_is_bit_identical(tmp_path):
                       sorted((tmp_path / "b").iterdir())):
         assert pa.name == pb.name
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["labels.csv", "corpus.json"])
+def test_failed_side_file_write_leaves_old_file_and_no_temp(tmp_path,
+                                                            monkeypatch, name):
+    (tmp_path / name).write_bytes(b"old side file\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError("injected replace failure")
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        generate_corpus(GenConfig(**SMALL), tmp_path)
+    assert (tmp_path / name).read_bytes() == b"old side file\n"
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
 def test_coordinates_on_stride_grid(tmp_path):

@@ -15,6 +15,7 @@ from slidessl.errors import (
     FormatError,
     InsufficientTiles,
     PipelineError,
+    ValidationError,
 )
 from slidessl.inference import (
     _view_batch,
@@ -543,10 +544,22 @@ def test_embeddings_id_not_utf8(tmp_path):
 
 
 def test_embeddings_repeated_id(tmp_path):
+    # written byte by byte: save_embeddings refuses to write such a file
     path = tmp_path / "e.gse"
-    save_embeddings(path, ["a", "b", "a"], np.zeros((3, 2), dtype=np.float32))
+    blob = b"GSLE" + struct.pack("<3I", 1, 3, 2)
+    for sid in ("a", "b", "a"):
+        blob += struct.pack("<I", 1) + sid.encode() + bytes(8)
+    path.write_bytes(blob)
     with pytest.raises(FormatError, match="e.gse: slide id 'a' is repeated"):
         load_embeddings(path)
+
+
+def test_save_embeddings_refuses_repeated_id(tmp_path):
+    path = tmp_path / "e.gse"
+    with pytest.raises(ValidationError, match="slide id 'b' is repeated"):
+        save_embeddings(path, ["a", "b", "c", "b"],
+                        np.zeros((4, 2), dtype=np.float32))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embeddings_id_count_mismatch(tmp_path):

@@ -1,5 +1,6 @@
 """Linear probe fitting, Mann-Whitney AUC, and budgeted bootstrap reports."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -338,6 +339,111 @@ def test_no_steps_returns_init_and_warns(max_iter):
     np.testing.assert_array_equal(fit.weights, init[0])
     np.testing.assert_array_equal(fit.bias, init[1])
     assert fit.grad_norm >= 1e-6
+
+
+def reference_softmax_loss_grad(w, b, x, onehot, l2):
+    """The objective as first written: the gradient bytes to keep."""
+    logits = x @ w + b
+    logits -= logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(logits).sum(axis=1))
+    n = x.shape[0]
+    loss = (logz - (logits * onehot).sum(axis=1)).mean() + 0.5 * l2 * (w * w).sum()
+    p = np.exp(logits - logz[:, None])
+    delta = (p - onehot) / n
+    return loss, x.T @ delta + l2 * w, delta.sum(axis=0)
+
+
+def reference_fit(x, labels, l2=probe.DEFAULT_L2, normalization="l2",
+                  max_iter=20000, tol=probe.GRAD_TOL, init=None):
+    """The solver loop as first written, on the reference objective:
+    (weights, bias, grad_norm, loss, evaluations)."""
+    x, _ = probe._normalize_train(x, normalization)
+    n, dim = x.shape
+    classes = np.unique(labels)
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), np.searchsorted(classes, labels)] = 1.0
+    theta = np.zeros((dim + 1, classes.size))
+    if init is not None:
+        theta[:dim], theta[dim] = init
+    x1 = np.hstack([x, np.ones((n, 1))])
+    step = 1.0 / (0.5 * np.linalg.eigvalsh(x1.T @ x1 / n)[-1] + l2)
+    grad = np.empty_like(theta)
+    prev, k = theta, 0
+    for it in itertools.count():
+        point = theta + (k / (k + 3)) * (theta - prev) if k else theta
+        loss, grad[:dim], grad[dim] = reference_softmax_loss_grad(
+            point[:dim], point[dim], x, onehot, l2)
+        gnorm = float(np.sqrt(np.vdot(grad, grad)))
+        if gnorm < tol or it >= max_iter:
+            break
+        prev, theta = theta, point - step * grad
+        k = 0 if np.vdot(grad, theta - prev) > 0 else k + 1
+    return point[:dim], point[dim], gnorm, loss, it + 1
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSolverBytes:
+    """The solver's iterates equal the reference loop's byte for byte; only
+    the loss, summed in another order, may move in its last bits."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    @pytest.mark.parametrize("normalization", ["l2", "standard"])
+    @pytest.mark.parametrize("random_init", [False, True])
+    @pytest.mark.parametrize("max_iter", [20000, 0, 1, 17])
+    def test_fit_equals_reference(self, monkeypatch, n_classes, normalization,
+                                  random_init, max_iter):
+        calls = count_evaluations(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n_classes])
+            n, d = int(rng.integers(12, 80)), int(rng.integers(2, 24))
+            y = rng.permutation(np.arange(n) % n_classes)
+            x = rng.normal(size=(n, d)) + 0.7 * rng.normal(size=(n_classes, d))[y]
+            init = None
+            if random_init:
+                init = (rng.normal(size=(d, n_classes)), rng.normal(size=n_classes))
+            kwargs = dict(normalization=normalization, max_iter=max_iter,
+                          init=init)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit = fit_logistic(x, y, **kwargs)
+            weights, bias, gnorm, loss, evals = reference_fit(x, y, **kwargs)
+            assert same_bytes(fit.weights, weights)
+            assert same_bytes(fit.bias, bias)
+            assert fit.grad_norm.hex() == gnorm.hex()
+            assert len(calls) == evals
+            assert fit.loss == pytest.approx(loss, rel=1e-15, abs=0)
+            if max_iter < 20000:
+                assert evals == max_iter + 1
+
+    @pytest.mark.parametrize("case", ["large_logits", "tied_maxima"])
+    def test_objective_gradient_bytes(self, case):
+        rng = np.random.default_rng(7)
+        for n_classes in (2, 3, 4):
+            x = rng.normal(size=(30, 6))
+            w = rng.normal(size=(6, n_classes))
+            b = rng.normal(size=n_classes)
+            if case == "large_logits":
+                # logits in the thousands: most exponentials underflow to 0
+                w *= 1e3
+                b *= 1e3
+            else:
+                # two equal leading columns tie every row's maximum; zero
+                # rows leave the bias alone, tied too
+                w[:, 1] = w[:, 0]
+                b[1] = b[0] = b.max() + 1.0
+                x[::3] = 0.0
+            onehot = np.eye(n_classes)[rng.integers(0, n_classes, size=30)]
+            got = probe._softmax_loss_grad(w, b, x, onehot, probe.DEFAULT_L2)
+            want = reference_softmax_loss_grad(w, b, x, onehot,
+                                               probe.DEFAULT_L2)
+            assert same_bytes(got[1], want[1])
+            assert same_bytes(got[2], want[2])
+            assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
