@@ -11,12 +11,15 @@ header fields n_augs, n_tiles, feat_dim, then for each slice (outer) and
 tile (inner) i32 x, i32 y, feat_dim x f32. A JSON sidecar named
 "<slide_id>.json" carries the slide id and generator provenance.
 
-``load_bank`` reads a file once and keeps those bytes: the loaded coords and
-features are read-only strided views into them, not copies. Every slice read
-is validated, one slice at a time, so a check never allocates more than one
-slice's worth of temporaries. Pretraining reads and validates all slices;
-embedding reads and validates slice 0 only (``slices=1``), the one it draws
-views from.
+``load_bank`` maps a file read-only (``container.Reader``): the loaded coords
+and features are read-only strided views of the page cache, not copies, and
+the mapping with its file descriptor lives as long as they do. Every slice
+mapped is validated, one slice at a time, so a check never allocates more
+than one slice's worth of temporaries. Pretraining maps and validates all
+slices; embedding maps and validates slice 0 only (``slices=1``), the one it
+draws views from. ``save_bank`` replaces files atomically, so it never
+disturbs a loaded bank; truncating a loaded bank's file in place can end the
+process with SIGBUS.
 """
 
 from __future__ import annotations
@@ -97,12 +100,12 @@ def save_bank(bank: EmbeddingBank, path, provenance: dict | None = None):
 
 
 def load_bank(path, slices: int | None = None) -> EmbeddingBank:
-    """Read a .gsb file into read-only views of its bytes; the slide id comes
+    """Map a .gsb file into read-only views of its bytes; the slide id comes
     from the sidecar (a JSON object), else the stem.
 
-    With ``slices=k`` only the first k slices (all, if the bank has fewer)
-    are read and validated; the header is still checked against the size of
-    the whole file."""
+    With ``slices=k`` only the header and the first k slices (all, if the
+    bank has fewer) are mapped and validated; the header is still checked
+    against the size of the whole file."""
     path = Path(path)
     if slices is not None and slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices}")

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bank import EmbeddingBank, list_banks, load_bank
+from .container import reserve_descriptors, write_atomic
 from .errors import (
     DegenerateBatch,
     DegenerateProjection,
@@ -424,11 +425,16 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     epoch counter continues the schedule; the random stream of epoch e is
     derived from (seed, e) alone, so the loss trajectory matches an
     uninterrupted run exactly.
+
+    Every bank stays mapped, each holding a file descriptor, so the soft
+    open-file limit is raised first if the bank count needs it; a hard limit
+    too low raises ``RuntimeFailure`` before any bank is loaded.
     """
     paths = list_banks(bank_dir)
     if len(paths) < 2:
         raise DegenerateBatch(
             f"need at least 2 banks to pretrain, found {len(paths)} in {bank_dir}")
+    reserve_descriptors(len(paths))
     banks = [load_bank(p) for p in paths]
     feat_dims = {b.feat_dim for b in banks}
     if len(feat_dims) != 1:
@@ -489,7 +495,6 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
         "checkpoint": out_checkpoint.name,
     }
     if report_path is not None:
-        with open(report_path, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+        write_atomic(report_path, [text.encode("utf-8")])
     return report

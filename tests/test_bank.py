@@ -231,9 +231,9 @@ class TestZeroCopy:
             bank.features[0, 0, 0] = 1.0
 
     def test_load_peak_is_file_plus_one_slice(self, tmp_path):
-        # The file's bytes are read once and kept; validation may allocate
-        # one slice's n x F bool temporary, plus a fixed slack for numpy's
-        # reduction buffers and small objects.
+        # The file is mapped, not copied (test_mapping.py holds the tighter
+        # bound); validation may allocate one slice's n x F bool temporary,
+        # plus a fixed slack for numpy's reduction buffers and small objects.
         K, n, F = 24, 300, 64
         slack = 64 * 1024
         path = tmp_path / "s1.gsb"

@@ -1,6 +1,8 @@
 """View sampling, contrastive loss, training loop, checkpoint resume."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,6 +659,27 @@ class TestPretrain:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "ra.json").read_text().replace("a.ckpt", "") == \
             (tmp_path / "rb.json").read_text().replace("b.ckpt", "")
+
+    @pytest.mark.parametrize("old", [None, b"old report\n"])
+    def test_failed_report_write_leaves_no_partial_file(self, tmp_path,
+                                                       monkeypatch, old):
+        banks = self.corpus(tmp_path)
+        report = tmp_path / "report.json"
+        if old is not None:
+            report.write_bytes(old)
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == report.name:
+                raise OSError("injected replace failure")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            pretrain(self.cfg(), banks, tmp_path / "m.ckpt",
+                     net_config=self.small_net(), proj_dim=8,
+                     report_path=report)
+        assert (report.read_bytes() if report.exists() else None) == old
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_needs_two_banks(self, tmp_path):
         d = tmp_path / "banks"
