@@ -33,7 +33,6 @@ from slidessl.probe import (
 )
 from slidessl.selfcheck import run_selftest
 from slidessl.sparseconv import (
-    BatchNormState,
     PoolingNetwork,
     PoolingNetworkConfig,
     Rulebook,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamConfig",
-    "BatchNormState",
     "EmbeddingBank",
     "GenConfig",
     "LinearProbe",

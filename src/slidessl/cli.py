@@ -1,8 +1,8 @@
 """Command-line entry point: gen | pretrain | embed | probe | gradcheck | selftest.
 
 Exit codes: 0 success, 1 validation error (bad inputs or flags), 2 runtime
-failure. Every path is an explicit flag and every run with a fixed --seed
-writes byte-identical outputs.
+failure, a path that cannot be read or written among them. Every path is an
+explicit flag and every run with a fixed --seed writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeFailure as exc:
+    except (RuntimeFailure, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

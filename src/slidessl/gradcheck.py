@@ -22,7 +22,6 @@ from .numcore import (
     mlp_projector_forward,
 )
 from .sparseconv import (
-    BatchNormState,
     PoolingNetwork,
     PoolingNetworkConfig,
     build_rulebook,
@@ -34,7 +33,7 @@ from .sparseconv import (
     submconv_forward,
 )
 from .sparsemap import SparseMap
-from .training import interleaved_pairing, nt_xent
+from .training import nt_xent
 
 DEFAULT_INSTANCES = 20
 PASS_BOUND = 1e-4
@@ -85,31 +84,27 @@ def check_batchnorm(n_instances=DEFAULT_INSTANCES, seed=0,
         rng = np.random.default_rng([seed, 11, i])
         n, c = rng.integers(2, 9), rng.integers(1, 5)
         x = rng.normal(size=(n, c))
-        state = BatchNormState(
-            gamma=rng.normal(size=c), beta=rng.normal(size=c),
-            running_mean=rng.normal(size=c), running_var=rng.random(c) + 0.5)
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        running = rng.normal(size=c), rng.random(c) + 0.5
         probe = rng.normal(size=(n, c))
 
         def loss(xf, gamma, beta):
-            st = BatchNormState(gamma=gamma, beta=beta,
-                                running_mean=state.running_mean.copy(),
-                                running_var=state.running_var.copy())
-            y, _ = sparse_batchnorm_forward(xf.reshape(n, c), st,
-                                            training=training)
+            y, _ = sparse_batchnorm_forward(
+                xf.reshape(n, c), gamma, beta, *(r.copy() for r in running),
+                training=training)
             return float((y * probe).sum())
 
-        y, cache = sparse_batchnorm_forward(x, state, training=training)
+        y, cache = sparse_batchnorm_forward(x, gamma, beta, *running,
+                                            training=training)
         dx, dgamma, dbeta = sparse_batchnorm_backward(probe, cache)
         worst = max(
             worst,
-            max_rel_err(dx.ravel(),
-                        finite_diff_grad(
-                            lambda v: loss(v, state.gamma, state.beta),
-                            x.ravel())),
+            max_rel_err(dx.ravel(), finite_diff_grad(
+                lambda v: loss(v, gamma, beta), x.ravel())),
             max_rel_err(dgamma, finite_diff_grad(
-                lambda v: loss(x.ravel(), v, state.beta), state.gamma)),
+                lambda v: loss(x.ravel(), v, beta), gamma)),
             max_rel_err(dbeta, finite_diff_grad(
-                lambda v: loss(x.ravel(), state.gamma, v), state.beta)))
+                lambda v: loss(x.ravel(), gamma, v), beta)))
     return worst
 
 
@@ -172,12 +167,9 @@ def check_nt_xent(n_instances=DEFAULT_INSTANCES, seed=0) -> float:
         b, d = rng.integers(2, 5), rng.integers(2, 6)
         z = rng.normal(size=(2 * b, d))
         tau = float(rng.uniform(0.2, 2.0))
-        pairing = interleaved_pairing(2 * b)
-        _, grad = nt_xent(z, temperature=tau, pairing=pairing)
+        _, grad = nt_xent(z, temperature=tau)
         fd = finite_diff_grad(
-            lambda v: nt_xent(v.reshape(z.shape), temperature=tau,
-                              pairing=pairing)[0],
-            z.ravel())
+            lambda v: nt_xent(v.reshape(z.shape), temperature=tau)[0], z.ravel())
         worst = max(worst, max_rel_err(grad.ravel(), fd))
     return worst
 
@@ -277,12 +269,12 @@ def run_gradcheck(n_instances: int = DEFAULT_INSTANCES, seed: int = 0) -> dict:
     return {name: fn(n_instances, seed) for name, fn in CHECKS}
 
 
-def format_gradcheck_report(results: dict, bound: float = PASS_BOUND) -> str:
+def format_gradcheck_report(results: dict) -> str:
     width = max(len(name) for name in results)
     lines = []
     for name, err in results.items():
-        flag = "ok" if err < bound else "FAIL"
+        flag = "ok" if err < PASS_BOUND else "FAIL"
         lines.append(f"{name.ljust(width)}  {err:.3e}  {flag}")
-    overall = "PASS" if all(e < bound for e in results.values()) else "FAIL"
-    lines.append(f"{'overall'.ljust(width)}  bound {bound:.0e}  {overall}")
+    overall = "PASS" if all(e < PASS_BOUND for e in results.values()) else "FAIL"
+    lines.append(f"{'overall'.ljust(width)}  bound {PASS_BOUND:.0e}  {overall}")
     return "\n".join(lines)

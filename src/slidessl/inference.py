@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,8 +203,10 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
     slide's random stream depends only on the seed and its position in the
     sorted listing, so failures elsewhere never change a slide's embedding.
     ``threads`` is ignored: a slide's many small numpy calls hold the GIL.
+    A tile count other than the checkpoint's warns once, here.
     """
     tiles = _resolve_tiles(model, tiles)
+    model = replace(model, train_tiles=tiles)   # so no slide warns again
 
     def one(slide_idx, bank):
         rng = np.random.default_rng([seed, 2, slide_idx])

@@ -179,65 +179,51 @@ PROJECTOR_DIM = 128
 
 
 def init_projector(store: ParamStore, c_in: int, d_proj: int,
-                   rng: np.random.Generator, prefix: str = "proj.",
-                   dtype=np.float64):
-    """Register projector weights (He-scaled) and zero biases."""
+                   rng: np.random.Generator, dtype=np.float64):
+    """Register projector weights (He-scaled) and zero biases under ``proj.``."""
     w1 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, c_in))
     w2 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, d_proj))
-    store.add(prefix + "w1", w1.astype(dtype))
-    store.add(prefix + "b1", np.zeros(c_in, dtype=dtype))
-    store.add(prefix + "w2", w2.astype(dtype))
-    store.add(prefix + "b2", np.zeros(d_proj, dtype=dtype))
+    store.add("proj.w1", w1.astype(dtype))
+    store.add("proj.b1", np.zeros(c_in, dtype=dtype))
+    store.add("proj.w2", w2.astype(dtype))
+    store.add("proj.b2", np.zeros(d_proj, dtype=dtype))
 
 
-def mlp_projector_forward(x: np.ndarray, params: dict[str, np.ndarray],
-                          prefix: str = "proj.") -> tuple[np.ndarray, dict]:
-    """Two-layer perceptron x @ w1 + b1 -> ReLU -> @ w2 + b2.
-
-    Accepts a single vector or a batch of row vectors; returns the output in
-    the same arrangement plus a cache for the backward pass.
+def mlp_projector_forward(x: np.ndarray, params: dict[str, np.ndarray]
+                          ) -> tuple[np.ndarray, dict]:
+    """Two-layer perceptron x @ w1 + b1 -> ReLU -> @ w2 + b2 on a batch of
+    row vectors; returns the output rows plus a cache for the backward pass.
     """
-    w1 = params[prefix + "w1"]
-    b1 = params[prefix + "b1"]
-    w2 = params[prefix + "w2"]
-    b2 = params[prefix + "b2"]
+    w1, b1 = params["proj.w1"], params["proj.b1"]
+    w2, b2 = params["proj.w2"], params["proj.b2"]
     x = np.asarray(x)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.ndim != 2 or xb.shape[1] != w1.shape[0]:
+    if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise DimensionMismatch(
             f"projector input has shape {x.shape}, expected (*, {w1.shape[0]})")
-    h = xb @ w1 + b1
+    h = x @ w1 + b1
     a = np.maximum(h, 0.0)
     z = a @ w2 + b2
-    cache = {"x": xb, "h": h, "a": a, "w1": w1, "w2": w2,
-             "single": single, "prefix": prefix}
-    return (z[0] if single else z), cache
+    return z, {"x": x, "h": h, "a": a, "w1": w1, "w2": w2}
 
 
 def mlp_projector_backward(grad_out: np.ndarray, cache: dict
                            ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Exact gradients of the projector w.r.t. input and parameters."""
-    prefix = cache["prefix"]
     dz = np.asarray(grad_out)
-    if cache["single"]:
-        dz = dz[None, :]
-    a, h, xb = cache["a"], cache["h"], cache["x"]
+    a, h, x = cache["a"], cache["h"], cache["x"]
     w1, w2 = cache["w1"], cache["w2"]
-    if dz.shape != (xb.shape[0], w2.shape[1]):
+    if dz.shape != (x.shape[0], w2.shape[1]):
         raise DimensionMismatch(
-            f"grad_out has shape {grad_out.shape}, "
-            f"expected ({xb.shape[0]}, {w2.shape[1]})")
+            f"grad_out has shape {dz.shape}, "
+            f"expected ({x.shape[0]}, {w2.shape[1]})")
     dw2 = a.T @ dz
     db2 = dz.sum(axis=0)
     da = dz @ w2.T
     dh = da * (h > 0.0)
-    dw1 = xb.T @ dh
+    dw1 = x.T @ dh
     db1 = dh.sum(axis=0)
     dx = dh @ w1.T
-    grads = {prefix + "w1": dw1, prefix + "b1": db1,
-             prefix + "w2": dw2, prefix + "b2": db2}
-    return (dx[0] if cache["single"] else dx), grads
+    return dx, {"proj.w1": dw1, "proj.b1": db1, "proj.w2": dw2, "proj.b2": db2}
 
 
 # ---------------------------------------------------------------------------

@@ -302,14 +302,14 @@ class ProbeReport:
 
 
 def bootstrap_eval(x: np.ndarray, labels, budget="all", splits: int = DEFAULT_SPLITS,
-                   test_fraction: float = TEST_FRACTION, seed: int = 0,
-                   l2: float = DEFAULT_L2, normalization: str = "l2",
-                   task: str = "task") -> ProbeReport:
+                   seed: int = 0, l2: float = DEFAULT_L2,
+                   normalization: str = "l2", task: str = "task") -> ProbeReport:
     """AUC over repeated stratified splits with a training label budget.
 
-    Each split re-randomizes the train/test partition and the budget
-    subsample from a stream derived from (seed, split), so reports are
-    reproducible and two budgets at the same seed see the same partitions.
+    Each split holds out ``TEST_FRACTION`` of every class. It re-randomizes
+    the partition and the budget subsample from a stream derived from (seed,
+    split), so reports are reproducible and two budgets at the same seed see
+    the same partitions.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
@@ -320,7 +320,7 @@ def bootstrap_eval(x: np.ndarray, labels, budget="all", splits: int = DEFAULT_SP
     aucs, train_sizes = [], []
     for split in range(splits):
         rng = np.random.default_rng([seed, 3, split])
-        train_idx, test_idx = _stratified_split(labels, test_fraction, rng)
+        train_idx, test_idx = _stratified_split(labels, TEST_FRACTION, rng)
         train_idx = _apply_budget(train_idx, labels, budget, rng)
         probe = fit_logistic(x[train_idx], labels[train_idx], l2=l2,
                              normalization=normalization)

@@ -224,30 +224,20 @@ def submconv_backward(grad_out: np.ndarray, x: np.ndarray,
 # ---------------------------------------------------------------------------
 # Batch normalization over all active sites of the minibatch
 
-@dataclass
-class BatchNormState:
-    """Per-channel affine normalization state (running stats are buffers)."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if np.any(self.running_var < 0):
-            raise ValueError("running variance must be non-negative")
+#: Running-statistics update rate and variance floor of every batch norm.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
-def sparse_batchnorm_forward(x: np.ndarray, state: BatchNormState,
+def sparse_batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                             running_mean: np.ndarray, running_var: np.ndarray,
                              training: bool) -> tuple[np.ndarray, dict]:
     """Normalize each channel over every active site in the batch.
 
     Train mode uses biased batch statistics and folds them into the running
-    stats; eval mode normalizes with the running stats unchanged.
+    stats in place, at rate ``BN_MOMENTUM``; eval mode normalizes with the
+    running stats unchanged. The update keeps a running variance >= 0, and
+    ``load_model`` rejects a checkpoint that holds a negative one.
     """
     if training:
         if len(x) < 2:
@@ -255,17 +245,17 @@ def sparse_batchnorm_forward(x: np.ndarray, state: BatchNormState,
                 f"batch normalization over {len(x)} active site(s); need >= 2")
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased
-        state.running_mean += state.momentum * (mean - state.running_mean)
-        state.running_var += state.momentum * (var - state.running_var)
+        running_mean += BN_MOMENTUM * (mean - running_mean)
+        running_var += BN_MOMENTUM * (var - running_var)
     else:
-        mean = state.running_mean
-        var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x - mean
     xhat *= inv_std
-    out = state.gamma * xhat
-    out += state.beta
-    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": state.gamma,
+    out = gamma * xhat
+    out += beta
+    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma,
              "training": training}
     return out, cache
 
@@ -342,10 +332,9 @@ class PoolingNetwork:
     """
 
     def __init__(self, config: PoolingNetworkConfig, store, rng: np.random.Generator,
-                 dtype=np.float64, prefix: str = "net."):
+                 dtype=np.float64):
         self.config = config
         self.store = store
-        self.prefix = prefix
         self.dtype = dtype
         self.buffers: dict[str, np.ndarray] = {}
         k = config.kernel_size
@@ -356,7 +345,7 @@ class PoolingNetwork:
 
         c_prev = config.in_channels
         for b, c in enumerate(config.block_channels):
-            p = f"{prefix}block{b}."
+            p = f"net.block{b}."
             store.add(p + "conv1.w", conv_init(c_prev, c, k))
             store.add(p + "conv1.b", np.zeros(c, dtype=dtype))
             store.add(p + "bn1.gamma", np.ones(c, dtype=dtype))
@@ -372,18 +361,16 @@ class PoolingNetwork:
                 self.buffers[p + bn + ".run_var"] = np.ones(c, dtype=dtype)
             c_prev = c
         head_std = np.sqrt(1.0 / c_prev)
-        store.add(prefix + "head.w",
+        store.add("net.head.w",
                   rng.normal(0.0, head_std,
                              size=(c_prev, config.out_dim)).astype(dtype))
-        store.add(prefix + "head.b", np.zeros(config.out_dim, dtype=dtype))
+        store.add("net.head.b", np.zeros(config.out_dim, dtype=dtype))
 
-    def _bn_state(self, name: str) -> BatchNormState:
-        return BatchNormState(
-            gamma=self.store[name + ".gamma"],
-            beta=self.store[name + ".beta"],
-            running_mean=self.buffers[name + ".run_mean"],
-            running_var=self.buffers[name + ".run_var"],
-        )
+    def _batchnorm(self, y: np.ndarray, name: str, training: bool):
+        return sparse_batchnorm_forward(
+            y, self.store[name + ".gamma"], self.store[name + ".beta"],
+            self.buffers[name + ".run_mean"], self.buffers[name + ".run_var"],
+            training)
 
     def forward(self, maps: list[SparseMap], training: bool
                 ) -> tuple[np.ndarray, dict]:
@@ -420,20 +407,19 @@ class PoolingNetwork:
             cache["blocks"].append(bc)
 
         pooled = global_average_pool(x, segs)
-        w, bias = self.store[self.prefix + "head.w"], self.store[self.prefix + "head.b"]
-        z = pooled @ w + bias
+        z = pooled @ self.store["net.head.w"] + self.store["net.head.b"]
         cache["pooled"] = pooled
         return z, cache
 
     def _block_forward(self, b: int, x: np.ndarray, pairs: list[np.ndarray],
                        training: bool) -> tuple[np.ndarray, dict]:
-        p = f"{self.prefix}block{b}."
+        p = f"net.block{b}."
         st = self.store
         y1 = submconv_forward(x, st[p + "conv1.w"], st[p + "conv1.b"], pairs)
-        a1, bn1c = sparse_batchnorm_forward(y1, self._bn_state(p + "bn1"), training)
+        a1, bn1c = self._batchnorm(y1, p + "bn1", training)
         np.maximum(a1, 0.0, out=a1)
         y2 = submconv_forward(a1, st[p + "conv2.w"], st[p + "conv2.b"], pairs)
-        out, bn2c = sparse_batchnorm_forward(y2, self._bn_state(p + "bn2"), training)
+        out, bn2c = self._batchnorm(y2, p + "bn2", training)
         if p + "proj.w" in st:
             out += x @ st[p + "proj.w"][0, 0]
         else:
@@ -453,9 +439,9 @@ class PoolingNetwork:
         pairs = cache["pairs"]
         grad_z = np.asarray(grad_z)
 
-        w = st[self.prefix + "head.w"]
-        st.accumulate(self.prefix + "head.w", cache["pooled"].T @ grad_z)
-        st.accumulate(self.prefix + "head.b", grad_z.sum(axis=0))
+        w = st["net.head.w"]
+        st.accumulate("net.head.w", cache["pooled"].T @ grad_z)
+        st.accumulate("net.head.b", grad_z.sum(axis=0))
 
         dx = global_average_pool_backward(grad_z @ w.T, segs).astype(
             cache["pooled"].dtype, copy=False)

@@ -195,16 +195,15 @@ def canonical_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
     return view, sites - lo[view], merged
 
 
-def place_tiles(view: np.ndarray, coords: np.ndarray, features: np.ndarray,
-                downsample: int = DOWNSAMPLE_FACTOR
+def place_tiles(view: np.ndarray, coords: np.ndarray, features: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tiles of views 0..V-1 on the lattice ``(x // d, y // d)``, as rows.
+    """Tiles of views 0..V-1 on the ``DOWNSAMPLE_FACTOR`` lattice, as rows.
 
     ``coords`` are non-negative int64 pixel positions. Each view becomes a
     canonical map, as ``build_sparse_map`` builds it alone; all views share
     one sort and one merge.
     """
-    sites = coords // int(downsample)
+    sites = coords // DOWNSAMPLE_FACTOR
     order = tile_order(np.column_stack([view, sites, coords]), features)
     return canonical_rows(view, sites, features, order)
 
@@ -240,9 +239,8 @@ def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
     return canonical_rows(view, np.stack([i, j], axis=1), features, order)
 
 
-def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray],
-                     downsample: int = DOWNSAMPLE_FACTOR) -> SparseMap:
-    """Place tile embeddings on the integer lattice ``(x // d, y // d)``.
+def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray]) -> SparseMap:
+    """Place tile embeddings on the ``DOWNSAMPLE_FACTOR`` integer lattice.
 
     ``tiles`` is a ``(coords, features)`` pair: ``(n, 2)`` integer pixel
     positions and the aligned ``(n, F)`` feature matrix. Tiles landing on
@@ -258,13 +256,11 @@ def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray],
     if features.ndim != 2 or len(features) != len(coords):
         raise DimensionMismatch(
             f"coords {coords.shape} vs features {features.shape}")
-    if downsample < 1:
-        raise ValueError(f"downsample factor must be >= 1, got {downsample}")
     if coords.min() < 0:
         raise ValueError("tile coordinates must be non-negative")
 
     _, sites, merged = place_tiles(np.zeros(len(coords), dtype=np.int64),
-                                   coords.astype(np.int64), features, downsample)
+                                   coords.astype(np.int64), features)
     return SparseMap(sites, merged)
 
 

@@ -246,10 +246,10 @@ def interleaved_pairing(n_views: int) -> np.ndarray:
     return pairing
 
 
-def nt_xent(z: np.ndarray, pairing: np.ndarray | None = None,
-            temperature: float = 0.5) -> tuple[float, np.ndarray]:
+def nt_xent(z: np.ndarray, temperature: float = 0.5) -> tuple[float, np.ndarray]:
     """Normalized-temperature cross entropy over 2B projected views.
 
+    Rows (2i, 2i+1) are the two views of slide i (``interleaved_pairing``).
     For view i with partner p(i), the per-view term is
     -log( exp(cos(z_i, z_p(i))/tau) / sum over x != i of exp(cos(z_i, z_x)/tau) );
     the loss is the mean over all views. Returns the loss and its exact
@@ -260,14 +260,7 @@ def nt_xent(z: np.ndarray, pairing: np.ndarray | None = None,
         raise DimensionMismatch(
             f"projections must be (2B, D) with B >= 1, got {z.shape}")
     n = len(z)
-    if pairing is None:
-        pairing = interleaved_pairing(n)
-    else:
-        pairing = np.asarray(pairing, dtype=np.int64)
-        if pairing.shape != (n,) or np.any(pairing[pairing] != np.arange(n)) \
-                or np.any(pairing == np.arange(n)):
-            raise DimensionMismatch(
-                "pairing must be a fixed-point-free involution on the views")
+    pairing = interleaved_pairing(n)
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
 
@@ -361,11 +354,15 @@ def save_model(model: SlideModel, path, epoch: int):
 
 def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
     """Rebuild a model from a checkpoint; returns (model, next epoch). An
-    array holding NaN or infinity is a ``FormatError`` naming the first."""
+    array holding NaN or infinity, or a running variance (``*.run_var``)
+    below zero, which training never stores, is a ``FormatError`` naming
+    the first."""
     arrays = load_checkpoint(path)
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise FormatError(f"{Path(path).name}: '{name}' holds NaN or infinity")
+        if name.endswith(".run_var") and (arr < 0).any():
+            raise FormatError(f"{Path(path).name}: '{name}' holds a negative value")
     try:
         doc = json.loads(arrays["meta.config_json"].astype(np.uint8).tobytes())
         net_config = PoolingNetworkConfig(

@@ -219,6 +219,23 @@ def test_embed_nan_checkpoint_fails_slides_instead_of_nan_rows(
     assert not out.exists()
 
 
+def test_embed_negative_running_variance_exits_1(trained, tmp_path, capsys):
+    _, banks, ckpt = trained
+    from slidessl.training import load_model, save_model
+    model, epoch = load_model(ckpt)
+    model.net.buffers["net.block0.bn2.run_var"][0] = -0.5
+    bad = tmp_path / "negvar.ckpt"
+    save_model(model, bad, epoch)
+    out = tmp_path / "negvar.gse"
+    rc = main(["embed", "--banks", str(banks), "--checkpoint", str(bad),
+               "--out", str(out), "--views", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'net.block0.bn2.run_var'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("avgmil", [False, True])
 def test_embed_duplicate_slide_id_exits_2(trained, tmp_path, capsys, avgmil):
     _, banks, ckpt = trained
@@ -315,6 +332,72 @@ def test_probe_non_finite_embedding_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "row 5" in err
+
+
+# Each case: the arguments, given the bank directory ``b``, the checkpoint
+# ``m`` and a directory ``t`` that holds ``dir`` (a directory where a file
+# belongs), ``file`` (a file where a directory belongs), ``mil.gse``,
+# ``zz_banks`` (banks plus a directory named zz.gsb) and no ``none``; then
+# the exit code. The suite runs as root, so a file it may not read cannot
+# be made.
+PATH_CASES = {
+    "gen_out_is_a_file": (lambda b, m, t: [
+        "gen", "--out", f"{t}/file", "--slides", "4"], 2),
+    "pretrain_banks_missing": (lambda b, m, t: [
+        "pretrain", "--banks", f"{t}/none", "--checkpoint", f"{t}/p.ckpt"], 1),
+    "pretrain_bank_is_a_directory": (lambda b, m, t: [
+        "pretrain", "--banks", f"{t}/zz_banks", "--checkpoint", f"{t}/p.ckpt"], 2),
+    "pretrain_config_missing": (lambda b, m, t: [
+        "pretrain", "--banks", b, "--checkpoint", f"{t}/p.ckpt",
+        "--config", f"{t}/none"], 2),
+    "pretrain_config_is_a_directory": (lambda b, m, t: [
+        "pretrain", "--banks", b, "--checkpoint", f"{t}/p.ckpt",
+        "--config", f"{t}/dir"], 2),
+    "pretrain_checkpoint_is_a_directory": (lambda b, m, t: [
+        "pretrain", "--banks", b, "--checkpoint", f"{t}/dir", "--epochs", "1",
+        "--tiles", "4", "--batch", "4"], 2),
+    "embed_checkpoint_missing": (lambda b, m, t: [
+        "embed", "--banks", b, "--checkpoint", f"{t}/none",
+        "--out", f"{t}/e.gse"], 2),
+    "embed_checkpoint_is_a_directory": (lambda b, m, t: [
+        "embed", "--banks", b, "--checkpoint", f"{t}/dir", "--out", f"{t}/e.gse"], 2),
+    "embed_out_is_a_directory": (lambda b, m, t: [
+        "embed", "--banks", b, "--checkpoint", m, "--views", "2",
+        "--out", f"{t}/dir"], 2),
+    "probe_embeddings_missing": (lambda b, m, t: [
+        "probe", "--embeddings", f"{t}/none", "--labels", f"{b}/labels.csv"], 2),
+    "probe_embeddings_is_a_directory": (lambda b, m, t: [
+        "probe", "--embeddings", f"{t}/dir", "--labels", f"{b}/labels.csv"], 2),
+    "probe_labels_missing": (lambda b, m, t: [
+        "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{t}/none"], 2),
+    "probe_labels_is_a_directory": (lambda b, m, t: [
+        "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{t}/dir"], 2),
+    "probe_out_is_a_directory": (lambda b, m, t: [
+        "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{b}/labels.csv",
+        "--splits", "2", "--out", f"{t}/dir"], 2),
+}
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_unusable_path_exits_with_one_line(trained, tmp_path, capsys, case):
+    _, banks, ckpt = trained
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    zz = tmp_path / "zz_banks"
+    zz.mkdir()
+    for p in banks.glob("*.gsb"):
+        (zz / p.name).write_bytes(p.read_bytes())
+    (zz / "zz.gsb").mkdir()
+    assert main(["embed", "--banks", str(banks), "--avgmil",
+                 "--out", str(tmp_path / "mil.gse")]) == 0
+    capsys.readouterr()
+    build, code = PATH_CASES[case]
+    rc = main(build(str(banks), str(ckpt), tmp_path))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: " if code == 1 else "failure: ")
+    assert "Traceback" not in err
 
 
 def test_gradcheck_passes(capsys):

@@ -1,7 +1,9 @@
 """View-ensembled slide embedding, the mean-tile baseline, and GSLE files."""
 
+import inspect
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +286,20 @@ def test_dataset_rows_sorted_by_id(tmp_path):
     assert matrix.shape == (3, 10)
     assert failures == []
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
+
+
+def test_dataset_tile_override_warns_once_at_the_caller(tmp_path):
+    write_corpus(tmp_path)
+    model = make_model(train_tiles=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        ids, _, failures = embed_dataset(tmp_path, model, tiles=4, r_views=2)
+    assert len(ids) == 3 and failures == []
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (UserWarning, __file__, line)]
+    assert "trained with 5" in str(caught[0].message)
+    assert model.train_tiles == 5
 
 
 def test_dataset_rerun_identical(tmp_path):

@@ -215,9 +215,9 @@ class TestProjector:
         store.add("proj.b1", np.zeros(4))
         store.add("proj.w2", np.zeros((4, 3)))
         store.add("proj.b2", np.zeros(3))
-        z, _ = mlp_projector_forward(np.array([1.0, -2.0, 3.0, 0.5]),
+        z, _ = mlp_projector_forward(np.array([[1.0, -2.0, 3.0, 0.5]]),
                                      store.params)
-        np.testing.assert_array_equal(z, np.zeros(3))
+        np.testing.assert_array_equal(z, np.zeros((1, 3)))
 
     def test_identity_layers_pass_nonnegative_input(self):
         store = ParamStore()
@@ -225,7 +225,7 @@ class TestProjector:
         store.add("proj.b1", np.zeros(3))
         store.add("proj.w2", np.eye(3))
         store.add("proj.b2", np.zeros(3))
-        x = np.array([0.0, 1.5, 2.0])
+        x = np.array([[0.0, 1.5, 2.0]])
         z, _ = mlp_projector_forward(x, store.params)
         np.testing.assert_array_equal(z, x)
 
@@ -234,13 +234,18 @@ class TestProjector:
         xb = np.random.default_rng(1).normal(size=(4, 5))
         zb, _ = mlp_projector_forward(xb, store.params)
         for r in range(4):
-            zr, _ = mlp_projector_forward(xb[r], store.params)
-            np.testing.assert_allclose(zr, zb[r], rtol=1e-12)
+            zr, _ = mlp_projector_forward(xb[r:r + 1], store.params)
+            np.testing.assert_allclose(zr, zb[r:r + 1], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         store = self.make_params(5, 3)
         with pytest.raises(DimensionMismatch):
-            mlp_projector_forward(np.zeros(4), store.params)
+            mlp_projector_forward(np.zeros((2, 4)), store.params)
+
+    def test_one_vector_rejected(self):
+        store = self.make_params(5, 3)
+        with pytest.raises(DimensionMismatch):
+            mlp_projector_forward(np.zeros(5), store.params)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -17,6 +17,7 @@ from slidessl.errors import (
     ValidationError,
 )
 from slidessl.probe import (
+    TEST_FRACTION,
     ProbeReport,
     align_labels,
     auc,
@@ -561,8 +562,9 @@ def test_row_label_mismatch_rejected():
 
 
 def test_test_fraction_respected():
+    assert TEST_FRACTION == 0.2
     x, y = blobs(n_per_class=50)
-    rep = bootstrap_eval(x, y, test_fraction=0.2, seed=0)
+    rep = bootstrap_eval(x, y, seed=0)
     assert rep.train_sizes == (80,) * 10
 
 

@@ -7,7 +7,8 @@ from slidessl.errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForw
 from slidessl.numcore import ParamStore, finite_diff_grad, max_rel_err
 from slidessl.selfcheck import dense_conv_at_active
 from slidessl.sparseconv import (
-    BatchNormState,
+    BN_EPS,
+    BN_MOMENTUM,
     PoolingNetwork,
     PoolingNetworkConfig,
     build_rulebook,
@@ -302,59 +303,56 @@ class TestKernelBytes:
                 submconv_backward(g, x, w, broken)
 
 
-def fresh_bn(c, eps=1e-5, momentum=0.1):
-    return BatchNormState(gamma=np.ones(c), beta=np.zeros(c),
-                          running_mean=np.zeros(c), running_var=np.ones(c),
-                          momentum=momentum, eps=eps)
+def fresh_bn(c):
+    """gamma, beta, running mean and running variance of a new batch norm."""
+    return [np.ones(c), np.zeros(c), np.zeros(c), np.ones(c)]
 
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
-        st = fresh_bn(2)
         x = np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])
-        out, _ = sparse_batchnorm_forward(x, st, training=True)
+        out, _ = sparse_batchnorm_forward(x, *fresh_bn(2), training=True)
         np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
 
     def test_two_point_normalization(self):
-        eps = 1e-5
-        st = fresh_bn(1, eps=eps)
         x = np.array([[-1.0], [1.0]])
-        out, _ = sparse_batchnorm_forward(x, st, training=True)
-        expect = 1.0 / np.sqrt(1.0 + eps)
+        out, _ = sparse_batchnorm_forward(x, *fresh_bn(1), training=True)
+        expect = 1.0 / np.sqrt(1.0 + BN_EPS)
         np.testing.assert_allclose(out[:, 0], [-expect, expect], rtol=1e-12)
 
     def test_single_site_train_degenerate(self):
         with pytest.raises(DegenerateBatch):
-            sparse_batchnorm_forward(np.ones((1, 3)), fresh_bn(3), training=True)
+            sparse_batchnorm_forward(np.ones((1, 3)), *fresh_bn(3), training=True)
 
     def test_eval_single_site_allowed(self):
-        out, _ = sparse_batchnorm_forward(np.ones((1, 3)), fresh_bn(3),
+        out, _ = sparse_batchnorm_forward(np.ones((1, 3)), *fresh_bn(3),
                                           training=False)
         assert out.shape == (1, 3)
 
     def test_running_stats_momentum_update(self):
-        st = fresh_bn(1, momentum=0.1)
+        assert BN_MOMENTUM == 0.1
+        _, _, mean, var = bn = fresh_bn(1)
         x = np.array([[2.0], [4.0]])  # mean 3, biased var 1
-        sparse_batchnorm_forward(x, st, training=True)
-        np.testing.assert_allclose(st.running_mean, [0.9 * 0.0 + 0.1 * 3.0])
-        np.testing.assert_allclose(st.running_var, [0.9 * 1.0 + 0.1 * 1.0])
+        sparse_batchnorm_forward(x, *bn, training=True)
+        np.testing.assert_allclose(mean, [0.9 * 0.0 + 0.1 * 3.0])
+        np.testing.assert_allclose(var, [0.9 * 1.0 + 0.1 * 1.0])
 
     def test_eval_uses_running_stats_and_keeps_them(self):
-        st = fresh_bn(1)
-        st.running_mean[:] = 5.0
-        st.running_var[:] = 4.0
+        _, _, mean, var = bn = fresh_bn(1)
+        mean[:] = 5.0
+        var[:] = 4.0
         x = np.array([[7.0], [9.0]])
-        out, _ = sparse_batchnorm_forward(x, st, training=False)
-        np.testing.assert_allclose(out[:, 0], (x[:, 0] - 5.0) / np.sqrt(4.0 + st.eps))
-        assert st.running_mean[0] == 5.0 and st.running_var[0] == 4.0
+        out, _ = sparse_batchnorm_forward(x, *bn, training=False)
+        np.testing.assert_allclose(out[:, 0], (x[:, 0] - 5.0) / np.sqrt(4.0 + BN_EPS))
+        assert mean[0] == 5.0 and var[0] == 4.0
 
     def test_affine_params_applied(self):
-        st = fresh_bn(1)
-        st.gamma[:] = 2.0
-        st.beta[:] = 0.5
+        gamma, beta, _, _ = bn = fresh_bn(1)
+        gamma[:] = 2.0
+        beta[:] = 0.5
         x = np.array([[-1.0], [1.0]])
-        out, _ = sparse_batchnorm_forward(x, st, training=True)
-        expect = 2.0 / np.sqrt(1.0 + st.eps)
+        out, _ = sparse_batchnorm_forward(x, *bn, training=True)
+        expect = 2.0 / np.sqrt(1.0 + BN_EPS)
         np.testing.assert_allclose(out[:, 0], [0.5 - expect, 0.5 + expect],
                                    rtol=1e-12)
 
@@ -366,10 +364,8 @@ class TestBatchNorm:
         r = rng.normal(size=(9, 4))
 
         def run(xx, g, b):
-            st = BatchNormState(gamma=g, beta=b, running_mean=np.zeros(4),
-                                running_var=np.ones(4))
-            out, cache = sparse_batchnorm_forward(xx, st, training=True)
-            return out, cache
+            return sparse_batchnorm_forward(xx, g, b, np.zeros(4), np.ones(4),
+                                            training=True)
 
         out, cache = run(x, gamma, beta)
         dx, dg, db = sparse_batchnorm_backward(r, cache)
@@ -387,16 +383,16 @@ class TestBatchNorm:
     def test_backward_eval_mode(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(5, 3))
-        st = fresh_bn(3)
-        st.running_mean[:] = rng.normal(size=3)
-        st.running_var[:] = rng.uniform(0.5, 2.0, size=3)
-        st.gamma[:] = rng.normal(size=3)
+        gamma, _, mean, var = bn = fresh_bn(3)
+        mean[:] = rng.normal(size=3)
+        var[:] = rng.uniform(0.5, 2.0, size=3)
+        gamma[:] = rng.normal(size=3)
         r = rng.normal(size=(5, 3))
-        out, cache = sparse_batchnorm_forward(x, st, training=False)
+        out, cache = sparse_batchnorm_forward(x, *bn, training=False)
         dx, _, _ = sparse_batchnorm_backward(r, cache)
 
         def f(xx):
-            o, _ = sparse_batchnorm_forward(xx, st, training=False)
+            o, _ = sparse_batchnorm_forward(xx, *bn, training=False)
             return float(np.sum(o * r))
 
         assert max_rel_err(dx, finite_diff_grad(f, x)) < 1e-5
@@ -404,16 +400,6 @@ class TestBatchNorm:
     def test_backward_requires_cache(self):
         with pytest.raises(NoForwardCache):
             sparse_batchnorm_backward(np.zeros((2, 1)), None)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            BatchNormState(gamma=np.ones(1), beta=np.zeros(1),
-                           running_mean=np.zeros(1), running_var=np.ones(1),
-                           eps=0.0)
-        with pytest.raises(ValueError):
-            BatchNormState(gamma=np.ones(1), beta=np.zeros(1),
-                           running_mean=np.zeros(1),
-                           running_var=np.array([-1.0]))
 
 
 class TestGlobalAveragePool:

@@ -46,7 +46,7 @@ class TestBuild:
     def test_floor_division_sites(self):
         # (0,0), (224,0), (0,448) at d=224 land on (0,0), (1,0), (0,2)
         m = build_sparse_map((np.array([[0, 0], [224, 0], [0, 448]]),
-                              np.array([[1.0], [2.0], [3.0]])), downsample=224)
+                              np.array([[1.0], [2.0], [3.0]])))
         assert as_dict(m).keys() == {(0, 0), (1, 0), (0, 2)}
         d = as_dict(m)
         assert d[(0, 0)] == pytest.approx([1.0])
@@ -55,13 +55,13 @@ class TestBuild:
 
     def test_collision_merges_by_mean(self):
         m = build_sparse_map((np.array([[10, 10], [20, 20]]),
-                              np.array([[1.0, 3.0], [3.0, 5.0]])), downsample=224)
+                              np.array([[1.0, 3.0], [3.0, 5.0]])))
         assert m.n_sites == 1
         np.testing.assert_allclose(m.features[0], [2.0, 4.0])
 
     def test_origin_normalized(self):
         m = build_sparse_map((np.array([[2240, 4480], [2464, 4480]]),
-                              np.array([[1.0], [2.0]])), downsample=224)
+                              np.array([[1.0], [2.0]])))
         assert m.sites.min(axis=0).tolist() == [0, 0]
         assert as_dict(m).keys() == {(0, 0), (1, 0)}
 
@@ -92,7 +92,7 @@ class TestBuild:
             n = int(rng.integers(1, 60))
             coords = rng.integers(0, 2000, size=(n, 2))
             feats = rng.normal(size=(n, 5))
-            m = build_sparse_map((coords, feats), downsample=224)
+            m = build_sparse_map((coords, feats))
             ref = oracle_build([tuple(c) for c in coords], feats, 224)
             got = as_dict(m)
             assert got.keys() == ref.keys()
