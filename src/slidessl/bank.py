@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Reader, u32, write_atomic
-from .errors import CorruptBank, DimensionMismatch, EmptyBag
+from .errors import CorruptBank, DimensionMismatch, EmptyBag, ValidationError
 
 BANK_MAGIC = b"GSLB"
 BANK_VERSION = 1
@@ -150,5 +150,9 @@ def load_bank(path, slices: int | None = None) -> EmbeddingBank:
 
 
 def list_banks(bank_dir) -> list[Path]:
-    """All bank files under a directory, sorted by name for determinism."""
+    """All bank files in a directory, sorted by name for determinism; a path
+    that is missing or is not a directory is a ``ValidationError``."""
+    if not Path(bank_dir).is_dir():
+        raise ValidationError(f"bank directory {bank_dir} is missing or is "
+                              f"not a directory")
     return sorted(Path(bank_dir).glob(f"*{BANK_SUFFIX}"))

@@ -18,6 +18,7 @@ continues bit-identically to an uninterrupted one.
 
 from __future__ import annotations
 
+import errno
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -352,7 +353,7 @@ def save_model(model: SlideModel, path, epoch: int):
     save_checkpoint(path, arrays)
 
 
-def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
+def load_model(path) -> tuple[SlideModel, int]:
     """Rebuild a model from a checkpoint; returns (model, next epoch). An
     array holding NaN or infinity, or a running variance (``*.run_var``)
     below zero, which training never stores, is a ``FormatError`` naming
@@ -371,7 +372,7 @@ def load_model(path, dtype=np.float32) -> tuple[SlideModel, int]:
             kernel_size=int(doc["kernel_size"]),
             out_dim=int(doc["out_dim"]))
         tiles = doc.get("train_tiles")
-        model = build_model(net_config, proj_dim=int(doc["proj_dim"]), dtype=dtype,
+        model = build_model(net_config, proj_dim=int(doc["proj_dim"]),
                             train_tiles=None if tiles is None else int(tiles))
         epoch, model.store.t = (int(v) for v in arrays["meta.state"])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -415,7 +416,7 @@ def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
 def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
              net_config: PoolingNetworkConfig | None = None,
              proj_dim: int = PROJECTOR_DIM, resume: bool = False,
-             log_path=None, report_path=None, dtype=np.float32) -> dict:
+             log_path=None, report_path=None) -> dict:
     """Train over every bank in a directory; write checkpoint, CSV log, report.
 
     The per-epoch log is "epoch,loss" CSV. With ``resume`` the checkpoint's
@@ -424,9 +425,13 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     uninterrupted run exactly.
 
     Every bank stays mapped, each holding a file descriptor, so the soft
-    open-file limit is raised first if the bank count needs it; a hard limit
-    too low raises ``RuntimeFailure`` before any bank is loaded.
+    open-file limit is raised first if the bank count needs it. Before any
+    bank is loaded, a hard limit too low raises ``RuntimeFailure`` and a
+    checkpoint path that is a directory ``IsADirectoryError``.
     """
+    out_checkpoint = Path(out_checkpoint)
+    if out_checkpoint.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out_checkpoint))
     paths = list_banks(bank_dir)
     if len(paths) < 2:
         raise DegenerateBatch(
@@ -439,10 +444,9 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
             f"banks disagree on feature dimension: {sorted(feat_dims)}")
     feat_dim = feat_dims.pop()
 
-    out_checkpoint = Path(out_checkpoint)
     start_epoch = 0
     if resume and out_checkpoint.exists():
-        model, start_epoch = load_model(out_checkpoint, dtype=dtype)
+        model, start_epoch = load_model(out_checkpoint)
         if model.feat_dim != feat_dim:
             raise DimensionMismatch(
                 f"checkpoint expects {model.feat_dim} feature dims, "
@@ -451,7 +455,7 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
         if net_config is None:
             net_config = PoolingNetworkConfig(in_channels=feat_dim)
         model = build_model(net_config, proj_dim=proj_dim, seed=cfg.seed,
-                            dtype=dtype, train_tiles=cfg.tiles)
+                            train_tiles=cfg.tiles)
     model.train_tiles = cfg.tiles
 
     if log_path is None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slidessl
-from slidessl import selfcheck
+from slidessl import selfcheck, training
 from slidessl.cli import _parse_budget, main
 from slidessl.errors import ValidationError
 
@@ -356,6 +356,10 @@ PATH_CASES = {
     "pretrain_checkpoint_is_a_directory": (lambda b, m, t: [
         "pretrain", "--banks", b, "--checkpoint", f"{t}/dir", "--epochs", "1",
         "--tiles", "4", "--batch", "4"], 2),
+    "embed_banks_missing": (lambda b, m, t: [
+        "embed", "--banks", f"{t}/none", "--checkpoint", m, "--out", f"{t}/e.gse"], 1),
+    "embed_banks_missing_avgmil": (lambda b, m, t: [
+        "embed", "--banks", f"{t}/none", "--avgmil", "--out", f"{t}/e.gse"], 1),
     "embed_checkpoint_missing": (lambda b, m, t: [
         "embed", "--banks", b, "--checkpoint", f"{t}/none",
         "--out", f"{t}/e.gse"], 2),
@@ -398,6 +402,22 @@ def test_unusable_path_exits_with_one_line(trained, tmp_path, capsys, case):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error: " if code == 1 else "failure: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "e.gse").exists()
+
+
+def test_pretrain_directory_checkpoint_fails_before_loading_banks(
+        corpus, tmp_path, capsys, monkeypatch):
+    _, banks = corpus
+    (tmp_path / "dir").mkdir()
+    loaded = []
+    monkeypatch.setattr(training, "load_bank", loaded.append)
+    rc = main(["pretrain", "--banks", str(banks),
+               "--checkpoint", str(tmp_path / "dir"), "--epochs", "30"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err == f"failure: [Errno 21] Is a directory: '{tmp_path / 'dir'}'\n"
+    assert loaded == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
 
 def test_gradcheck_passes(capsys):
@@ -405,6 +425,15 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "submconv" in out and "nt_xent" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gradcheck_without_instances_exits_1(capsys, n):
+    rc = main(["gradcheck", "--instances", n])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: gradcheck needs at least 1 instance, got {n}\n"
 
 
 def test_selftest_passes(capsys):

@@ -26,6 +26,13 @@ def test_a1_fails_when_an_op_is_missing(monkeypatch):
     assert selfcheck.a1_gradient_suite(3)[0] is False
 
 
+def test_a1_with_no_instances_does_not_pass(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "CHECKS",
+                        (("A1", lambda: selfcheck.a1_gradient_suite(0)),))
+    assert selfcheck.run_selftest() is False
+    assert capsys.readouterr().out.startswith("FAIL  A1: ValidationError: ")
+
+
 def test_a2_fails_when_conv_is_off(monkeypatch):
     real = selfcheck.submconv_forward
     monkeypatch.setattr(selfcheck, "submconv_forward",
