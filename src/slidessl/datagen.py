@@ -24,7 +24,7 @@ import numpy as np
 
 from .bank import EmbeddingBank, save_bank
 from .container import write_atomic
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 
 GRID_STRIDE = 256
 # block side of the prototype layout per class: class 0 interleaves
@@ -78,6 +78,7 @@ class GenConfig:
         if not 0.0 <= self.frequency_shift <= 1.0:
             raise ValidationError(
                 f"frequency_shift must be in [0, 1], got {self.frequency_shift}")
+        check_seed(self.seed)
 
     @property
     def grid_side(self) -> int:

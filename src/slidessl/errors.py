@@ -10,8 +10,14 @@ class PipelineError(Exception):
     """Base class for all deliberate pipeline errors."""
 
 
-class ValidationError(PipelineError):
-    """Invalid input, configuration, or request."""
+class ValidationError(PipelineError, ValueError):
+    """Invalid input, configuration, or request; also a ``ValueError``."""
+
+
+def check_seed(seed: int) -> None:
+    """numpy's generators refuse a negative seed; so does the pipeline."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 class RuntimeFailure(PipelineError):

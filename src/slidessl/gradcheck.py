@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .numcore import (
     ParamStore,
     finite_diff_grad,
@@ -127,9 +127,7 @@ def _projector(rng):
 
     dx, grads = mlp_projector_backward(
         probe, mlp_projector_forward(x, store.params)[1])
-    names = store.names()
-    return (loss, [x] + [store.params[k] for k in names],
-            [dx] + [grads[k] for k in names])
+    return loss, [x, *store.params.values()], [dx] + [grads[k] for k in store.params]
 
 
 def _nt_xent(rng):
@@ -148,8 +146,7 @@ def _randomize_network(net: PoolingNetwork, store: ParamStore,
     differentiable and finite differences measure a subgradient average.
     Generic values make every hinge coordinate land strictly off zero.
     """
-    for name in store.names():
-        p = store.params[name]
+    for name, p in store.params.items():
         if name.endswith(("conv1.b", "conv2.b", "beta", "head.b")):
             p[...] = 0.3 * rng.normal(size=p.shape)
         elif name.endswith("gamma"):
@@ -180,9 +177,8 @@ def _network(rng, training):
         return float((net.forward(maps, training)[0] * probe).sum())
 
     dmaps = net.backward(probe, net.forward(maps, training)[1])
-    names = store.names()
-    return (loss, [m.features for m in maps] + [store.params[k] for k in names],
-            dmaps + [store.grads[k] for k in names])
+    return (loss, [m.features for m in maps] + [*store.params.values()],
+            dmaps + [*store.grads.values()])
 
 
 CHECKS = (
@@ -199,10 +195,11 @@ CHECKS = (
 
 def run_gradcheck(n_instances: int = DEFAULT_INSTANCES, seed: int = 0) -> dict:
     """Max relative error per op over ``n_instances`` random instances each;
-    fewer than one instance is a ``ValidationError``."""
+    fewer than one instance or a negative seed is a ``ValidationError``."""
     if n_instances < 1:
         raise ValidationError(f"gradcheck needs at least 1 instance, "
                               f"got {n_instances}")
+    check_seed(seed)
     return {name: max(_worst_err(*build(np.random.default_rng([seed, tag, i])))
                       for i in range(n_instances))
             for name, tag, build in CHECKS}

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientTiles,
     PipelineError,
     ValidationError,
+    check_seed,
 )
 from .sparseconv import neighbour_table, table_pairs, view_segments
 from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_views, tile_order
@@ -74,18 +75,20 @@ def _resolve_tiles(model: SlideModel, tiles: int | None) -> int:
 
 
 def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
-                kernel_size: int):
+                kernel_size: int, dtype):
     """Views ``idx`` (R, T) of one tile set as network rows ``(x, pairs, segs)``:
     row for row and pair for pair what ``build_sparse_map`` per view and
-    ``PoolingNetwork.forward`` build. A view's tiles, in any order, sort
-    in the order of the whole set restricted to them; an ``(R, 1 + sites)``
-    row map, whose column 0 is -1 for "no neighbour", restricts the set's
-    neighbour table to each view in one flat ``take``."""
+    ``PoolingNetwork.forward`` build, with features cast to ``dtype``. A
+    view's tiles, in any order, sort in the order of the whole set
+    restricted to them; an ``(R, 1 + sites)`` row map, whose column 0 is -1
+    for "no neighbour", restricts the set's neighbour table to each view in
+    one flat ``take``."""
     r_views, tiles = idx.shape
-    # only drawn tiles are sorted: a paper-scale bank has thousands of tiles
+    # only drawn tiles are read, cast and sorted: a paper-scale slice is large
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
-    sites = coords[used] // DOWNSAMPLE_FACTOR
-    order = tile_order(np.column_stack([sites, coords[used]]), feats[used])
+    xy, feats = coords[used].astype(np.int64), feats[used].astype(dtype, copy=False)
+    sites = xy // DOWNSAMPLE_FACTOR
+    order = tile_order(np.column_stack([sites, xy]), feats)
     sites = sites[order]
     first = first_of_site(sites)
     site_of = np.cumsum(first) - 1            # distinct-site id per sorted tile
@@ -101,7 +104,7 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     row_map[:, 1:][present] = np.arange(np.count_nonzero(present))
     row_view, row_site = np.nonzero(present)
     tile_row = row_map[view, 1 + tile_site]
-    x = merge_views(feats[used[order[pos]]], tile_row, view)
+    x = merge_views(feats[order[pos]], tile_row, view)
     nbr = neighbour_table(sites[first], kernel_size)[:, row_site]
     nbr += 1 + row_view * (1 + n_sites)       # flat index, -1 -> column 0
     adj = row_map.take(nbr)
@@ -136,9 +139,8 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
 
     idx = np.stack([rng.choice(bank.n_tiles, size=tiles, replace=False)
                     for _ in range(r_views)])   # _view_batch sorts views
-    x, pairs, segs = _view_batch(bank.coords[0].astype(np.int64),
-                                 bank.features[0].astype(model.dtype), idx,
-                                 model.net_config.kernel_size)
+    x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx,
+                                 model.net_config.kernel_size, model.dtype)
     pooled, _ = model.net.forward_rows(x, pairs, segs, training=False)
     mean = pooled.mean(axis=0)
     if not np.isfinite(mean).all():
@@ -205,6 +207,7 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
     ``threads`` is ignored: a slide's many small numpy calls hold the GIL.
     A tile count other than the checkpoint's warns once, here.
     """
+    check_seed(seed)
     tiles = _resolve_tiles(model, tiles)
     model = replace(model, train_tiles=tiles)   # so no slide warns again
 

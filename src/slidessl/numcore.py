@@ -1,7 +1,8 @@
-"""Numeric substrate: parameter registry, Adam, finite differences, projector.
+"""Numeric substrate: parameter store, Adam, finite differences, projector.
 
 Tensors are plain numpy arrays (row-major, float64 in tests, float32 allowed
-for training). Every learnable module in the package ships a hand-derived
+for training). The store keeps parameters, gradients and Adam moments as rows
+of one buffer. Every learnable module in the package ships a hand-derived
 backward pass; ``finite_diff_grad`` plus ``max_rel_err`` form the oracle those
 passes are checked against.
 """
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .container import Reader, string, u32, write_atomic
-from .errors import DimensionMismatch, FormatError, NonFiniteGradient
+from .errors import DimensionMismatch, NonFiniteGradient, ValidationError
 
 CHECKPOINT_MAGIC = b"GSCK"
 CHECKPOINT_VERSION = 1
@@ -30,39 +31,54 @@ class AdamConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 < b < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {b}")
+                raise ValidationError(f"{name} must lie in (0, 1), got {b}")
         if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+            raise ValidationError(f"eps must be > 0, got {self.eps}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ValidationError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class ParamStore:
-    """Named parameters with aligned gradient and Adam moment buffers.
+    """Named parameters with aligned gradients and Adam moments.
 
-    Parameters keep the dtype they are registered with; the optimizer and
-    gradient buffers match it. ``t`` counts completed optimizer steps.
+    ``buffer`` rows are (parameters, gradients, m, v); ``params``, ``grads``,
+    ``m`` and ``v`` map each name to its view of a row, so a network holds
+    names, never arrays. One dtype; ``t`` counts completed optimizer steps.
     """
 
     def __init__(self):
+        self.buffer = np.zeros((4, 0))
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: int = 0
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self.params:
-            raise ValueError(f"parameter '{name}' already registered")
-        value = np.asarray(value)
-        self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
-        self.m[name] = np.zeros_like(value)
-        self.v[name] = np.zeros_like(value)
-        return value
+    def add(self, arrays: dict[str, np.ndarray]) -> None:
+        """Register a module's parameters, name -> initial value, in one call
+        and before the first step. Each call lays the buffer out anew: earlier
+        parameters keep their values and every gradient restarts at zero."""
+        if self.t:
+            raise ValueError("parameters are registered before the first step")
+        arrays = {name: np.asarray(value) for name, value in arrays.items()}
+        taken = [name for name in arrays if name in self.params]
+        if taken:
+            raise ValueError(f"parameter '{taken[0]}' already registered")
+        every = {**self.params, **arrays}
+        dtypes = {value.dtype for value in every.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {dtypes}")
+        bounds = np.cumsum([0, *(value.size for value in every.values())]).tolist()
+        self.buffer = np.zeros((4, bounds[-1]), *dtypes)
+        for (name, value), lo, hi in zip(every.items(), bounds, bounds[1:]):
+            rows = self.buffer[:, lo:hi].reshape(4, *value.shape)
+            rows[0] = value
+            for i, views in enumerate((self.params, self.grads, self.m, self.v)):
+                views[name] = rows[i, ...]
 
     def __contains__(self, name: str) -> bool:
         return name in self.params
@@ -70,12 +86,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.buffer[1] = 0.0
 
     def accumulate(self, name: str, grad: np.ndarray):
         if grad.shape != self.params[name].shape:
@@ -84,58 +96,28 @@ class ParamStore:
                 f"parameter has {self.params[name].shape}")
         self.grads[name] += grad
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of the store, moments under .m / .v."""
-        out = dict(self.params)
-        for name in self.params:
-            out[name + ".m"] = self.m[name]
-            out[name + ".v"] = self.v[name]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        """Restore parameter values (and moments when present) by name."""
-        for name, p in self.params.items():
-            if name not in arrays:
-                raise FormatError(f"checkpoint is missing parameter '{name}'")
-            copy_into(p, arrays[name], name)
-            for suffix, dest in ((".m", self.m), (".v", self.v)):
-                if name + suffix in arrays:
-                    copy_into(dest[name], arrays[name + suffix], name + suffix)
-
-
-def copy_into(dest: np.ndarray, src: np.ndarray, name: str) -> None:
-    """Copy a checkpoint array into ``dest``; shapes must match exactly, so a
-    one-element array never broadcasts."""
-    if src.shape != dest.shape:
-        raise DimensionMismatch(f"checkpoint array '{name}' has shape "
-                                f"{src.shape}, expected {dest.shape}")
-    dest[...] = src.astype(dest.dtype)
-
 
 def adam_step(store: ParamStore, cfg: AdamConfig):
     """Bias-corrected Adam update in place; zeroes gradients, increments t.
 
-    All gradients are scanned before any parameter moves, so a non-finite
-    gradient aborts the step without partial updates.
+    The whole gradient row is checked before any parameter moves, so a
+    non-finite gradient aborts the step without partial updates and names
+    the first parameter holding one.
     """
-    for name, g in store.grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"non-finite gradient for parameter '{name}'")
-
+    p, g, m, v = store.buffer
+    if not np.isfinite(g).all():
+        name = next(n for n, gn in store.grads.items() if not np.isfinite(gn).all())
+        raise NonFiniteGradient(f"non-finite gradient for parameter '{name}'")
     t = store.t + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in store.params.items():
-        g = store.grads[name]
-        if cfg.weight_decay != 0.0:
-            g = g + cfg.weight_decay * p
-        m = store.m[name]
-        v = store.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    if cfg.weight_decay != 0.0:
+        g = g + cfg.weight_decay * p
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * np.square(g)
+    p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     store.t = t
     store.zero_grads()
 
@@ -183,10 +165,8 @@ def init_projector(store: ParamStore, c_in: int, d_proj: int,
     """Register projector weights (He-scaled) and zero biases under ``proj.``."""
     w1 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, c_in))
     w2 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, d_proj))
-    store.add("proj.w1", w1.astype(dtype))
-    store.add("proj.b1", np.zeros(c_in, dtype=dtype))
-    store.add("proj.w2", w2.astype(dtype))
-    store.add("proj.b2", np.zeros(d_proj, dtype=dtype))
+    store.add({"proj.w1": w1.astype(dtype), "proj.b1": np.zeros(c_in, dtype=dtype),
+               "proj.w2": w2.astype(dtype), "proj.b2": np.zeros(d_proj, dtype=dtype)})
 
 
 def mlp_projector_forward(x: np.ndarray, params: dict[str, np.ndarray]

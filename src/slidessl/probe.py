@@ -26,7 +26,7 @@ import numpy as np
 
 from .container import write_atomic
 from .errors import (BudgetTooSmall, DegenerateLabels, DimensionMismatch,
-                     FormatError, ValidationError)
+                     FormatError, ValidationError, check_seed)
 
 DEFAULT_L2 = 1e-3
 GRAD_TOL = 1e-6
@@ -126,7 +126,7 @@ def fit_logistic(x: np.ndarray, labels, l2: float = DEFAULT_L2,
         raise DegenerateLabels(
             f"need at least 2 classes to fit a probe, got {classes.size}")
     if l2 <= 0:
-        raise ValueError(f"l2 must be positive, got {l2}")
+        raise ValidationError(f"l2 must be positive, got {l2}")
     x, apply_norm = _normalize_train(x, normalization)
     n, dim = x.shape
     y = np.searchsorted(classes, labels)
@@ -204,17 +204,10 @@ def _binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("AUC needs both labels present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    ranks[order] = np.arange(1, scores.size + 1)
-    # average ranks within tied groups
-    sorted_scores = scores[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [scores.size]])
-    for s, e in zip(starts, ends):
-        if e - s > 1:
-            ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    # a tie group's rank is the mean of the ranks it spans
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     rank_sum = ranks[positive].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
@@ -244,7 +237,8 @@ def _budget_count(budget, n_train: int) -> int:
         return n_train
     if isinstance(budget, float):
         if not 0.0 < budget <= 1.0:
-            raise ValueError(f"fractional budget must be in (0, 1], got {budget}")
+            raise ValidationError(
+                f"fractional budget must be in (0, 1], got {budget}")
         return int(round(budget * n_train))
     count = int(budget)
     if count > n_train:
@@ -309,13 +303,17 @@ def bootstrap_eval(x: np.ndarray, labels, budget="all", splits: int = DEFAULT_SP
     Each split holds out ``TEST_FRACTION`` of every class. It re-randomizes
     the partition and the budget subsample from a stream derived from (seed,
     split), so reports are reproducible and two budgets at the same seed see
-    the same partitions.
+    the same partitions. Fewer than one split or a negative seed is a
+    ``ValidationError``.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     if x.shape[0] != labels.shape[0]:
         raise DimensionMismatch(
             f"{x.shape[0]} rows do not match {labels.shape[0]} labels")
+    if splits < 1:
+        raise ValidationError(f"need at least 1 split, got {splits}")
+    check_seed(seed)
     _require_finite(x)
     aucs, train_sizes = [], []
     for split in range(splits):

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
+from .errors import (DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache,
+                     ValidationError)
 from .sparsemap import SparseMap, view_starts
 
 
@@ -313,11 +314,11 @@ class PoolingNetworkConfig:
 
     def __post_init__(self):
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+            raise ValidationError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.in_channels < 1 or self.out_dim < 1:
-            raise ValueError("channel counts must be >= 1")
+            raise ValidationError("channel counts must be >= 1")
         if len(self.block_channels) < 1 or min(self.block_channels) < 1:
-            raise ValueError("need at least one block of width >= 1")
+            raise ValidationError("need at least one block of width >= 1")
 
     @property
     def n_blocks(self) -> int:
@@ -335,7 +336,6 @@ class PoolingNetwork:
                  dtype=np.float64):
         self.config = config
         self.store = store
-        self.dtype = dtype
         self.buffers: dict[str, np.ndarray] = {}
         k = config.kernel_size
 
@@ -343,28 +343,26 @@ class PoolingNetwork:
             std = np.sqrt(2.0 / (ksz * ksz * c_in))
             return rng.normal(0.0, std, size=(ksz, ksz, c_in, c_out)).astype(dtype)
 
+        params: dict[str, np.ndarray] = {}
         c_prev = config.in_channels
         for b, c in enumerate(config.block_channels):
             p = f"net.block{b}."
-            store.add(p + "conv1.w", conv_init(c_prev, c, k))
-            store.add(p + "conv1.b", np.zeros(c, dtype=dtype))
-            store.add(p + "bn1.gamma", np.ones(c, dtype=dtype))
-            store.add(p + "bn1.beta", np.zeros(c, dtype=dtype))
-            store.add(p + "conv2.w", conv_init(c, c, k))
-            store.add(p + "conv2.b", np.zeros(c, dtype=dtype))
-            store.add(p + "bn2.gamma", np.ones(c, dtype=dtype))
-            store.add(p + "bn2.beta", np.zeros(c, dtype=dtype))
+            zeros, ones = np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)
+            params.update({p + "conv1.w": conv_init(c_prev, c, k), p + "conv1.b": zeros,
+                           p + "bn1.gamma": ones, p + "bn1.beta": zeros,
+                           p + "conv2.w": conv_init(c, c, k), p + "conv2.b": zeros,
+                           p + "bn2.gamma": ones, p + "bn2.beta": zeros})
             if c_prev != c:
-                store.add(p + "proj.w", conv_init(c_prev, c, 1))
+                params[p + "proj.w"] = conv_init(c_prev, c, 1)
             for bn in ("bn1", "bn2"):
                 self.buffers[p + bn + ".run_mean"] = np.zeros(c, dtype=dtype)
                 self.buffers[p + bn + ".run_var"] = np.ones(c, dtype=dtype)
             c_prev = c
         head_std = np.sqrt(1.0 / c_prev)
-        store.add("net.head.w",
-                  rng.normal(0.0, head_std,
-                             size=(c_prev, config.out_dim)).astype(dtype))
-        store.add("net.head.b", np.zeros(config.out_dim, dtype=dtype))
+        params["net.head.w"] = rng.normal(
+            0.0, head_std, size=(c_prev, config.out_dim)).astype(dtype)
+        params["net.head.b"] = np.zeros(config.out_dim, dtype=dtype)
+        store.add(params)
 
     def _batchnorm(self, y: np.ndarray, name: str, training: bool):
         return sparse_batchnorm_forward(

@@ -13,7 +13,8 @@ one tile sort and merge, one slide augmentation, one neighbour table) for
 each view alone.
 
 Everything is seeded: epoch e uses the stream [seed, 1, e], so a resumed run
-continues bit-identically to an uninterrupted one.
+continues bit-identically to an uninterrupted one. ``_checkpoint_arrays``
+alone decides what a checkpoint holds, for ``save_model`` and ``load_model``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     InsufficientTiles,
+    ValidationError,
+    check_seed,
 )
 from .numcore import (
     AdamConfig,
     ParamStore,
     PROJECTOR_DIM,
     adam_step,
-    copy_into,
     init_projector,
     load_checkpoint,
     mlp_projector_backward,
@@ -85,13 +87,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.tiles < 1:
-            raise ValueError(f"tiles must be >= 1, got {self.tiles}")
+            raise ValidationError(f"tiles must be >= 1, got {self.tiles}")
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +344,21 @@ def _config_json_array(model: SlideModel) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype("<f4")
 
 
+def _checkpoint_arrays(model: SlideModel) -> dict[str, np.ndarray]:
+    """Views of the arrays a checkpoint holds, in file order: parameters, their
+    Adam moments (``.m``, ``.v``; optional on load), BN running buffers."""
+    st = model.store
+    moments = {name + s: d[name] for name in st.params
+               for s, d in ((".m", st.m), (".v", st.v))}
+    return {**st.params, **moments, **model.net.buffers}
+
+
 def save_model(model: SlideModel, path, epoch: int):
-    """Checkpoint parameters, optimizer moments, BN buffers, and metadata.
+    """Checkpoint ``_checkpoint_arrays`` plus epoch, step count and config.
     Epoch and Adam's step count are float32: 2**24 or more is a ValueError."""
     if max(epoch, model.store.t) >= 2 ** 24:
         raise ValueError(f"epoch {epoch} or step count {model.store.t} is >= 2**24")
-    arrays = model.store.state_arrays()
-    arrays.update(model.net.buffers)
+    arrays = _checkpoint_arrays(model)
     arrays["meta.state"] = np.array([epoch, model.store.t], dtype=np.float32)
     arrays["meta.config_json"] = _config_json_array(model)
     save_checkpoint(path, arrays)
@@ -377,11 +388,16 @@ def load_model(path) -> tuple[SlideModel, int]:
         epoch, model.store.t = (int(v) for v in arrays["meta.state"])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{Path(path).name}: bad model metadata: {exc!r}") from None
-    model.store.load_state(arrays)
-    for name, buf in model.net.buffers.items():
-        if name not in arrays:
-            raise FormatError(f"{Path(path).name}: missing buffer '{name}'")
-        copy_into(buf, arrays[name], name)
+    for name, dest in _checkpoint_arrays(model).items():
+        src = arrays.get(name)
+        if src is None:
+            if not name.endswith((".m", ".v")):
+                raise FormatError(f"{Path(path).name}: missing '{name}'")
+        elif src.shape != dest.shape:   # exact: one element never broadcasts
+            raise DimensionMismatch(f"checkpoint array '{name}' has shape "
+                                    f"{src.shape}, expected {dest.shape}")
+        else:
+            dest[...] = src
     return model, epoch
 
 

@@ -379,6 +379,24 @@ PATH_CASES = {
     "probe_out_is_a_directory": (lambda b, m, t: [
         "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{b}/labels.csv",
         "--splits", "2", "--out", f"{t}/dir"], 2),
+    # a numeric flag out of range is a validation error as well
+    **{f"pretrain_{flag}_{value}": (lambda b, m, t, flag=flag, value=value: [
+        "pretrain", "--banks", b, "--checkpoint", f"{t}/p.ckpt",
+        f"--{flag}", value], 1)
+       for flag, value in (("tiles", "0"), ("batch", "1"), ("epochs", "-1"),
+                           ("tau", "0"), ("lr", "-1"), ("seed", "-1"))},
+    **{f"probe_{flag}_{value}": (lambda b, m, t, flag=flag, value=value: [
+        "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{b}/labels.csv",
+        f"--{flag}", value], 1)
+       for flag, value in (("seed", "-1"), ("l2", "0"), ("budget", "1.5"),
+                           ("splits", "0"))},
+    "gradcheck_seed_-1": (lambda b, m, t: [
+        "gradcheck", "--instances", "1", "--seed", "-1"], 1),
+    "gen_seed_-1": (lambda b, m, t: [
+        "gen", "--out", f"{t}/g", "--slides", "4", "--seed", "-1"], 1),
+    "embed_seed_-1": (lambda b, m, t: [
+        "embed", "--banks", b, "--checkpoint", m, "--out", f"{t}/e.gse",
+        "--seed", "-1"], 1),
 }
 
 

@@ -3,6 +3,7 @@
 import inspect
 import struct
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,6 +95,28 @@ def test_more_views_converge():
     big = embed_slide(bank, model, r_views=200, rng=np.random.default_rng(0))
     small = embed_slide(bank, model, r_views=50, rng=np.random.default_rng(1))
     assert float(big.vector @ small.vector) >= 0.99
+
+
+def test_embed_peak_is_far_below_one_slice(tmp_path):
+    # Only the drawn tiles of the mapped slice are gathered and cast; a
+    # copy of the whole slice would take 4 n F bytes.
+    n, F = 4000, 128
+    rng = np.random.default_rng(0)
+    grid = rng.choice(200 * 200, size=n, replace=False)
+    coords = np.stack([grid // 200, grid % 200], axis=1)[None] * 224
+    save_bank(EmbeddingBank("s", coords, rng.normal(size=(1, n, F))),
+              tmp_path / "s.gsb")
+    bank = load_bank(tmp_path / "s.gsb", slices=1)
+    model = build_model(PoolingNetworkConfig(in_channels=F, block_channels=(8,),
+                                             out_dim=8), train_tiles=5)
+    embed_slide(bank, model, r_views=10)   # warm caches outside the window
+    tracemalloc.start()
+    try:
+        embed_slide(bank, model, r_views=10, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * F, peak   # a quarter of the float32 slice
 
 
 def test_variance_shrinks_with_more_views():
@@ -214,7 +237,8 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     assert got.vector.tobytes() == want.tobytes()
 
     # and the batch's rows and pairs are those of the per-view path
-    x, pairs, segs = _view_batch(coords, feats, idx, kernel)
+    x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx, kernel,
+                                 dtype)
     starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
     assert segs == [(s, s + m.n_sites) for s, m in zip(starts, maps)]
     assert x.tobytes() == np.concatenate([m.features for m in maps]).tobytes()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from slidessl.errors import DimensionMismatch, FormatError, NonFiniteGradient
+from slidessl.errors import (DimensionMismatch, FormatError, NonFiniteGradient,
+                             ValidationError)
 from slidessl.numcore import (
     AdamConfig,
     ParamStore,
@@ -20,9 +21,24 @@ from slidessl.numcore import (
 
 def make_store(**arrays):
     store = ParamStore()
-    for name, value in arrays.items():
-        store.add(name, np.asarray(value, dtype=np.float64))
+    store.add({name: np.asarray(value, dtype=np.float64)
+               for name, value in arrays.items()})
     return store
+
+
+def reference_adam_step(params, grads, m, v, t, cfg):
+    """Adam on separate per-parameter arrays, one parameter at a time."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if cfg.weight_decay != 0.0:
+            g = g + cfg.weight_decay * p
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * np.square(g)
+        p -= cfg.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
 
 
 class TestAdam:
@@ -110,13 +126,51 @@ class TestAdam:
             AdamConfig(beta1=1.0)
         with pytest.raises(ValueError):
             AdamConfig(weight_decay=-0.1)
+        with pytest.raises(ValidationError, match="eps"):
+            AdamConfig(eps=0.0)
 
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = make_store(w=[1.0])
-        with pytest.raises(ValueError):
-            store.add("w", np.zeros(1))
+        with pytest.raises(ValueError, match="'w' already registered"):
+            store.add({"b": np.zeros(1), "w": np.zeros(1)})
+        assert list(store.params) == ["w"]
+
+    def test_add_after_a_step_rejected(self):
+        store = make_store(w=[1.0])
+        store.accumulate("w", np.array([0.5]))
+        adam_step(store, AdamConfig())
+        with pytest.raises(ValueError, match="before the first step"):
+            store.add({"b": np.zeros(1)})
+        assert list(store.params) == ["w"] and store.m["w"][0] != 0.0
+
+    def test_second_dtype_rejected(self):
+        store = make_store(w=[1.0])
+        with pytest.raises(ValueError, match="one dtype"):
+            store.add({"b": np.zeros(1, dtype=np.float32)})
+        with pytest.raises(ValueError, match="one dtype"):
+            ParamStore().add({"a": np.zeros(1), "b": np.zeros(1, dtype=np.float32)})
+        assert list(store.params) == ["w"]
+
+    def test_views_share_one_buffer_across_adds(self):
+        store = ParamStore()
+        store.add({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])})
+        store.accumulate("b", np.array([0.5]))
+        store.add({"c": np.full((2, 2), 9.0), "s": np.array(3.0)})
+        assert store.buffer.shape == (4, 12)
+        assert not store.buffer[1:].any()   # gradients restart at zero
+        np.testing.assert_array_equal(store.buffer[0],
+                                      [0, 1, 2, 3, 4, 5, 7, 9, 9, 9, 9, 3])
+        for views in (store.params, store.grads, store.m, store.v):
+            assert list(views) == ["a", "b", "c", "s"]
+            for arr in views.values():
+                assert np.shares_memory(arr, store.buffer)
+        assert store["s"].shape == ()
+        store.accumulate("b", np.array([2.5]))
+        assert store.buffer[1, 6] == 2.5
+        store.zero_grads()
+        assert not store.buffer[1].any()
 
     def test_accumulate_shape_mismatch(self):
         store = make_store(w=[1.0, 2.0])
@@ -129,35 +183,120 @@ class TestParamStore:
         store.accumulate("w", np.array([2.0]))
         assert store.grads["w"][0] == 3.0
 
-    def test_state_roundtrip_with_moments(self):
-        store = make_store(w=[[1.0, 2.0]], b=[3.0])
-        store.accumulate("w", np.array([[0.1, -0.2]]))
-        store.accumulate("b", np.array([0.3]))
+    def test_flat_adam_equals_per_parameter_update(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 3), "d": (1,)}
+        init = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+        store = ParamStore()
+        store.add({n: init[n] for n in ("a", "b")})
+        store.add({n: init[n] for n in ("c", "d")})
+        params = {n: a.copy() for n, a in init.items()}
+        m = {n: np.zeros_like(a) for n, a in init.items()}
+        v = {n: np.zeros_like(a) for n, a in init.items()}
+        cfg = AdamConfig(lr=0.01, weight_decay=0.05)
+        for t in range(1, 7):
+            grads = {n: rng.normal(size=s).astype(np.float32)
+                     for n, s in shapes.items()}
+            for n, g in grads.items():
+                store.accumulate(n, g)
+            adam_step(store, cfg)
+            reference_adam_step(params, grads, m, v, t, cfg)
+        assert store.t == 6
+        for n in shapes:
+            assert store.params[n].dtype == np.float32
+            assert store.params[n].tobytes() == params[n].tobytes(), n
+            assert store.m[n].tobytes() == m[n].tobytes(), n
+            assert store.v[n].tobytes() == v[n].tobytes(), n
+
+    def test_nan_in_last_parameter_is_named_and_nothing_moves(self):
+        store = make_store(a=[1.0, 2.0], b=[[3.0]])
+        store.add({"c": np.array([4.0, 5.0, 6.0])})
+        store.accumulate("a", np.array([0.1, 0.2]))
         adam_step(store, AdamConfig())
-        arrays = store.state_arrays()
-        fresh = make_store(w=[[0.0, 0.0]], b=[0.0])
-        fresh.load_state(arrays)
-        np.testing.assert_array_equal(fresh["w"], store["w"])
-        np.testing.assert_array_equal(fresh.m["w"], store.m["w"])
-        np.testing.assert_array_equal(fresh.v["b"], store.v["b"])
+        store.accumulate("a", np.array([0.3, -0.1]))
+        store.accumulate("c", np.array([0.0, 0.0, np.nan]))
+        before = store.buffer.copy()
+        with pytest.raises(NonFiniteGradient, match="'c'"):
+            adam_step(store, AdamConfig())
+        assert store.buffer.tobytes() == before.tobytes()
+        assert store.t == 1
 
-    def test_load_missing_param(self):
-        store = make_store(w=[1.0])
-        with pytest.raises(FormatError):
-            store.load_state({})
+    # The store's state is saved and loaded by the checkpoint table of
+    # ``training``; these cases run through ``save_model``/``load_model``.
 
-    def test_load_wrong_shape(self):
-        store = make_store(w=[1.0])
-        with pytest.raises(DimensionMismatch):
-            store.load_state({"w": np.zeros((2, 2))})
+    @staticmethod
+    def saved_model(tmp_path):
+        """A model one Adam step in (moments are non-zero), saved to disk;
+        returns the model, the path and the arrays of the file."""
+        from slidessl.sparseconv import PoolingNetworkConfig
+        from slidessl.training import build_model, save_model
+        model = build_model(PoolingNetworkConfig(in_channels=3, block_channels=(4,),
+                                                 out_dim=4), proj_dim=5)
+        rng = np.random.default_rng(1)
+        for name in model.store.params:
+            model.store.accumulate(name, rng.normal(
+                size=model.store[name].shape).astype(np.float32))
+        adam_step(model.store, AdamConfig())
+        path = tmp_path / "m.ckpt"
+        save_model(model, path, epoch=3)
+        return model, path, load_checkpoint(path)
+
+    def test_state_roundtrip_with_moments(self, tmp_path):
+        from slidessl.training import _checkpoint_arrays, load_model
+        model, path, _ = self.saved_model(tmp_path)
+        loaded, epoch = load_model(path)
+        assert (epoch, loaded.store.t) == (3, 1)
+        want = _checkpoint_arrays(model)
+        got = _checkpoint_arrays(loaded)
+        assert list(got) == list(want)
+        assert any(name.endswith(".v") and arr.any() for name, arr in want.items())
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    def test_load_missing_param(self, tmp_path):
+        from slidessl.training import load_model
+        _, path, arrays = self.saved_model(tmp_path)
+        del arrays["proj.b1"]
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="missing 'proj.b1'"):
+            load_model(path)
+
+    def test_load_wrong_shape(self, tmp_path):
+        from slidessl.training import load_model
+        _, path, arrays = self.saved_model(tmp_path)
+        arrays["net.head.w"] = np.zeros((2, 2), dtype=np.float32)
+        save_checkpoint(path, arrays)
+        with pytest.raises(DimensionMismatch, match="'net.head.w'"):
+            load_model(path)
 
     @pytest.mark.parametrize("suffix", [".m", ".v"])
     @pytest.mark.parametrize("moment", [np.zeros(3), np.full(1, 5.0)],
                              ids=["wrong_shape", "one_element"])
-    def test_load_moment_shape_must_match(self, suffix, moment):
-        store = make_store(w=[1.0, 2.0])
-        with pytest.raises(DimensionMismatch, match=f"'w\\{suffix}'"):
-            store.load_state({"w": np.zeros(2), "w" + suffix: moment})
+    def test_load_moment_shape_must_match(self, tmp_path, suffix, moment):
+        from slidessl.training import load_model
+        _, path, arrays = self.saved_model(tmp_path)
+        arrays["proj.b2" + suffix] = moment
+        save_checkpoint(path, arrays)
+        with pytest.raises(DimensionMismatch, match=f"'proj.b2\\{suffix}'"):
+            load_model(path)
+
+    def test_missing_moments_load_as_zero(self, tmp_path):
+        from slidessl.training import load_model
+        model, path, arrays = self.saved_model(tmp_path)
+        for name in [n for n in arrays if n.endswith((".m", ".v"))]:
+            del arrays[name]
+        save_checkpoint(path, arrays)
+        loaded, _ = load_model(path)
+        assert loaded.store.buffer[0].tobytes() == model.store.buffer[0].tobytes()
+        assert not loaded.store.buffer[2:].any()
+
+    def test_load_missing_bn_buffer(self, tmp_path):
+        from slidessl.training import load_model
+        _, path, arrays = self.saved_model(tmp_path)
+        del arrays["net.block0.bn2.run_mean"]
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="missing 'net.block0.bn2.run_mean'"):
+            load_model(path)
 
 
 class TestFiniteDiff:
@@ -211,20 +350,16 @@ class TestProjector:
 
     def test_zero_params_zero_output(self):
         store = ParamStore()
-        store.add("proj.w1", np.zeros((4, 4)))
-        store.add("proj.b1", np.zeros(4))
-        store.add("proj.w2", np.zeros((4, 3)))
-        store.add("proj.b2", np.zeros(3))
+        store.add({"proj.w1": np.zeros((4, 4)), "proj.b1": np.zeros(4),
+                   "proj.w2": np.zeros((4, 3)), "proj.b2": np.zeros(3)})
         z, _ = mlp_projector_forward(np.array([[1.0, -2.0, 3.0, 0.5]]),
                                      store.params)
         np.testing.assert_array_equal(z, np.zeros((1, 3)))
 
     def test_identity_layers_pass_nonnegative_input(self):
         store = ParamStore()
-        store.add("proj.w1", np.eye(3))
-        store.add("proj.b1", np.zeros(3))
-        store.add("proj.w2", np.eye(3))
-        store.add("proj.b2", np.zeros(3))
+        store.add({"proj.w1": np.eye(3), "proj.b1": np.zeros(3),
+                   "proj.w2": np.eye(3), "proj.b2": np.zeros(3)})
         x = np.array([[0.0, 1.5, 2.0]])
         z, _ = mlp_projector_forward(x, store.params)
         np.testing.assert_array_equal(z, x)

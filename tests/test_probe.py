@@ -120,6 +120,41 @@ def test_auc_monotone_transform_invariant(seed):
     assert auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+def loop_auc(scores, positive):
+    """Mann-Whitney AUC with tie groups averaged one group at a time."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    ranks[order] = np.arange(1, scores.size + 1)
+    bounds = np.flatnonzero(np.diff(scores[order]) != 0) + 1
+    for s, e in zip(np.r_[0, bounds], np.r_[bounds, scores.size]):
+        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_auc_equals_tie_group_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    scores = rng.integers(-4, 5, size=n) * rng.choice([0.25, 1e-3, 7.0])
+    scores[rng.random(n) < 0.1] = -0.0
+    positive = rng.random(n) < 0.5
+    positive[:2] = True, False
+    assert auc(scores, positive) == loop_auc(scores, positive)
+
+
+def test_auc_ties_repeated_infinities():
+    # the loop splits tie groups where neighbours differ, and inf - inf is
+    # NaN, so it ranked equal infinite scores apart
+    scores = np.array([np.inf, np.inf, 0.0, 0.0, -np.inf, -np.inf])
+    positive = np.array([True, False, True, False, True, False])
+    assert auc(scores, positive) == 0.5
+    with np.errstate(invalid="ignore"):
+        assert loop_auc(scores, positive) != 0.5
+
+
 # ---------------------------------------------------------------------------
 # fit_logistic
 
@@ -535,6 +570,13 @@ def test_shuffled_labels_score_near_chance():
     for seed in range(3):
         rep = bootstrap_eval(x, rng.permutation(y), seed=seed)
         assert 0.35 <= rep.mean <= 0.65
+
+
+@pytest.mark.parametrize("kwargs", [{"splits": 0}, {"seed": -1}])
+def test_no_splits_and_negative_seed_rejected(kwargs):
+    x, y = blobs(n_per_class=10)
+    with pytest.raises(ValidationError, match="split|seed"):
+        bootstrap_eval(x, y, **kwargs)
 
 
 def test_budget_below_class_count_rejected():

@@ -512,7 +512,7 @@ def reference_rows(net, x, pairs, segs, training, grad_z):
     without touching ``net``'s own gradients or buffers."""
     st = net.store
     buffers = {n: b.copy() for n, b in net.buffers.items()}
-    grads = {n: np.zeros_like(st[n]) for n in st.names()}
+    grads = {n: np.zeros_like(st[n]) for n in st.params}
     blocks = []
     for b in range(net.config.n_blocks):
         p = f"net.block{b}."
@@ -566,7 +566,7 @@ class TestResidualBlock:
     def test_zero_weights_zero_gamma_is_relu_skip(self):
         cfg = PoolingNetworkConfig(in_channels=4, block_channels=(4,))
         net, store = build_network(cfg)
-        for name in store.names():
+        for name in store.params:
             if name.endswith("gamma") or name.endswith(".w"):
                 store[name][...] = 0.0
         m = random_map(np.random.default_rng(15), 6, dim=4)
@@ -631,7 +631,7 @@ class TestRowsBytes:
         assert same_bytes(z, want_z)
         for got, want in zip(dx, want_dx):
             assert same_bytes(got, want)
-        for name in store.names():
+        for name in store.params:
             assert same_bytes(store.grads[name], want_grads[name]), name
         for name, buf in net.buffers.items():
             assert same_bytes(buf, want_buffers[name]), name
@@ -650,7 +650,7 @@ class TestPoolingNetwork:
 
     def test_zero_weight_network_outputs_head_bias(self):
         net, store = build_network(self.small_cfg())
-        for name in store.names():
+        for name in store.params:
             store[name][...] = 0.0
         store["net.head.b"][...] = np.arange(6.0)
         m = random_map(np.random.default_rng(19), 5, dim=3)
@@ -716,7 +716,7 @@ class TestPoolingNetwork:
         z, cache = net.forward(maps, training=True)
         store.zero_grads()
         dmaps = net.backward(r, cache)
-        analytic = {n: store.grads[n].copy() for n in store.names()}
+        analytic = {n: store.grads[n].copy() for n in store.params}
 
         def run_loss():
             zz, _ = net.forward(maps, training=True)
@@ -734,7 +734,7 @@ class TestPoolingNetwork:
             assert max_rel_err(dmaps[idx], num) < 1e-4, f"map {idx}"
 
         # every parameter
-        for name in store.names():
+        for name in store.params:
             saved = store[name].copy()
 
             def f_p(p, name=name, saved=saved):

@@ -315,7 +315,7 @@ class TestModelCheckpoint:
         assert loaded.store.t == 17
         assert loaded.net_config == model.net_config
         assert loaded.proj_dim == model.proj_dim
-        for name in model.store.names():
+        for name in model.store.params:
             np.testing.assert_array_equal(loaded.store[name], model.store[name])
         for name, buf in model.net.buffers.items():
             np.testing.assert_array_equal(loaded.net.buffers[name], buf)
@@ -448,7 +448,7 @@ class TestTrainStep:
     def test_parameters_move(self):
         banks = [make_bank(slide_id=f"s{i}", seed=i) for i in range(4)]
         model = tiny_model(seed=6)
-        before = {n: model.store[n].copy() for n in model.store.names()}
+        before = {n: model.store[n].copy() for n in model.store.params}
         train_step(banks, model, self.cfg(), np.random.default_rng(1))
         moved = sum(not np.array_equal(before[n], model.store[n])
                     for n in before)
@@ -554,10 +554,9 @@ def test_train_steps_equal_per_view_oracle_steps(shared, slide_aug, dtype):
         assert loss == oracle_step(banks, models[1], cfg, rngs[1])
     got, want = models
     assert got.store.t == want.store.t
-    for name, arr in want.store.state_arrays().items():
-        assert got.store.state_arrays()[name].tobytes() == arr.tobytes(), name
-    for name, buf in want.net.buffers.items():
-        assert got.net.buffers[name].tobytes() == buf.tobytes(), name
+    got_arrays = training._checkpoint_arrays(got)
+    for name, arr in training._checkpoint_arrays(want).items():
+        assert got_arrays[name].tobytes() == arr.tobytes(), name
 
 
 def test_batch_still_rejects_short_banks():
