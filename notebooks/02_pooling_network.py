@@ -20,7 +20,8 @@ from slidessl import (
     format_gradcheck_report,
     submconv_forward,
 )
-from slidessl.sparseconv import kernel_offsets
+from slidessl.numcore import init_params
+from slidessl.sparseconv import kernel_offsets, network_shapes
 from slidessl.sparsemap import SparseMap
 
 rng = np.random.default_rng(0)
@@ -58,7 +59,9 @@ print("max |sparse - dense|:", float(np.abs(out - np.stack(want)).max()))
 ### The full network #########################################################
 
 cfg = PoolingNetworkConfig(in_channels=3, block_channels=(8, 8), out_dim=6)
-net = PoolingNetwork(cfg, ParamStore(), rng)
+# the network's name -> shape table, initialised and laid out in one store
+store = ParamStore(init_params(network_shapes(cfg), rng, np.float64))
+net = PoolingNetwork(cfg, store)
 vec = net.forward([smap], training=False)[0][0]
 print("pooled slide vector:", np.round(vec, 3))
 

@@ -19,6 +19,7 @@ from .inference import (
     embed_banks,
     embed_dataset,
     export_embeddings_csv,
+    load_embeddings,
     save_embeddings,
 )
 from .probe import (
@@ -29,7 +30,8 @@ from .probe import (
     write_report_csv,
 )
 from .selfcheck import run_selftest
-from .training import load_train_config, pretrain, train_config_from_values
+from .training import (load_model, load_train_config, pretrain,
+                       train_config_from_values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +190,6 @@ def cmd_embed(args) -> int:
     else:
         if not args.checkpoint:
             raise ValidationError("embed needs --checkpoint (or --avgmil)")
-        from .training import load_model
         model, _ = load_model(args.checkpoint)
         ids, matrix, failures = embed_dataset(
             args.banks, model, tiles=args.tiles, r_views=args.views,
@@ -206,8 +207,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from .inference import load_embeddings
-
     ids, matrix = load_embeddings(args.embeddings)
     labels = align_labels(ids, load_labels_csv(args.labels))
     reports = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bank import EmbeddingBank, save_bank
 from .container import write_atomic
-from .errors import ValidationError, check_seed
+from .errors import ValidationError, check_positive, check_seed
 
 GRID_STRIDE = 256
 # block side of the prototype layout per class: class 0 interleaves
@@ -71,10 +71,9 @@ class GenConfig:
             raise ValidationError(
                 f"n_tiles must be in [1, {self.grid_side ** 2}] for "
                 f"grid_extent {self.grid_extent}, got {self.n_tiles}")
-        for name in ("nuisance_strength", "aug_noise", "tile_noise",
-                     "aug_strength"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        check_positive(allow_zero=True, nuisance_strength=self.nuisance_strength,
+                       aug_noise=self.aug_noise, tile_noise=self.tile_noise,
+                       aug_strength=self.aug_strength)
         if not 0.0 <= self.frequency_shift <= 1.0:
             raise ValidationError(
                 f"frequency_shift must be in [0, 1], got {self.frequency_shift}")

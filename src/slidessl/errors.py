@@ -5,6 +5,8 @@ validation errors (bad inputs or configuration, CLI exit code 1) and runtime
 errors (broken files, numerical failures, CLI exit code 2).
 """
 
+import math
+
 
 class PipelineError(Exception):
     """Base class for all deliberate pipeline errors."""
@@ -18,6 +20,17 @@ def check_seed(seed: int) -> None:
     """numpy's generators refuse a negative seed; so does the pipeline."""
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
+def check_positive(allow_zero: bool = False, **settings: float) -> None:
+    """Each float setting must be finite and > 0 (>= 0 with ``allow_zero``).
+    NaN passes every order test, so it is refused as not finite first."""
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if value < 0 or (value == 0 and not allow_zero):
+            raise ValidationError(
+                f"{name} must be {'>=' if allow_zero else '>'} 0, got {value}")
 
 
 class RuntimeFailure(PipelineError):

@@ -25,10 +25,11 @@ from .errors import ValidationError, check_seed
 from .numcore import (
     ParamStore,
     finite_diff_grad,
-    init_projector,
+    init_params,
     max_rel_err,
     mlp_projector_backward,
     mlp_projector_forward,
+    projector_shapes,
 )
 from .sparseconv import (
     PoolingNetwork,
@@ -36,6 +37,7 @@ from .sparseconv import (
     build_rulebook,
     global_average_pool,
     global_average_pool_backward,
+    network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
     submconv_backward,
@@ -117,8 +119,7 @@ def _global_average_pool(rng):
 
 def _projector(rng):
     n, d_in, d_out = rng.integers(1, 5), rng.integers(2, 5), rng.integers(2, 5)
-    store = ParamStore()
-    init_projector(store, d_in, d_out, rng, dtype=np.float64)
+    store = ParamStore(init_params(projector_shapes(d_in, d_out), rng, np.float64))
     x = rng.normal(size=(n, d_in))
     probe = rng.normal(size=(n, d_out))
 
@@ -137,8 +138,7 @@ def _nt_xent(rng):
     return lambda: nt_xent(z, tau)[0], (z,), (nt_xent(z, tau)[1],)
 
 
-def _randomize_network(net: PoolingNetwork, store: ParamStore,
-                       rng: np.random.Generator) -> None:
+def _randomize_network(net: PoolingNetwork, rng: np.random.Generator) -> None:
     """Move every parameter and buffer off its init value.
 
     Fresh networks have zero biases and identity-like eval BN, which lines
@@ -146,7 +146,7 @@ def _randomize_network(net: PoolingNetwork, store: ParamStore,
     differentiable and finite differences measure a subgradient average.
     Generic values make every hinge coordinate land strictly off zero.
     """
-    for name, p in store.params.items():
+    for name, p in net.store.params.items():
         if name.endswith(("conv1.b", "conv2.b", "beta", "head.b")):
             p[...] = 0.3 * rng.normal(size=p.shape)
         elif name.endswith("gamma"):
@@ -163,9 +163,9 @@ def _network(rng, training):
     c_in = int(rng.integers(2, 4))
     cfg = PoolingNetworkConfig(in_channels=c_in, block_channels=(3, 3),
                                kernel_size=3, out_dim=3)
-    store = ParamStore()
-    net = PoolingNetwork(cfg, store, rng, dtype=np.float64)
-    _randomize_network(net, store, rng)
+    store = ParamStore(init_params(network_shapes(cfg), rng, np.float64))
+    net = PoolingNetwork(cfg, store)
+    _randomize_network(net, rng)
     maps = [_random_map(rng, int(rng.integers(2, 6)), c_in)
             for _ in range(int(rng.integers(2, 4)))]
     # small probe: see module docstring on BN and structural zeros;

@@ -8,12 +8,9 @@ the mean to unit length. Views are drawn from augmentation slice 0 only
 test-time geometry should be the recorded geometry.
 
 All views of a slide subsample one tile set, so ``embed_slide`` builds
-them as one batch: one canonical sort of the drawn tiles, one collision
-merge (``sparsemap.merge_views``, as training uses), one neighbour table
-on their distinct sites, one ``PoolingNetwork.forward_rows`` pass. Rows
-and pairs equal those of ``build_sparse_map`` per view followed by
-``PoolingNetwork.forward``, so the vectors are bit-identical to that path.
-A directory is embedded one slide at a time, on the calling thread.
+them as one batch (``_view_batch``) for one ``PoolingNetwork.forward_rows``
+pass, bit-identical to ``build_sparse_map`` per view followed by
+``PoolingNetwork.forward``. Slides are embedded one at a time, in order.
 
 The module also provides the mean-tile baseline and the ``.gse`` file of
 embedding matrices (a ``container`` with magic ``GSLE``) with a CSV export.
@@ -59,13 +56,18 @@ class SlideEmbedding:
     tiles: int
 
 
-def _resolve_tiles(model: SlideModel, tiles: int | None) -> int:
-    """Default to the tile count the checkpoint was trained with."""
+def _resolve_tiles(model: SlideModel, tiles: int | None, r_views: int) -> int:
+    """Tiles per view, by default the count the checkpoint was trained with.
+    Fewer than one view or tile is refused before an override warns."""
     if tiles is None:
         if model.train_tiles is None:
             raise InsufficientTiles(
                 "no tile count given and the model does not record one")
-        return model.train_tiles
+        tiles = model.train_tiles
+    if r_views < 1:
+        raise InsufficientTiles(f"need at least 1 view, got {r_views}")
+    if tiles < 1:
+        raise InsufficientTiles(f"need at least 1 tile per view, got {tiles}")
     if model.train_tiles is not None and tiles != model.train_tiles:
         warnings.warn(
             f"embedding with {tiles} tiles per view, but the checkpoint was "
@@ -123,11 +125,7 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    tiles = _resolve_tiles(model, tiles)
-    if r_views < 1:
-        raise InsufficientTiles(f"need at least 1 view, got {r_views}")
-    if tiles < 1:
-        raise InsufficientTiles(f"need at least 1 tile per view, got {tiles}")
+    tiles = _resolve_tiles(model, tiles, r_views)
     if tiles > bank.n_tiles:
         raise InsufficientTiles(
             f"{bank.slide_id}: {tiles} tiles per view requested, "
@@ -140,7 +138,8 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
     idx = np.stack([rng.choice(bank.n_tiles, size=tiles, replace=False)
                     for _ in range(r_views)])   # _view_batch sorts views
     x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx,
-                                 model.net_config.kernel_size, model.dtype)
+                                 model.net_config.kernel_size,
+                                 model.store.buffer.dtype)
     pooled, _ = model.net.forward_rows(x, pairs, segs, training=False)
     mean = pooled.mean(axis=0)
     if not np.isfinite(mean).all():
@@ -205,10 +204,11 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
     slide's random stream depends only on the seed and its position in the
     sorted listing, so failures elsewhere never change a slide's embedding.
     ``threads`` is ignored: a slide's many small numpy calls hold the GIL.
-    A tile count other than the checkpoint's warns once, here.
+    The counts are checked, and a tile count other than the checkpoint's
+    warns once, here, before any slide.
     """
     check_seed(seed)
-    tiles = _resolve_tiles(model, tiles)
+    tiles = _resolve_tiles(model, tiles, r_views)
     model = replace(model, train_tiles=tiles)   # so no slide warns again
 
     def one(slide_idx, bank):

@@ -1,21 +1,24 @@
 """Numeric substrate: parameter store, Adam, finite differences, projector.
 
 Tensors are plain numpy arrays (row-major, float64 in tests, float32 allowed
-for training). The store keeps parameters, gradients and Adam moments as rows
-of one buffer. Every learnable module in the package ships a hand-derived
-backward pass; ``finite_diff_grad`` plus ``max_rel_err`` form the oracle those
-passes are checked against.
+for training). The store lays parameters, gradients and Adam moments out
+once, as rows of one buffer, from a name -> value table that ``init_params``
+draws from the modules' name -> shape tables. Every learnable module ships a
+hand-derived backward pass; ``finite_diff_grad`` plus ``max_rel_err`` form
+the oracle those passes are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .container import Reader, string, u32, write_atomic
-from .errors import DimensionMismatch, NonFiniteGradient, ValidationError
+from .errors import (DimensionMismatch, NonFiniteGradient, ValidationError,
+                     check_positive)
 
 CHECKPOINT_MAGIC = b"GSCK"
 CHECKPOINT_VERSION = 1
@@ -30,54 +33,35 @@ class AdamConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
+        check_positive(lr=self.lr, eps=self.eps)
+        check_positive(allow_zero=True, weight_decay=self.weight_decay)
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 < b < 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ValidationError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class ParamStore:
     """Named parameters with aligned gradients and Adam moments.
 
-    ``buffer`` rows are (parameters, gradients, m, v); ``params``, ``grads``,
-    ``m`` and ``v`` map each name to its view of a row, so a network holds
-    names, never arrays. One dtype; ``t`` counts completed optimizer steps.
+    ``arrays`` (name -> initial value, one dtype) are laid out once, in
+    order, along ``buffer``, whose rows are (parameters, gradients, m, v);
+    ``params``, ``grads``, ``m`` and ``v`` map each name to its view of a
+    row, so a network holds names, never arrays. ``t`` counts Adam steps.
     """
 
-    def __init__(self):
-        self.buffer = np.zeros((4, 0))
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t: int = 0
-
-    def add(self, arrays: dict[str, np.ndarray]) -> None:
-        """Register a module's parameters, name -> initial value, in one call
-        and before the first step. Each call lays the buffer out anew: earlier
-        parameters keep their values and every gradient restarts at zero."""
-        if self.t:
-            raise ValueError("parameters are registered before the first step")
+    def __init__(self, arrays: dict[str, np.ndarray]):
         arrays = {name: np.asarray(value) for name, value in arrays.items()}
-        taken = [name for name in arrays if name in self.params]
-        if taken:
-            raise ValueError(f"parameter '{taken[0]}' already registered")
-        every = {**self.params, **arrays}
-        dtypes = {value.dtype for value in every.values()}
+        dtypes = {value.dtype for value in arrays.values()}
         if len(dtypes) > 1:
             raise ValueError(f"parameters must share one dtype, got {dtypes}")
-        bounds = np.cumsum([0, *(value.size for value in every.values())]).tolist()
+        bounds = np.cumsum([0, *(value.size for value in arrays.values())]).tolist()
         self.buffer = np.zeros((4, bounds[-1]), *dtypes)
-        for (name, value), lo, hi in zip(every.items(), bounds, bounds[1:]):
+        self.params, self.grads, self.m, self.v = per_row = ({}, {}, {}, {})
+        self.t = 0
+        for (name, value), lo, hi in zip(arrays.items(), bounds, bounds[1:]):
             rows = self.buffer[:, lo:hi].reshape(4, *value.shape)
             rows[0] = value
-            for i, views in enumerate((self.params, self.grads, self.m, self.v)):
+            for i, views in enumerate(per_row):
                 views[name] = rows[i, ...]
 
     def __contains__(self, name: str) -> bool:
@@ -131,16 +115,14 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
     """
     x = np.array(x, dtype=np.float64)
     out = np.zeros_like(x)
-    flat = out.reshape(-1)
-    xf = x.reshape(-1)
-    for k in range(x.size):
-        orig = xf[k]
-        xf[k] = orig + h
+    for k in np.ndindex(x.shape):
+        orig = x[k]
+        x[k] = orig + h
         fp = float(f(x))
-        xf[k] = orig - h
+        x[k] = orig - h
         fm = float(f(x))
-        xf[k] = orig
-        flat[k] = (fp - fm) / (2.0 * h)
+        x[k] = orig
+        out[k] = (fp - fm) / (2.0 * h)
     return out
 
 
@@ -160,13 +142,30 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 PROJECTOR_DIM = 128
 
 
-def init_projector(store: ParamStore, c_in: int, d_proj: int,
-                   rng: np.random.Generator, dtype=np.float64):
-    """Register projector weights (He-scaled) and zero biases under ``proj.``."""
-    w1 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, c_in))
-    w2 = rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, d_proj))
-    store.add({"proj.w1": w1.astype(dtype), "proj.b1": np.zeros(c_in, dtype=dtype),
-               "proj.w2": w2.astype(dtype), "proj.b2": np.zeros(d_proj, dtype=dtype)})
+def projector_shapes(c_in: int, d_proj: int) -> dict[str, tuple[int, ...]]:
+    """The projector's parameters, name -> shape, in layout order."""
+    return {"proj.w1": (c_in, c_in), "proj.b1": (c_in,),
+            "proj.w2": (c_in, d_proj), "proj.b2": (d_proj,)}
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                dtype) -> dict[str, np.ndarray]:
+    """Initial values of a name -> shape table, drawn in table order.
+
+    A weight (last name part ``w``, ``w1`` or ``w2``) is He-normal over its
+    fan-in, the product of every axis but the last (arXiv 1502.01852), with
+    unit gain for ``net.head.w``; a ``gamma`` is one, everything else zero.
+    """
+    values = {}
+    for name, shape in shapes.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf.startswith("w"):
+            gain = 1.0 if name == "net.head.w" else 2.0
+            std = np.sqrt(gain / math.prod(shape[:-1]))
+            values[name] = rng.normal(0.0, std, size=shape).astype(dtype)
+        else:
+            values[name] = (np.ones if leaf == "gamma" else np.zeros)(shape, dtype)
+    return values
 
 
 def mlp_projector_forward(x: np.ndarray, params: dict[str, np.ndarray]

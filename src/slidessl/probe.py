@@ -26,7 +26,7 @@ import numpy as np
 
 from .container import write_atomic
 from .errors import (BudgetTooSmall, DegenerateLabels, DimensionMismatch,
-                     FormatError, ValidationError, check_seed)
+                     FormatError, ValidationError, check_positive, check_seed)
 
 DEFAULT_L2 = 1e-3
 GRAD_TOL = 1e-6
@@ -125,8 +125,7 @@ def fit_logistic(x: np.ndarray, labels, l2: float = DEFAULT_L2,
     if classes.size < 2:
         raise DegenerateLabels(
             f"need at least 2 classes to fit a probe, got {classes.size}")
-    if l2 <= 0:
-        raise ValidationError(f"l2 must be positive, got {l2}")
+    check_positive(l2=l2)
     x, apply_norm = _normalize_train(x, normalization)
     n, dim = x.shape
     y = np.searchsorted(classes, labels)

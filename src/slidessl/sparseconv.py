@@ -3,34 +3,22 @@
 The pooling function maps a sparse lattice of tile features to a fixed-size
 vector: a stack of residual blocks (conv-BN-ReLU-conv-BN plus skip, final
 ReLU) over active sites only, a global average pool, and a linear head.
+``network_shapes`` is its one name -> shape table of parameters.
 
 Convolutions are submanifold: the output active-site set equals the input
-active-site set, and only active neighbors contribute. Site adjacency is
-one vectorized lookup, ``neighbour_table``: sites are packed into int64
-keys on a padded row-major grid, sorted once, and every (offset, site)
-neighbour query is a single ``searchsorted`` (the hashed kernel map of
-MinkowskiEngine, with a sorted array standing in for the hash table).
-``table_pairs`` turns a table into per-offset (input row, output row)
-pairs. ``view_pairs`` gives the pairs of many maps laid out as rows from
-one table, moving each map's sites apart so that no kernel window spans
-two maps; ``PoolingNetwork.forward`` and training use it. ``build_rulebook``
-(one map) and ``merge_rulebooks`` give the same pairs map by map, the
-reference the tests hold the batch to. ``PoolingNetwork.forward_rows``
-runs the network on any batch laid out as rows with such pairs, which is
-how training runs a step's views and inference a slide's views.
-``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
-with its backward are the only conv and pool implementations: the
-network, the finite-difference checks in ``gradcheck`` and the dense
-convolution oracle of the acceptance suite (A2) all call them.
-
-The conv kernel relies on the identity contract of ``build_rulebook``: the
-zero offset pairs every row with itself, so it is applied as one dense
-product over all rows (``x @ W_c``) instead of a gather and a scatter, and
-a zero offset without one pair per row is rejected. Every other offset
-gathers rows with ``np.take`` and writes each sum back with one
-assignment. Each row still adds its terms in offset order, from the same
-operands, so the output and gradient bytes equal those of a per-pair
-gather and ``+=`` for every offset.
+active-site set, and only active neighbors contribute. ``neighbour_table``
+finds every site's neighbours with one ``searchsorted`` (the hashed kernel
+map of MinkowskiEngine, with a sorted array for the hash table), and
+``table_pairs`` turns the table into per-offset (input row, output row)
+pairs. ``view_pairs`` does so for many maps laid out as rows, which
+``PoolingNetwork.forward_rows`` runs: training a step's views, inference a
+slide's views. ``build_rulebook`` and ``merge_rulebooks`` give the same
+pairs map by map. ``submconv_forward``, ``submconv_backward`` and
+``global_average_pool`` with its backward are the only conv and pool
+implementations: the network, ``gradcheck`` and the dense convolution
+oracle of the acceptance suite (A2) all call them. The conv applies the
+zero offset as one dense product; ``submconv_forward`` says why its bytes
+equal those of a per-pair gather and ``+=``.
 """
 
 from __future__ import annotations
@@ -173,9 +161,11 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     out[t] = bias + sum over offsets o of W_o . x[source of t under o], with
     ``pairs[o]`` the (input row, output row) pairs of offset o in row-major
     order, as in ``Rulebook.pairs`` or ``merge_rulebooks``. The zero offset
-    is one dense product ``out += x @ W_c`` at its place in the offset order,
-    so the bytes equal a per-pair gather and ``+=`` (see the module
-    docstring); it must hold one pair per row, else ``DimensionMismatch``.
+    is one dense product ``out += x @ W_c`` at its place in the offset order
+    (it must hold one pair per row, else ``DimensionMismatch``); every other
+    offset gathers with ``np.take`` and writes back once. Each row still
+    adds its terms in offset order, from the same operands, so the output
+    and gradient bytes equal those of a per-pair gather and ``+=``.
     """
     k = weights.shape[0]
     if (weights.ndim != 4 or weights.shape[2] != x.shape[1]
@@ -325,44 +315,43 @@ class PoolingNetworkConfig:
         return len(self.block_channels)
 
 
+def network_shapes(config: PoolingNetworkConfig) -> dict[str, tuple[int, ...]]:
+    """The network's parameters, name -> shape, in layout order: per block
+    conv1, bn1, conv2, bn2 and, where the width changes, a 1x1 skip
+    projection ``proj.w``; then the head."""
+    k = config.kernel_size
+    shapes: dict[str, tuple[int, ...]] = {}
+    c_prev = config.in_channels
+    for b, c in enumerate(config.block_channels):
+        p = f"net.block{b}."
+        shapes.update({p + "conv1.w": (k, k, c_prev, c), p + "conv1.b": (c,),
+                       p + "bn1.gamma": (c,), p + "bn1.beta": (c,),
+                       p + "conv2.w": (k, k, c, c), p + "conv2.b": (c,),
+                       p + "bn2.gamma": (c,), p + "bn2.beta": (c,)})
+        if c_prev != c:
+            shapes[p + "proj.w"] = (1, 1, c_prev, c)
+        c_prev = c
+    shapes["net.head.w"] = (c_prev, config.out_dim)
+    shapes["net.head.b"] = (config.out_dim,)
+    return shapes
+
+
 class PoolingNetwork:
     """Residual conv stack -> global average pool -> linear head.
 
-    Parameters live in the supplied ParamStore under ``net.``; running BN
-    statistics live in ``self.buffers`` and ride along in checkpoints.
+    Parameters live in the supplied ParamStore, laid out from
+    ``network_shapes``; the network draws nothing. Running BN statistics
+    live in ``self.buffers`` and ride along in checkpoints.
     """
 
-    def __init__(self, config: PoolingNetworkConfig, store, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, config: PoolingNetworkConfig, store):
         self.config = config
         self.store = store
-        self.buffers: dict[str, np.ndarray] = {}
-        k = config.kernel_size
-
-        def conv_init(c_in, c_out, ksz):
-            std = np.sqrt(2.0 / (ksz * ksz * c_in))
-            return rng.normal(0.0, std, size=(ksz, ksz, c_in, c_out)).astype(dtype)
-
-        params: dict[str, np.ndarray] = {}
-        c_prev = config.in_channels
-        for b, c in enumerate(config.block_channels):
-            p = f"net.block{b}."
-            zeros, ones = np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)
-            params.update({p + "conv1.w": conv_init(c_prev, c, k), p + "conv1.b": zeros,
-                           p + "bn1.gamma": ones, p + "bn1.beta": zeros,
-                           p + "conv2.w": conv_init(c, c, k), p + "conv2.b": zeros,
-                           p + "bn2.gamma": ones, p + "bn2.beta": zeros})
-            if c_prev != c:
-                params[p + "proj.w"] = conv_init(c_prev, c, 1)
-            for bn in ("bn1", "bn2"):
-                self.buffers[p + bn + ".run_mean"] = np.zeros(c, dtype=dtype)
-                self.buffers[p + bn + ".run_var"] = np.ones(c, dtype=dtype)
-            c_prev = c
-        head_std = np.sqrt(1.0 / c_prev)
-        params["net.head.w"] = rng.normal(
-            0.0, head_std, size=(c_prev, config.out_dim)).astype(dtype)
-        params["net.head.b"] = np.zeros(config.out_dim, dtype=dtype)
-        store.add(params)
+        self.buffers = {
+            name[:-len("gamma")] + stat: fill(shape, store.buffer.dtype)
+            for name, shape in network_shapes(config).items()
+            if name.endswith(".gamma")
+            for stat, fill in (("run_mean", np.zeros), ("run_var", np.ones))}
 
     def _batchnorm(self, y: np.ndarray, name: str, training: bool):
         return sparse_batchnorm_forward(
@@ -452,9 +441,8 @@ class PoolingNetwork:
                         pairs: list[np.ndarray]) -> np.ndarray:
         st = self.store
         p = bc["p"]
-        dpre = dout * (bc["out"] > 0.0)
-        dy2n, dskip = dpre, dpre
-        dy2, dg2, db2 = sparse_batchnorm_backward(dy2n, bc["bn2"])
+        dpre = dout * (bc["out"] > 0.0)    # into bn2 and the skip alike
+        dy2, dg2, db2 = sparse_batchnorm_backward(dpre, bc["bn2"])
         st.accumulate(p + "bn2.gamma", dg2)
         st.accumulate(p + "bn2.beta", db2)
         da1, dw2, dbias2 = submconv_backward(dy2, bc["a1"],
@@ -471,11 +459,7 @@ class PoolingNetwork:
         st.accumulate(p + "conv1.b", dbias1)
         if p + "proj.w" in st:
             wp = st[p + "proj.w"]
-            dwp = np.zeros_like(wp)
-            dwp[0, 0] = bc["x"].T @ dskip
-            st.accumulate(p + "proj.w", dwp)
-            dx = dx + dskip @ wp[0, 0].T
-        else:
-            dx = dx + dskip
-        return dx
+            st.accumulate(p + "proj.w", (bc["x"].T @ dpre)[None, None])
+            return dx + dpre @ wp[0, 0].T
+        return dx + dpre
 

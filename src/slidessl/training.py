@@ -6,14 +6,14 @@ the slide level), embeds them with the pooling network, projects them, and
 applies the normalized-temperature cross-entropy loss across the batch.
 Augmentation slice 0 is never drawn here; it is reserved for inference.
 
-``train_step`` draws the views one by one, with the generator calls of
-``sample_view``, then builds all 2B of them as one batch (``sample_batch``:
-one tile sort and merge, one slide augmentation, one neighbour table) for
-``PoolingNetwork.forward_rows``. Training is bit-identical to building
-each view alone.
+``train_step`` builds a step's 2B views as one batch (``sample_batch``),
+bit-identical to building each view alone.
 
-Everything is seeded: epoch e uses the stream [seed, 1, e], so a resumed run
-continues bit-identically to an uninterrupted one. ``_checkpoint_arrays``
+A model is laid out once from one name -> shape table, the network's then
+the projector's: ``build_model`` fills it with ``init_params`` from the
+stream [seed, 0], ``load_model`` from a checkpoint, drawing nothing.
+Everything is seeded: epoch e uses the stream [seed, 1, e], so a resumed
+run continues bit-identically to an uninterrupted one. ``_checkpoint_arrays``
 alone decides what a checkpoint holds, for ``save_model`` and ``load_model``.
 """
 
@@ -35,6 +35,7 @@ from .errors import (
     FormatError,
     InsufficientTiles,
     ValidationError,
+    check_positive,
     check_seed,
 )
 from .numcore import (
@@ -42,15 +43,17 @@ from .numcore import (
     ParamStore,
     PROJECTOR_DIM,
     adam_step,
-    init_projector,
+    init_params,
     load_checkpoint,
     mlp_projector_backward,
     mlp_projector_forward,
+    projector_shapes,
     save_checkpoint,
 )
 from .sparseconv import (
     PoolingNetwork,
     PoolingNetworkConfig,
+    network_shapes,
     view_pairs,
     view_segments,
 )
@@ -90,8 +93,7 @@ class TrainConfig:
             raise ValidationError(f"tiles must be >= 1, got {self.tiles}")
         if self.batch_size < 2:
             raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
+        check_positive(temperature=self.temperature)
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         check_seed(self.seed)
@@ -265,8 +267,7 @@ def nt_xent(z: np.ndarray, temperature: float = 0.5) -> tuple[float, np.ndarray]
             f"projections must be (2B, D) with B >= 1, got {z.shape}")
     n = len(z)
     pairing = interleaved_pairing(n)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    check_positive(temperature=temperature)
 
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
@@ -313,7 +314,6 @@ class SlideModel:
     net: PoolingNetwork
     net_config: PoolingNetworkConfig
     proj_dim: int
-    dtype: type
     train_tiles: int | None = None
 
     @property
@@ -321,14 +321,18 @@ class SlideModel:
         return self.net_config.in_channels
 
 
+def _shapes(net_config: PoolingNetworkConfig, proj_dim: int) -> dict:
+    return {**network_shapes(net_config),
+            **projector_shapes(net_config.out_dim, proj_dim)}
+
+
 def build_model(net_config: PoolingNetworkConfig, proj_dim: int = PROJECTOR_DIM,
                 seed: int = 0, dtype=np.float32,
                 train_tiles: int | None = None) -> SlideModel:
-    store = ParamStore()
-    rng = np.random.default_rng([seed, 0])
-    net = PoolingNetwork(net_config, store, rng, dtype=dtype)
-    init_projector(store, net_config.out_dim, proj_dim, rng, dtype=dtype)
-    return SlideModel(store, net, net_config, proj_dim, dtype, train_tiles)
+    store = ParamStore(init_params(_shapes(net_config, proj_dim),
+                                   np.random.default_rng([seed, 0]), dtype))
+    return SlideModel(store, PoolingNetwork(net_config, store), net_config,
+                      proj_dim, train_tiles)
 
 
 def _config_json_array(model: SlideModel) -> np.ndarray:
@@ -383,8 +387,11 @@ def load_model(path) -> tuple[SlideModel, int]:
             kernel_size=int(doc["kernel_size"]),
             out_dim=int(doc["out_dim"]))
         tiles = doc.get("train_tiles")
-        model = build_model(net_config, proj_dim=int(doc["proj_dim"]),
-                            train_tiles=None if tiles is None else int(tiles))
+        proj_dim = int(doc["proj_dim"])
+        store = ParamStore({name: np.zeros(shape, np.float32)   # filled below
+                            for name, shape in _shapes(net_config, proj_dim).items()})
+        model = SlideModel(store, PoolingNetwork(net_config, store), net_config,
+                           proj_dim, None if tiles is None else int(tiles))
         epoch, model.store.t = (int(v) for v in arrays["meta.state"])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{Path(path).name}: bad model metadata: {exc!r}") from None

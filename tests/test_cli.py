@@ -384,12 +384,22 @@ PATH_CASES = {
         "pretrain", "--banks", b, "--checkpoint", f"{t}/p.ckpt",
         f"--{flag}", value], 1)
        for flag, value in (("tiles", "0"), ("batch", "1"), ("epochs", "-1"),
-                           ("tau", "0"), ("lr", "-1"), ("seed", "-1"))},
+                           ("tau", "0"), ("lr", "-1"), ("seed", "-1"),
+                           ("tau", "nan"), ("tau", "inf"), ("lr", "nan"),
+                           ("lr", "inf"))},
     **{f"probe_{flag}_{value}": (lambda b, m, t, flag=flag, value=value: [
         "probe", "--embeddings", f"{t}/mil.gse", "--labels", f"{b}/labels.csv",
         f"--{flag}", value], 1)
        for flag, value in (("seed", "-1"), ("l2", "0"), ("budget", "1.5"),
-                           ("splits", "0"))},
+                           ("splits", "0"), ("l2", "nan"), ("l2", "inf"))},
+    **{f"gen_{flag}_{value}": (lambda b, m, t, flag=flag, value=value: [
+        "gen", "--out", f"{t}/g", "--slides", "4", f"--{flag}", value], 1)
+       for flag, value in (("nuisance", "nan"), ("aug-noise", "nan"),
+                           ("tile-noise", "inf"), ("aug-strength", "nan"))},
+    **{f"embed_{flag}_{value}": (lambda b, m, t, flag=flag, value=value: [
+        "embed", "--banks", b, "--checkpoint", m, "--out", f"{t}/e.gse",
+        f"--{flag}", value], 1)
+       for flag, value in (("views", "0"), ("views", "-2"), ("tiles", "0"))},
     "gradcheck_seed_-1": (lambda b, m, t: [
         "gradcheck", "--instances", "1", "--seed", "-1"], 1),
     "gen_seed_-1": (lambda b, m, t: [
@@ -420,7 +430,8 @@ def test_unusable_path_exits_with_one_line(trained, tmp_path, capsys, case):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error: " if code == 1 else "failure: ")
     assert "Traceback" not in err
-    assert not (tmp_path / "e.gse").exists()
+    for out in ("e.gse", "p.ckpt", "p.log.csv", "g"):
+        assert not (tmp_path / out).exists(), out
 
 
 def test_pretrain_directory_checkpoint_fails_before_loading_banks(

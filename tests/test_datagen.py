@@ -205,6 +205,11 @@ def test_marginal_statistic_insensitive_to_nuisance(tmp_path):
     ("nuisance_strength", -1.0),
     ("aug_noise", -0.5),
     ("frequency_shift", 1.5),
+    ("frequency_shift", float("nan")),
+    # NaN and infinity pass the order tests, so they are refused as such
+    *[(name, value) for name in ("nuisance_strength", "aug_noise", "tile_noise",
+                                 "aug_strength")
+      for value in (float("nan"), float("inf"))],
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValidationError):

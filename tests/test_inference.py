@@ -326,6 +326,15 @@ def test_dataset_tile_override_warns_once_at_the_caller(tmp_path):
     assert model.train_tiles == 5
 
 
+@pytest.mark.parametrize("counts", [{"r_views": 0}, {"r_views": -2}, {"tiles": 0}])
+def test_dataset_bad_counts_fail_before_any_slide(tmp_path, counts):
+    # the directory does not exist: a check made per slide would fail listing it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientTiles, match="at least 1"):
+            embed_dataset(tmp_path / "none", make_model(train_tiles=5), **counts)
+
+
 def test_dataset_rerun_identical(tmp_path):
     write_corpus(tmp_path)
     model = make_model()

@@ -265,6 +265,13 @@ def test_bad_l2_rejected():
         fit_logistic(x, y, l2=0.0)
 
 
+@pytest.mark.parametrize("l2", [np.nan, np.inf])
+def test_non_finite_l2_rejected(l2):
+    x, y = blobs(n_per_class=10)
+    with pytest.raises(ValidationError, match="l2 must be finite"):
+        fit_logistic(x, y, l2=l2)
+
+
 def test_unknown_normalization_rejected():
     x, y = blobs(n_per_class=10)
     with pytest.raises(ValueError):

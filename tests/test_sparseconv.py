@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slidessl.errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
-from slidessl.numcore import ParamStore, finite_diff_grad, max_rel_err
+from slidessl.numcore import ParamStore, finite_diff_grad, init_params, max_rel_err
 from slidessl.selfcheck import dense_conv_at_active
 from slidessl.sparseconv import (
     BN_EPS,
@@ -15,6 +15,7 @@ from slidessl.sparseconv import (
     global_average_pool,
     global_average_pool_backward,
     kernel_offsets,
+    network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
     submconv_backward,
@@ -479,9 +480,9 @@ class TestGlobalAveragePool:
 
 
 def build_network(config, seed=0, dtype=np.float64):
-    store = ParamStore()
-    net = PoolingNetwork(config, store, np.random.default_rng(seed), dtype=dtype)
-    return net, store
+    store = ParamStore(init_params(network_shapes(config),
+                                   np.random.default_rng(seed), dtype))
+    return PoolingNetwork(config, store), store
 
 
 def block_forward(net, block, m, training=False):

@@ -15,6 +15,7 @@ from slidessl.errors import (
     DimensionMismatch,
     FormatError,
     InsufficientTiles,
+    ValidationError,
 )
 from slidessl import training
 from slidessl.numcore import (
@@ -94,6 +95,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
             TrainConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_temperature_rejected(self, tau):
+        with pytest.raises(ValidationError, match="temperature must be finite"):
+            TrainConfig(temperature=tau)
 
 
 class TestConfigFile:
@@ -319,6 +325,76 @@ class TestModelCheckpoint:
             np.testing.assert_array_equal(loaded.store[name], model.store[name])
         for name, buf in model.net.buffers.items():
             np.testing.assert_array_equal(loaded.net.buffers[name], buf)
+        assert loaded.store.buffer.dtype == np.float32
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path, epoch=2)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, epoch = load_model(path)
+        assert epoch == 2
+        assert loaded.store.buffer.tobytes() == model.store.buffer.tobytes()
+        for name, buf in model.net.buffers.items():
+            assert loaded.net.buffers[name].tobytes() == buf.tobytes()
+
+    @staticmethod
+    def per_parameter_init(cfg, proj_dim, seed, dtype):
+        """The init that each module once drew for itself: the network its
+        blocks and head, then the projector, from one generator."""
+        rng = np.random.default_rng([seed, 0])
+        params, buffers = {}, {}
+
+        def conv_init(c_in, c_out, ksz):
+            std = np.sqrt(2.0 / (ksz * ksz * c_in))
+            return rng.normal(0.0, std, size=(ksz, ksz, c_in, c_out)).astype(dtype)
+
+        k = cfg.kernel_size
+        c_prev = cfg.in_channels
+        for b, c in enumerate(cfg.block_channels):
+            p = f"net.block{b}."
+            zeros, ones = np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)
+            params.update({p + "conv1.w": conv_init(c_prev, c, k), p + "conv1.b": zeros,
+                           p + "bn1.gamma": ones, p + "bn1.beta": zeros,
+                           p + "conv2.w": conv_init(c, c, k), p + "conv2.b": zeros,
+                           p + "bn2.gamma": ones, p + "bn2.beta": zeros})
+            if c_prev != c:
+                params[p + "proj.w"] = conv_init(c_prev, c, 1)
+            for bn in ("bn1", "bn2"):
+                buffers[p + bn + ".run_mean"] = np.zeros(c, dtype=dtype)
+                buffers[p + bn + ".run_var"] = np.ones(c, dtype=dtype)
+            c_prev = c
+        params["net.head.w"] = rng.normal(
+            0.0, np.sqrt(1.0 / c_prev), size=(c_prev, cfg.out_dim)).astype(dtype)
+        params["net.head.b"] = np.zeros(cfg.out_dim, dtype=dtype)
+        c = cfg.out_dim
+        w1 = rng.normal(0.0, np.sqrt(2.0 / c), size=(c, c))
+        w2 = rng.normal(0.0, np.sqrt(2.0 / c), size=(c, proj_dim))
+        params.update({"proj.w1": w1.astype(dtype), "proj.b1": np.zeros(c, dtype=dtype),
+                       "proj.w2": w2.astype(dtype),
+                       "proj.b2": np.zeros(proj_dim, dtype=dtype)})
+        return params, buffers
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,c_in,blocks", [   # the last has no proj.w
+        (1, 4, (5, 5)), (3, 3, (4, 6)), (5, 3, (3, 3, 7)), (3, 3, (3, 3))])
+    def test_init_equals_per_parameter_reference(self, dtype, k, c_in, blocks):
+        cfg = PoolingNetworkConfig(in_channels=c_in, block_channels=blocks,
+                                   kernel_size=k, out_dim=6)
+        model = build_model(cfg, proj_dim=7, seed=5, dtype=dtype)
+        params, buffers = self.per_parameter_init(cfg, 7, 5, dtype)
+        assert list(model.store.params) == list(params)
+        assert model.store.buffer.dtype == dtype
+        assert model.store.buffer[0].tobytes() == b"".join(
+            p.tobytes() for p in params.values())
+        assert list(model.net.buffers) == list(buffers)
+        for name, buf in buffers.items():
+            assert model.net.buffers[name].dtype == dtype
+            assert model.net.buffers[name].tobytes() == buf.tobytes(), name
 
     @pytest.mark.parametrize("damage", ["cut_config", "state_len", "missing_key"])
     def test_malformed_metadata(self, tmp_path, damage):
