@@ -145,7 +145,7 @@ def _parse_budget(text: str):
     if text == "all":
         return "all"
     try:
-        return float(text) if "." in text else int(text)
+        return int(text) if text.isdigit() else float(text)
     except ValueError:
         raise ValidationError(f"budget must be 'all', a fraction, or a count, "
                               f"got '{text}'") from None

@@ -10,15 +10,15 @@ active-site set, and only active neighbors contribute. ``neighbour_table``
 finds every site's neighbours with one ``searchsorted`` (the hashed kernel
 map of MinkowskiEngine, with a sorted array for the hash table), and
 ``table_pairs`` turns the table into per-offset (input row, output row)
-pairs. ``view_pairs`` does so for many maps laid out as rows, which
-``PoolingNetwork.forward_rows`` runs: training a step's views, inference a
-slide's views. ``build_rulebook`` and ``merge_rulebooks`` give the same
-pairs map by map. ``submconv_forward``, ``submconv_backward`` and
-``global_average_pool`` with its backward are the only conv and pool
-implementations: the network, ``gradcheck`` and the dense convolution
-oracle of the acceptance suite (A2) all call them. The conv applies the
-zero offset as one dense product; ``submconv_forward`` says why its bytes
-equal those of a per-pair gather and ``+=``.
+pairs. ``view_pairs`` does so for many maps laid out as rows: a step's
+views for ``PoolingNetwork.forward_rows``, a slide's for ``embed_rows``.
+``build_rulebook`` and ``merge_rulebooks`` give the same pairs map by map.
+``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
+with its backward are the only conv and pool implementations: the network,
+``gradcheck`` and the dense convolution oracle of the acceptance suite
+(A2) all call them. The conv applies the zero offset as one dense product;
+``submconv_forward`` says why its bytes equal those of a per-pair gather
+and ``+=``.
 """
 
 from __future__ import annotations
@@ -397,6 +397,26 @@ class PoolingNetwork:
         z = pooled @ self.store["net.head.w"] + self.store["net.head.b"]
         cache["pooled"] = pooled
         return z, cache
+
+    def embed_rows(self, x: np.ndarray, pairs: list[np.ndarray],
+                   segs: list[tuple[int, int]]) -> np.ndarray:
+        """``forward_rows(training=False)``'s output up to rounding, with no
+        cache: each batch norm is folded into its conv, as weights ``W s`` and
+        bias ``(b - run_mean) s + beta`` with ``s = gamma / sqrt(run_var +
+        BN_EPS)``, anew on every call, so the fold is never stale or saved."""
+        st, buf = self.store, self.buffers
+        for b in range(self.config.n_blocks):
+            p, h = f"net.block{b}.", x
+            for i in (1, 2):
+                bn, conv = f"{p}bn{i}.", f"{p}conv{i}."
+                s = st[bn + "gamma"] / np.sqrt(buf[bn + "run_var"] + BN_EPS)
+                bias = (st[conv + "b"] - buf[bn + "run_mean"]) * s + st[bn + "beta"]
+                h = submconv_forward(h, st[conv + "w"] * s, bias, pairs)
+                if i == 1:
+                    np.maximum(h, 0.0, out=h)
+            h += x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
+            x = np.maximum(h, 0.0, out=h)
+        return global_average_pool(x, segs) @ st["net.head.w"] + st["net.head.b"]
 
     def _block_forward(self, b: int, x: np.ndarray, pairs: list[np.ndarray],
                        training: bool) -> tuple[np.ndarray, dict]:

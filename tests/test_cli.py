@@ -512,7 +512,9 @@ def test_help_documents_defaults(argv, needles, capsys):
 def test_parse_budget_forms():
     assert _parse_budget("all") == "all"
     assert _parse_budget("0.25") == 0.25
-    assert _parse_budget("50") == 50
+    assert _parse_budget("5e-1") == 0.5
+    assert isinstance(_parse_budget("1.0"), float)
+    assert _parse_budget("50") == 50 and isinstance(_parse_budget("50"), int)
     with pytest.raises(ValidationError):
         _parse_budget("half")
 

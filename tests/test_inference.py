@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from slidessl.bank import EmbeddingBank, list_banks, load_bank, save_bank
 from slidessl.errors import (
@@ -21,8 +22,10 @@ from slidessl.errors import (
     ValidationError,
 )
 from slidessl.inference import (
+    DRAW_ONE_CALL_MAX,
     _view_batch,
     average_mil_embed,
+    draw_views,
     embed_banks,
     embed_dataset,
     embed_slide,
@@ -225,29 +228,80 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     got = embed_slide(bank, model, r_views=r_views,
                       rng=np.random.default_rng(4))
 
-    # the same draws, one map per view, one forward
+    # the same draws, one map per view, their rulebooks merged, one
+    # folded eval forward
     rng = np.random.default_rng(4)
-    idx = np.stack([np.sort(rng.choice(n_tiles, size=tiles, replace=False))
-                    for _ in range(r_views)])
+    idx = np.sort(draw_views(rng, n_tiles, tiles, r_views), axis=1)
     coords = bank.coords[0].astype(np.int64)
     feats = bank.features[0].astype(dtype)
     maps = [build_sparse_map((coords[i], feats[i])) for i in idx]
-    mean = model.net.forward(maps, False)[0].mean(axis=0)
+    starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
+    want_segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
+    want_x = np.concatenate([m.features for m in maps])
+    want_pairs = merge_rulebooks([build_rulebook(m, kernel) for m in maps],
+                                 starts)
+    mean = model.net.embed_rows(want_x, want_pairs, want_segs).mean(axis=0)
     want = (mean / np.linalg.norm(mean)).astype(np.float32)
     assert got.vector.tobytes() == want.tobytes()
 
     # and the batch's rows and pairs are those of the per-view path
     x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx, kernel,
                                  dtype)
-    starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
-    assert segs == [(s, s + m.n_sites) for s, m in zip(starts, maps)]
-    assert x.tobytes() == np.concatenate([m.features for m in maps]).tobytes()
-    books = [build_rulebook(m, kernel) for m in maps]
-    want_pairs = merge_rulebooks(books, starts)
+    assert segs == want_segs
+    assert x.tobytes() == want_x.tobytes()
     assert len(pairs) == len(want_pairs)
     for a, b in zip(pairs, want_pairs):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# draw_views
+
+def assert_uniform_subsets(idx, n, tiles, r_views):
+    """Rows are ``tiles`` distinct tiles of ``range(n)``, each tile drawn as
+    often as a uniform subset draws it: the inclusion counts' chi-square,
+    scaled for draws without replacement, against n - 1 degrees of freedom."""
+    assert idx.shape == (r_views, tiles) and idx.dtype == np.int64
+    rows = np.sort(idx, axis=1)
+    assert rows[:, 0].min() >= 0 and rows[:, -1].max() < n
+    assert (np.diff(rows, axis=1) > 0).all()          # no repeats in a row
+    p = tiles / n
+    counts = np.bincount(idx.ravel(), minlength=n)
+    stat = ((counts - r_views * p) ** 2).sum() / (r_views * p * (1 - p))
+    stat *= (n - 1) / n
+    assert scipy.stats.chi2.sf(stat, n - 1) > 1e-3, stat
+
+
+@pytest.mark.parametrize("n,tiles", [(48, 5), (48, 16), (600, 5), (600, 64)])
+def test_draw_views_are_uniform_subsets(n, tiles):
+    idx = draw_views(np.random.default_rng([n, tiles]), n, tiles, 4000)
+    assert_uniform_subsets(idx, n, tiles, 4000)
+
+
+@pytest.mark.parametrize("n", [1, 48, 512, 513, 600])
+def test_draw_views_of_every_tile_are_permutations(n):
+    idx = draw_views(np.random.default_rng(n), n, n, 7)
+    assert idx.shape == (7, n) and idx.dtype == np.int64
+    assert (np.sort(idx, axis=1) == np.arange(n)).all()
+
+
+def test_draw_rule_switches_after_512_tiles():
+    assert DRAW_ONE_CALL_MAX == 512
+    for n in (48, 511, 512):       # the T smallest of n uniforms per row
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        idx = draw_views(rng, n, 9, 30)
+        keys = ref.random((30, n))
+        assert (np.sort(idx, axis=1)
+                == np.sort(np.argsort(keys, axis=1)[:, :9], axis=1)).all()
+        assert rng.random() == ref.random()    # one call, the same stream
+    for n in (513, 600, 4000):     # rng.choice view by view, as before
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        idx = draw_views(rng, n, 9, 30)
+        want = np.stack([ref.choice(n, size=9, replace=False)
+                         for _ in range(30)])
+        assert idx.tobytes() == want.tobytes() and idx.dtype == want.dtype
+        assert rng.random() == ref.random()
 
 
 def test_zero_tiles_is_a_failed_slide():

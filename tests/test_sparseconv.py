@@ -638,6 +638,53 @@ class TestRowsBytes:
             assert same_bytes(buf, want_buffers[name]), name
 
 
+class TestFoldedEval:
+    """``embed_rows`` folds each eval batch norm into the conv before it, so
+    it equals ``forward_rows(training=False)`` only up to rounding: within
+    ``FOLD_BOUND[dtype]`` times ``max|z|``, with running statistics and
+    affine parameters far from their initial 0 and 1."""
+
+    FOLD_BOUND = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks,k", [((4, 4), 1), ((4, 5), 3), ((3, 3), 5),
+                                          ((5,), 5), ((2, 6, 6), 3)])
+    def test_equals_eval_forward(self, dtype, blocks, k):
+        cfg = PoolingNetworkConfig(in_channels=3, block_channels=blocks,
+                                   kernel_size=k, out_dim=6)
+        net, store = build_network(cfg, seed=51, dtype=dtype)
+        rng = np.random.default_rng(52)
+        for name, buf in net.buffers.items():
+            if name.endswith("run_var"):
+                buf[...] = rng.uniform(0.05, 4.0, buf.shape)
+            else:
+                buf[...] = rng.normal(scale=2.0, size=buf.shape)
+        for name in store.params:
+            if ".bn" in name:
+                store[name][...] = rng.normal(loc=0.5, size=store[name].shape)
+        store.grads["net.head.b"][...] = 7.0     # a gradient left by a step
+        sizes = [9, 1, 14, 6, 20]
+        maps = [random_map(rng, n, dim=3, extent=6) for n in sizes]
+        x = np.concatenate([m.features for m in maps]).astype(dtype)
+        pairs = view_pairs(np.repeat(np.arange(len(sizes)), sizes),
+                           np.concatenate([m.sites for m in maps]), k)
+        segs = view_segments(sizes)
+        x_before = x.copy()
+        buffer_before = store.buffer.copy()
+        buffers_before = {n: b.copy() for n, b in net.buffers.items()}
+
+        want, _ = net.forward_rows(x, pairs, segs, training=False)
+        got = net.embed_rows(x, pairs, segs)
+        assert got.dtype == dtype and got.shape == want.shape
+        err = float(np.max(np.abs(got - want)))
+        assert err <= self.FOLD_BOUND[dtype] * float(np.max(np.abs(want))), err
+        # reads only: parameters, gradients, Adam moments, BN buffers, input
+        assert same_bytes(store.buffer, buffer_before)
+        for name, buf in net.buffers.items():
+            assert same_bytes(buf, buffers_before[name]), name
+        assert same_bytes(x, x_before)
+
+
 class TestPoolingNetwork:
     def small_cfg(self):
         return PoolingNetworkConfig(in_channels=3, block_channels=(4, 5),
