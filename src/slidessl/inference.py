@@ -7,10 +7,8 @@ the mean to unit length. Views are drawn from augmentation slice 0 only
 (the untouched tile embeddings) and no slide-level transform is applied:
 test-time geometry should be the recorded geometry.
 
-All views of a slide subsample one tile set. ``draw_views`` draws them in
-one call for at most ``DRAW_ONE_CALL_MAX`` = 512 tiles and view by view
-above, as 50 views take 0.04, 0.12, 0.52-0.83 and 3.4 ms in one call but
-0.63, 0.37, 0.63 and 0.62 ms view by view at n = 48, 256, 1024 and 4000.
+All views of a slide subsample one tile set. Training's ``draw_views``
+draws them, in one call for at most 512 tiles and view by view above.
 ``embed_slide`` builds them as one batch (``_view_batch``), row for row
 what ``build_sparse_map`` per view builds, for one eval-mode
 ``PoolingNetwork.embed_rows`` pass with batch norm folded into the convs.
@@ -43,13 +41,11 @@ from .errors import (
 )
 from .sparseconv import neighbour_table, table_pairs, view_segments
 from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_views, tile_order
-from .training import SlideModel
+from .training import SlideModel, draw_views
 
 EMBED_MAGIC = b"GSLE"
 EMBED_VERSION = 1
 DEFAULT_R_VIEWS = 50
-#: Largest tile set whose views ``draw_views`` draws in one call.
-DRAW_ONE_CALL_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -80,19 +76,6 @@ def _resolve_tiles(model: SlideModel, tiles: int | None, r_views: int) -> int:
             f"trained with {model.train_tiles}; expect degraded embeddings",
             stacklevel=3)
     return tiles
-
-
-def draw_views(rng: np.random.Generator, n: int, tiles: int,
-               r_views: int) -> np.ndarray:
-    """``r_views`` uniform ``tiles``-subsets of ``range(n)`` as the rows of
-    an int64 array, in no order within a row: for n <= ``DRAW_ONE_CALL_MAX``
-    the ``tiles`` smallest of n iid uniforms per row, in one call; above it
-    one ``rng.choice`` per row, whose cost does not grow with n."""
-    if n <= DRAW_ONE_CALL_MAX:
-        return np.argpartition(rng.random((r_views, n)), tiles - 1,
-                               axis=1)[:, :tiles]
-    return np.stack([rng.choice(n, size=tiles, replace=False)
-                     for _ in range(r_views)])
 
 
 def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
@@ -139,7 +122,7 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
 
     Each view holds ``tiles`` tiles drawn without replacement from
     augmentation slice 0 by ``draw_views``: in one call for a bank of at
-    most 512 tiles, view by view above (timings in the module docstring).
+    most 512 tiles, view by view above (timings in its docstring).
     All views run as one batch through ``PoolingNetwork.embed_rows``, eval
     mode with batch norm folded into the convs, and the view outputs are
     averaged then L2-normalized.
@@ -156,7 +139,7 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
             f"{bank.slide_id}: bank features have {bank.feat_dim} dims, "
             f"model expects {model.feat_dim}")
 
-    idx = draw_views(rng, bank.n_tiles, tiles, r_views)
+    idx = draw_views(rng, np.full(r_views, bank.n_tiles), tiles)
     x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx,
                                  model.net_config.kernel_size,
                                  model.store.buffer.dtype)

@@ -20,8 +20,7 @@ views of a step in one call, and ``build_sparse_map`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -213,9 +212,9 @@ _QUARTER_SIN = np.array([0, 1, 0, -1])
 
 
 def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
-                 params: Sequence[SlideAugParams]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``augment_sparse_map`` of views 0..V-1 at once, view v by ``params[v]``.
+                 aug) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``augment_sparse_map`` of views 0..V-1 at once, view v by value v of
+    ``aug``'s five arrays, in ``SlideAugParams`` field order.
 
     The rows are canonical maps, view after view. Scale, quarter turn and
     flip act per row. A flip reflects about the view's bounding box, which
@@ -223,16 +222,13 @@ def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
     parameters keeps its rows: its sites map to themselves, so the sort,
     merge and shift leave it as it is.
     """
-    def per_row(name):
-        return np.array([getattr(p, name) for p in params])[view]
-
-    i = np.floor(sites[:, 0] * per_row("scale_x")).astype(np.int64)
-    j = np.floor(sites[:, 1] * per_row("scale_y")).astype(np.int64)
-    r = per_row("rot_quarters")
+    flip_x, flip_y, r, scale_x, scale_y = (np.asarray(a)[view] for a in aug)
+    i = np.floor(sites[:, 0] * scale_x).astype(np.int64)
+    j = np.floor(sites[:, 1] * scale_y).astype(np.int64)
     cos, sin = _QUARTER_COS[r], _QUARTER_SIN[r]
     i, j = cos * i - sin * j, sin * i + cos * j
-    i = np.where(per_row("flip_x"), -i, i)
-    j = np.where(per_row("flip_y"), -j, j)
+    i = np.where(flip_x, -i, i)
+    j = np.where(flip_y, -j, j)
     # rows arrive sorted by view, then site: the stable sort keeps sites
     # that collide in that order
     order = np.lexsort([j, i, view])
@@ -276,23 +272,21 @@ def augment_sparse_map(smap: SparseMap, params: SlideAugParams) -> SparseMap:
         return smap
 
     _, sites, merged = augment_rows(np.zeros(smap.n_sites, dtype=np.int64),
-                                    smap.sites, smap.features, [params])
+                                    smap.sites, smap.features,
+                                    [[v] for v in astuple(params)])
     return SparseMap(sites, merged)
 
 
-def sample_slide_aug(rng: np.random.Generator) -> SlideAugParams:
-    """Draw slide-level augmentation parameters.
-
-    Flips are Bernoulli(1/2), the quarter-turn count is uniform over {0..3},
-    and each axis scale is uniform on ``SCALE_RANGE``. Draw order is fixed
-    (flip_x, flip_y, rotation, scale_x, scale_y) for reproducibility.
-    """
+def draw_slide_aug(rng: np.random.Generator, n: int) -> tuple:
+    """Slide-level augmentation parameters of n views: five arrays in
+    ``SlideAugParams`` field order, one ``rng`` call each, in that order.
+    Flips are Bernoulli(1/2), the quarter-turn count is uniform over {0..3}
+    and each axis scale is uniform on ``SCALE_RANGE``."""
     lo, hi = SCALE_RANGE
-    return SlideAugParams(
-        flip_x=bool(rng.integers(0, 2)),
-        flip_y=bool(rng.integers(0, 2)),
-        rot_quarters=int(rng.integers(0, 4)),
-        scale_x=float(rng.uniform(lo, hi)),
-        scale_y=float(rng.uniform(lo, hi)),
-    )
+    return (rng.integers(0, 2, n).astype(bool), rng.integers(0, 2, n).astype(bool),
+            rng.integers(0, 4, n), rng.uniform(lo, hi, n), rng.uniform(lo, hi, n))
 
+
+def sample_slide_aug(rng: np.random.Generator) -> SlideAugParams:
+    """One view's ``draw_slide_aug``."""
+    return SlideAugParams(*(a[0].item() for a in draw_slide_aug(rng, 1)))

@@ -6,8 +6,13 @@ the slide level), embeds them with the pooling network, projects them, and
 applies the normalized-temperature cross-entropy loss across the batch.
 Augmentation slice 0 is never drawn here; it is reserved for inference.
 
-``train_step`` builds a step's 2B views as one batch (``sample_batch``),
-bit-identical to building each view alone.
+``sample_batch`` checks every bank, then draws a step's V = 2B views with
+whole-batch ``rng`` calls, in order: slice indices, (V,) in shared mode or
+(V, T); every view's tile set (``draw_views``, embedding's tile draw too);
+five arrays of V values, flip_x, flip_y, rotation, scale_x and scale_y.
+The batch is built as each view alone would be from the same draws. This is
+training stream v2: older checkpoints load and resume bit-identically
+within it, but cannot reproduce an uninterrupted run of the old stream.
 
 A model is laid out once from one name -> shape table, the network's then
 the projector's: ``build_model`` fills it with ``init_params`` from the
@@ -61,8 +66,8 @@ from .sparsemap import (
     SlideAugParams,
     SparseMap,
     augment_rows,
+    draw_slide_aug,
     place_tiles,
-    sample_slide_aug,
 )
 
 
@@ -171,72 +176,90 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # View sampling
 
-def _draw_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator):
-    """The random draws of one view, in their fixed order.
-
-    Shared mode draws a single augmentation slice k >= 1 and then T tile
-    indices without replacement; not-shared mode draws the T tile indices
-    first and then an independent slice index per tile. Slide augmentation
-    parameters come last. Returns ``(coords, features, slices, tiles,
-    params)``.
-    """
-    if cfg.tiles > bank.n_tiles:
-        raise InsufficientTiles(
-            f"bank '{bank.slide_id}' has {bank.n_tiles} tiles per slice, "
-            f"view needs {cfg.tiles}")
-    if bank.n_augs < 2:
-        raise InsufficientTiles(
-            f"bank '{bank.slide_id}' has no augmentation slices beyond the "
-            f"identity slice; training needs at least 2")
-
-    if cfg.shared_aug:
-        ks = int(rng.integers(1, bank.n_augs))
-        tiles = np.sort(rng.choice(bank.n_tiles, size=cfg.tiles, replace=False))
-        augs = (ks,)
-    else:
-        tiles = np.sort(rng.choice(bank.n_tiles, size=cfg.tiles, replace=False))
-        ks = rng.integers(1, bank.n_augs, size=cfg.tiles)
-        augs = tuple(int(k) for k in ks)
-    params = sample_slide_aug(rng) if cfg.slide_aug else None
-    return bank.coords[ks, tiles], bank.features[ks, tiles], augs, tiles, params
+#: Largest tile count whose views ``draw_views`` draws in one call.
+DRAW_ONE_CALL_MAX = 512
 
 
-def _view_rows(coords: list, feats: list, params: list, slide_aug: bool):
-    """Drawn views as canonical map rows ``(view, sites, features)``."""
-    view = np.repeat(np.arange(len(coords)), [len(c) for c in coords])
-    rows = place_tiles(view, np.concatenate(coords).astype(np.int64),
-                       np.concatenate(feats))
-    if slide_aug:
-        rows = augment_rows(*rows, params)
-    return rows
+def draw_views(rng: np.random.Generator, sizes, tiles: int) -> np.ndarray:
+    """One uniform ``tiles``-subset of ``range(n)`` per n in ``sizes``, as
+    the rows of a (V, tiles) int64 array, in no order within a row. When
+    every n <= ``DRAW_ONE_CALL_MAX``, row v is the ``tiles`` smallest of the
+    first n of max(sizes) uniforms, all rows in one ``rng.random`` call
+    (columns from n on are set to 2, so never drawn); otherwise one
+    ``rng.choice`` per row, whose cost does not grow with n (timings in
+    README)."""
+    sizes = np.asarray(sizes)
+    n_max = int(sizes.max())
+    if n_max > DRAW_ONE_CALL_MAX:
+        return np.stack([rng.choice(n, size=tiles, replace=False)
+                         for n in sizes.tolist()])
+    keys = rng.random((len(sizes), n_max))
+    if sizes.min() < n_max:
+        keys[np.arange(n_max) >= sizes[:, None]] = 2.0
+    return np.argpartition(keys, tiles - 1, axis=1)[:, :tiles]
+
+
+def draw_batch(banks: list[EmbeddingBank], cfg: TrainConfig,
+               rng: np.random.Generator, per_bank: int = 2):
+    """Check every bank, then draw ``per_bank`` views of each, a bank's
+    views adjacent, as ``(slices, tiles, aug)``. For V views of T tiles the
+    calls are, in order: slice indices uniform on 1..K-1, (V, 1) in shared
+    mode or (V, T), one per tile; the tile sets, ``draw_views`` over the
+    banks' tile counts, each row then sorted; with slide augmentation the
+    five arrays of V values of ``draw_slide_aug``, else ``aug`` is None."""
+    for bank in banks:
+        if cfg.tiles > bank.n_tiles:
+            raise InsufficientTiles(
+                f"bank '{bank.slide_id}' has {bank.n_tiles} tiles per slice, "
+                f"view needs {cfg.tiles}")
+        if bank.n_augs < 2:
+            raise InsufficientTiles(
+                f"bank '{bank.slide_id}' has no augmentation slices beyond the "
+                f"identity slice; training needs at least 2")
+    n_augs, sizes = np.repeat([[b.n_augs, b.n_tiles] for b in banks],
+                              per_bank, axis=0).T
+    slices = rng.integers(1, n_augs[:, None],
+                          size=(len(sizes), 1 if cfg.shared_aug else cfg.tiles))
+    tiles = np.sort(draw_views(rng, sizes, cfg.tiles), axis=1)
+    return slices, tiles, draw_slide_aug(rng, len(sizes)) if cfg.slide_aug else None
+
+
+def _view_rows(banks: list[EmbeddingBank], draws):
+    """``draw_batch``'s views as canonical map rows ``(view, sites, features)``:
+    one gather per bank, one tile sort and merge, one slide augmentation."""
+    slices, tiles, aug = draws
+    per_bank = (len(banks), len(tiles) // len(banks), -1)
+    picks = list(zip(banks, slices.reshape(per_bank), tiles.reshape(per_bank)))
+    coords = np.concatenate([b.coords[s, t] for b, s, t in picks])
+    feats = np.concatenate([b.features[s, t] for b, s, t in picks])
+    rows = place_tiles(np.repeat(np.arange(len(tiles)), tiles.shape[1]),
+                       coords.reshape(-1, 2).astype(np.int64),
+                       feats.reshape(tiles.size, -1))
+    return rows if aug is None else augment_rows(*rows, aug)
 
 
 def sample_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator
                 ) -> tuple[SparseMap, ViewSpec]:
-    """Draw one training view from a bank.
-
-    The draws are those of ``_draw_view``, so a seeded generator reproduces
-    the view exactly, and the map is the one ``sample_batch`` builds for it.
-    """
-    coords, feats, augs, tiles, params = _draw_view(bank, cfg, rng)
-    _, sites, x = _view_rows([coords], [feats], [params], cfg.slide_aug)
-    spec = ViewSpec(bank.slide_id, cfg.shared_aug, augs,
-                    tuple(int(t) for t in tiles), params)
+    """One training view: ``draw_batch`` of one view, so its rng calls are
+    those of a batch with V = 1 (slice indices, tile set, five augmentation
+    values), and its map is the one ``sample_batch`` builds from them."""
+    draws = slices, tiles, aug = draw_batch([bank], cfg, rng, per_bank=1)
+    _, sites, x = _view_rows([bank], draws)
+    spec = ViewSpec(bank.slide_id, cfg.shared_aug, tuple(slices[0].tolist()),
+                    tuple(tiles[0].tolist()), None if aug is None else
+                    SlideAugParams(*(a[0].item() for a in aug)))
     return SparseMap(sites, x), spec
 
 
 def sample_batch(banks: list[EmbeddingBank], cfg: TrainConfig,
                  rng: np.random.Generator, kernel_size: int):
-    """Two views per bank as network rows ``(x, pairs, segs)``.
-
-    Draws each view as ``sample_view`` does, in bank order, then builds all
-    of them as one batch: one tile sort and merge, one slide augmentation,
-    one ``view_pairs`` table. Rows and pairs equal those of ``sample_view``
-    per view, ``build_rulebook`` and ``merge_rulebooks``.
-    """
-    coords, feats, _, _, params = zip(
-        *[_draw_view(bank, cfg, rng) for bank in banks for _ in range(2)])
-    view, sites, x = _view_rows(coords, feats, params, cfg.slide_aug)
+    """Two views per bank as network rows ``(x, pairs, segs)``: every bank
+    checked, then ``draw_batch``'s whole-batch calls (slice indices, tile
+    sets, five slide augmentation arrays), then one batch build: one tile
+    sort and merge, one augmentation, one ``view_pairs`` table. The rows
+    and pairs are those of ``build_sparse_map``, ``augment_sparse_map`` and
+    ``build_rulebook`` per view on the same draws, rulebooks merged."""
+    view, sites, x = _view_rows(banks, draw_batch(banks, cfg, rng))
     return (x, view_pairs(view, sites, kernel_size),
             view_segments(np.bincount(view)))
 

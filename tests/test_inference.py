@@ -22,10 +22,8 @@ from slidessl.errors import (
     ValidationError,
 )
 from slidessl.inference import (
-    DRAW_ONE_CALL_MAX,
     _view_batch,
     average_mil_embed,
-    draw_views,
     embed_banks,
     embed_dataset,
     embed_slide,
@@ -35,7 +33,13 @@ from slidessl.inference import (
 )
 from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
 from slidessl.sparsemap import build_sparse_map
-from slidessl.training import TrainConfig, build_model, pretrain
+from slidessl.training import (
+    DRAW_ONE_CALL_MAX,
+    TrainConfig,
+    build_model,
+    draw_views,
+    pretrain,
+)
 
 
 def make_bank(slide_id="s", n_tiles=24, n_augs=3, feat_dim=6, seed=0):
@@ -231,7 +235,7 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     # the same draws, one map per view, their rulebooks merged, one
     # folded eval forward
     rng = np.random.default_rng(4)
-    idx = np.sort(draw_views(rng, n_tiles, tiles, r_views), axis=1)
+    idx = np.sort(draw_views(rng, [n_tiles] * r_views, tiles), axis=1)
     coords = bank.coords[0].astype(np.int64)
     feats = bank.features[0].astype(dtype)
     maps = [build_sparse_map((coords[i], feats[i])) for i in idx]
@@ -256,7 +260,8 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
 
 
 # ---------------------------------------------------------------------------
-# draw_views
+# draw_views (training's tile draw) as embedding calls it: one size for all
+# rows
 
 def assert_uniform_subsets(idx, n, tiles, r_views):
     """Rows are ``tiles`` distinct tiles of ``range(n)``, each tile drawn as
@@ -275,13 +280,13 @@ def assert_uniform_subsets(idx, n, tiles, r_views):
 
 @pytest.mark.parametrize("n,tiles", [(48, 5), (48, 16), (600, 5), (600, 64)])
 def test_draw_views_are_uniform_subsets(n, tiles):
-    idx = draw_views(np.random.default_rng([n, tiles]), n, tiles, 4000)
+    idx = draw_views(np.random.default_rng([n, tiles]), [n] * 4000, tiles)
     assert_uniform_subsets(idx, n, tiles, 4000)
 
 
 @pytest.mark.parametrize("n", [1, 48, 512, 513, 600])
 def test_draw_views_of_every_tile_are_permutations(n):
-    idx = draw_views(np.random.default_rng(n), n, n, 7)
+    idx = draw_views(np.random.default_rng(n), [n] * 7, n)
     assert idx.shape == (7, n) and idx.dtype == np.int64
     assert (np.sort(idx, axis=1) == np.arange(n)).all()
 
@@ -290,14 +295,14 @@ def test_draw_rule_switches_after_512_tiles():
     assert DRAW_ONE_CALL_MAX == 512
     for n in (48, 511, 512):       # the T smallest of n uniforms per row
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        idx = draw_views(rng, n, 9, 30)
+        idx = draw_views(rng, [n] * 30, 9)
         keys = ref.random((30, n))
         assert (np.sort(idx, axis=1)
                 == np.sort(np.argsort(keys, axis=1)[:, :9], axis=1)).all()
         assert rng.random() == ref.random()    # one call, the same stream
     for n in (513, 600, 4000):     # rng.choice view by view, as before
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        idx = draw_views(rng, n, 9, 30)
+        idx = draw_views(rng, [n] * 30, 9)
         want = np.stack([ref.choice(n, size=9, replace=False)
                          for _ in range(30)])
         assert idx.tobytes() == want.tobytes() and idx.dtype == want.dtype

@@ -1,5 +1,7 @@
 """Sparse map construction and slide-level geometric augmentation."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,7 +213,8 @@ class TestAugment:
         view = np.repeat(np.arange(12), [m.n_sites for m in maps])
         got_view, sites, feats = augment_rows(
             view, np.concatenate([m.sites for m in maps]),
-            np.concatenate([m.features for m in maps]), params)
+            np.concatenate([m.features for m in maps]),
+            [np.array(a) for a in zip(*map(astuple, params))])
         want = [augment_sparse_map(m, p) for m, p in zip(maps, params)]
         assert np.array_equal(np.bincount(got_view), [w.n_sites for w in want])
         assert sites.tobytes() == np.concatenate([w.sites for w in want]).tobytes()

@@ -2,11 +2,13 @@
 
 import json
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.stats
 
 from slidessl.bank import EmbeddingBank, save_bank
 from slidessl.errors import (
@@ -26,11 +28,18 @@ from slidessl.numcore import (
     mlp_projector_forward,
 )
 from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
-from slidessl.sparsemap import SlideAugParams, sample_slide_aug
+from slidessl.sparsemap import (
+    SlideAugParams,
+    augment_sparse_map,
+    build_sparse_map,
+    draw_slide_aug,
+)
 from slidessl.training import (
     SlideModel,
     TrainConfig,
     build_model,
+    draw_batch,
+    draw_views,
     interleaved_pairing,
     load_model,
     load_train_config,
@@ -551,9 +560,19 @@ def tie_bank(slide_id, n, cells, same_pixel, seed, K=3, F=4, dtype=np.float32):
     return bank
 
 
-def oracle_batch(banks, cfg, rng, kernel_size):
-    """One ``sample_view`` map per view, one rulebook per map, merged."""
-    maps = [sample_view(b, cfg, rng)[0] for b in banks for _ in range(2)]
+def oracle_batch(banks, draws, kernel_size):
+    """One map per view of ``draw_batch``'s draws: ``build_sparse_map`` of
+    the drawn tiles, ``augment_sparse_map`` by the drawn parameters, one
+    rulebook per map, merged."""
+    slices, tiles, aug = draws
+    maps = []
+    for v, (s, t) in enumerate(zip(slices, tiles)):
+        bank = banks[v // 2]
+        smap = build_sparse_map((bank.coords[s, t], bank.features[s, t]))
+        if aug is not None:
+            smap = augment_sparse_map(
+                smap, SlideAugParams(*(a[v].item() for a in aug)))
+        maps.append(smap)
     starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
     segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
     books = [build_rulebook(m, kernel_size) for m in maps]
@@ -561,9 +580,9 @@ def oracle_batch(banks, cfg, rng, kernel_size):
             merge_rulebooks(books, starts), segs)
 
 
-def oracle_step(banks, model, cfg, rng):
+def oracle_step(banks, model, cfg, draws):
     """``train_step`` on the rows and pairs of ``oracle_batch``."""
-    x, pairs, segs = oracle_batch(banks, cfg, rng, model.net_config.kernel_size)
+    x, pairs, segs = oracle_batch(banks, draws, model.net_config.kernel_size)
     model.store.zero_grads()
     pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
     proj, pcache = mlp_projector_forward(pooled, model.store.params)
@@ -576,10 +595,22 @@ def oracle_step(banks, model, cfg, rng):
     return loss
 
 
-def sometimes_identity(rng):
-    """Slide augmentation draws, every other one replaced by the identity."""
-    params = sample_slide_aug(rng)
-    return SlideAugParams() if rng.integers(0, 2) else params
+def record_draws(monkeypatch, identity=False):
+    """The draws of every later ``draw_batch`` call, as the batch built
+    them; with ``identity`` every other view's slide augmentation
+    parameters are set to the identity before the batch sees them."""
+    real, drawn = training.draw_batch, []
+
+    def record(*args, **kwargs):
+        draws = real(*args, **kwargs)
+        if identity:
+            for a, value in zip(draws[2], astuple(SlideAugParams())):
+                a[::2] = value
+        drawn.append(draws)
+        return draws
+
+    monkeypatch.setattr(training, "draw_batch", record)
+    return drawn
 
 
 @pytest.mark.parametrize(
@@ -596,17 +627,15 @@ def sometimes_identity(rng):
 def test_batch_equals_per_view_oracle(monkeypatch, shared, slide_aug, identity,
                                       n, cells, same_pixel, tiles, kernel,
                                       dtype):
-    if identity:
-        monkeypatch.setattr(training, "sample_slide_aug", sometimes_identity)
     banks = [tie_bank(f"s{i}", n, cells, same_pixel, seed=10 * n + i, dtype=dtype)
              for i in range(4)]
     cfg = TrainConfig(tiles=tiles, batch_size=4, shared_aug=shared,
                       slide_aug=slide_aug)
+    drawn = record_draws(monkeypatch, identity)
     for seed in range(5):
         x, pairs, segs = sample_batch(banks, cfg, np.random.default_rng(seed),
                                       kernel)
-        want_x, want_pairs, want_segs = oracle_batch(
-            banks, cfg, np.random.default_rng(seed), kernel)
+        want_x, want_pairs, want_segs = oracle_batch(banks, drawn[-1], kernel)
         assert segs == want_segs
         assert x.dtype == want_x.dtype and x.shape == want_x.shape
         assert x.tobytes() == want_x.tobytes()
@@ -614,25 +643,81 @@ def test_batch_equals_per_view_oracle(monkeypatch, shared, slide_aug, identity,
         for a, b in zip(pairs, want_pairs):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+    assert len(drawn) == 5
 
 
 @pytest.mark.parametrize("shared,slide_aug,dtype", [
     (True, True, np.float32), (False, True, np.float64),
     (True, False, np.float32)])
-def test_train_steps_equal_per_view_oracle_steps(shared, slide_aug, dtype):
+def test_train_steps_equal_per_view_oracle_steps(monkeypatch, shared, slide_aug,
+                                                 dtype):
     banks = [tie_bank(f"s{i}", 14, 3, 4, seed=i) for i in range(3)]
     cfg = TrainConfig(tiles=6, batch_size=3, shared_aug=shared,
                       slide_aug=slide_aug)
-    models = [tiny_model(seed=2, dtype=dtype) for _ in range(2)]
-    rngs = [np.random.default_rng(21) for _ in range(2)]
+    got, want = (tiny_model(seed=2, dtype=dtype) for _ in range(2))
+    drawn = record_draws(monkeypatch)
+    rng = np.random.default_rng(21)
     for _ in range(4):
-        loss = train_step(banks, models[0], cfg, rngs[0])
-        assert loss == oracle_step(banks, models[1], cfg, rngs[1])
-    got, want = models
+        loss = train_step(banks, got, cfg, rng)
+        assert loss == oracle_step(banks, want, cfg, drawn[-1])
     assert got.store.t == want.store.t
     got_arrays = training._checkpoint_arrays(got)
     for name, arr in training._checkpoint_arrays(want).items():
         assert got_arrays[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("shared,slide_aug", [
+    (True, True), (False, True), (True, False)])
+def test_draw_batch_makes_its_documented_calls(shared, slide_aug):
+    """Slice indices, then tile sets, then five augmentation arrays."""
+    banks = [make_bank("a", K=3, n=8), make_bank("b", K=5, n=20)]
+    cfg = TrainConfig(tiles=4, batch_size=2, shared_aug=shared,
+                      slide_aug=slide_aug)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    slices, tiles, aug = draw_batch(banks, cfg, rng)
+    want = ref.integers(1, np.array([[3], [3], [5], [5]]),
+                        size=(4, 1 if shared else 4))
+    assert slices.tobytes() == want.tobytes()
+    want = np.sort(draw_views(ref, [8, 8, 20, 20], 4), axis=1)
+    assert tiles.tobytes() == want.tobytes()
+    if slide_aug:
+        for a, b in zip(aug, draw_slide_aug(ref, 4)):
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+    else:
+        assert aug is None
+    assert rng.random() == ref.random()
+
+
+def tile_bank(n):
+    coords = np.zeros((2, n, 2), dtype=np.int32)
+    coords[:, :, 0] = np.arange(n) * 224
+    return EmbeddingBank(f"n{n}", coords, np.zeros((2, n, 1)))
+
+
+@pytest.mark.parametrize("sizes,tiles", [
+    ((48,), 5), ((48,), 16), ((600,), 5), ((600,), 64),
+    ((40, 300), 7),       # one call, 40-tile rows padded to 300 columns
+    ((48, 600), 7)],      # one rng.choice per view
+    ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_training_tile_draw_is_uniform_without_replacement(sizes, tiles):
+    """Per tile count n, each view's tiles are distinct tiles of range(n),
+    each drawn as often as a uniform subset draws it: the inclusion counts'
+    chi-square, scaled for draws without replacement, against n - 1
+    degrees of freedom."""
+    banks = [tile_bank(n) for n in sizes] * 1000
+    cfg = TrainConfig(tiles=tiles, batch_size=2, slide_aug=False)
+    _, idx, _ = draw_batch(banks, cfg, np.random.default_rng([tiles, *sizes]))
+    assert idx.shape == (2 * len(banks), tiles) and idx.dtype == np.int64
+    assert (np.diff(idx, axis=1) > 0).all()           # sorted, no repeats
+    views = np.repeat([b.n_tiles for b in banks], 2)
+    for n in sizes:
+        rows = idx[views == n]
+        assert rows.min() >= 0 and rows.max() < n     # no padded column
+        p = tiles / n
+        counts = np.bincount(rows.ravel(), minlength=n)
+        stat = ((counts - len(rows) * p) ** 2).sum() / (len(rows) * p * (1 - p))
+        stat *= (n - 1) / n
+        assert scipy.stats.chi2.sf(stat, n - 1) > 1e-3, (n, stat)
 
 
 def test_batch_still_rejects_short_banks():
