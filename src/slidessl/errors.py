@@ -51,6 +51,10 @@ class InsufficientTiles(ValidationError):
     """A view asked for more tiles than the bank slice holds."""
 
 
+class SpanTooLarge(ValidationError):
+    """Integer coordinates span too far to pack into one int64 sort key."""
+
+
 # -- numerics ----------------------------------------------------------------
 
 class NonFiniteGradient(RuntimeFailure):

@@ -40,7 +40,8 @@ from .errors import (
     check_seed,
 )
 from .sparseconv import neighbour_table, table_pairs, view_segments
-from .sparsemap import DOWNSAMPLE_FACTOR, first_of_site, merge_views, tile_order
+from .sparsemap import (DOWNSAMPLE_FACTOR, merge_views, pack_keys, run_starts,
+                        tile_order)
 from .training import SlideModel, draw_views
 
 EMBED_MAGIC = b"GSLE"
@@ -92,9 +93,9 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
     xy, feats = coords[used].astype(np.int64), feats[used].astype(dtype, copy=False)
     sites = xy // DOWNSAMPLE_FACTOR
-    order = tile_order(np.column_stack([sites, xy]), feats)
+    order = tile_order(np.column_stack([sites, xy % DOWNSAMPLE_FACTOR]), feats)
     sites = sites[order]
-    first = first_of_site(sites)
+    first = run_starts(pack_keys(sites))
     site_of = np.cumsum(first) - 1            # distinct-site id per sorted tile
     rank = np.empty(len(coords), dtype=np.int64)
     rank[used[order]] = np.arange(len(used))

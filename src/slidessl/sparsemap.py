@@ -15,16 +15,20 @@ bounding box touches the origin after every transform.
 The sort, merge and shift exist once, for many views laid out as rows
 with a view id (``place_tiles``, ``augment_rows``): training builds all
 views of a step in one call, and ``build_sparse_map`` and
-``augment_sparse_map`` are one-view calls.
+``augment_sparse_map`` are one-view calls. Every canonical order is one
+stable ``argsort`` of one int64 key (``pack_keys``), with sites packed
+relative to their view's corner, so the limit (about 5e8 px per side for
+32 views) is one slide's extent, not the distance between slides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBag
+from .errors import DimensionMismatch, EmptyBag, SpanTooLarge
 
 #: Lattice downsampling factor applied to pixel coordinates.
 DOWNSAMPLE_FACTOR = 224
@@ -101,31 +105,56 @@ def _sort_keys(features: np.ndarray) -> list[np.ndarray]:
     return [bits[:, k] for k in range(bits.shape[1])]
 
 
-def first_of_site(sites: np.ndarray) -> np.ndarray:
-    """True on the first row of each run of equal rows of sorted ``sites``."""
-    first = np.empty(len(sites), dtype=bool)
-    first[:1] = True
-    np.any(sites[1:] != sites[:-1], axis=1, out=first[1:])
-    return first
+def pack_keys(keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of the integer matrix ``keys``, in the rows'
+    lexicographic order (column 0 most significant): each column less its
+    minimum is one digit of a mixed-radix number. ``SpanTooLarge`` names
+    the spans when their product passes the int64 maximum. The columns are
+    copied to rows first: numpy reduces and combines a narrow matrix's
+    columns one row at a time, a contiguous row in one loop."""
+    digits = np.array(keys.T, dtype=np.int64, order="C")
+    lows = digits.min(axis=1)
+    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), digits.max(axis=1).tolist())]
+    if math.prod(spans) > 2 ** 63 - 1:   # the int64 maximum
+        raise SpanTooLarge(f"key columns span {spans}; their product passes int64")
+    digits -= lows[:, None]
+    key = digits[0]
+    for row, span in zip(digits[1:], spans[1:]):
+        key *= span
+        key += row
+    return key
 
 
-def view_starts(view: np.ndarray) -> np.ndarray:
-    """First row of each view; ``view`` is non-decreasing and holds 0..V-1."""
-    return np.flatnonzero(np.diff(view, prepend=-1))
+def run_starts(key: np.ndarray) -> np.ndarray:
+    """True on the first row of each run of equal values of sorted ``key``."""
+    return np.append(True, key[1:] != key[:-1])
+
+
+def origin_sites(view: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """``sites`` (rows of one or two axes) less their view's minimum, so each
+    view's bounding box touches the origin; ``view`` is non-decreasing and
+    holds 0..V-1."""
+    starts = np.flatnonzero(run_starts(view))
+    return sites - np.minimum.reduceat(sites, starts, axis=0)[view]
 
 
 def tile_order(keys: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Canonical row order: the integer columns of ``keys`` (for tiles: view,
     lattice site, pixel x, y), most significant first, then feature bits.
 
-    Feature bits break ties between tiles sharing a pixel, so the merge
-    order does not depend on the order tiles arrived in. They are sorted
-    only within runs of equal keys, which gives the full-key order without
-    sorting wide features for every tile. The sort is stable: a subset given
-    in ascending index order sorts to this order restricted to it.
+    The columns sort as one ``pack_keys`` key. Tiles give their site less
+    the view's minimum (``origin_sites``) and their pixel less the site's
+    corner, which keeps the order and lets a batch of 32 views hold slides
+    of up to about 5e8 px per side, wherever they lie. Feature bits break
+    ties between tiles sharing a pixel, so the merge order does not depend
+    on the order tiles arrived in. They are sorted only within runs of equal
+    keys, which gives the full-key order without sorting wide features for
+    every tile. The sort is stable: a subset given in ascending index order
+    sorts to this order restricted to it.
     """
-    order = np.lexsort(keys.T[::-1])
-    tie = ~first_of_site(keys[order])
+    key = pack_keys(keys)
+    order = np.argsort(key, kind="stable")
+    tie = ~run_starts(key[order])
     if tie.any():
         run = np.cumsum(~tie)
         pos = np.flatnonzero(tie | np.append(tie[1:], False))
@@ -179,31 +208,30 @@ def merge_views(features: np.ndarray, rows: np.ndarray,
 def canonical_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
                    order: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Put rows in ``order``, merge a view's duplicate sites by feature mean,
-    shift each view so its bounding box touches the origin.
+    """Put rows in ``order`` and merge a view's duplicate sites by feature
+    mean; duplicates are runs of one ``pack_keys`` key of view and site.
 
-    ``view`` holds 0..V-1; ``order`` sorts by view, then site, then a
-    tiebreak, and so fixes the merge order. Returns the merged rows'
-    ``(view, sites, features)``.
+    ``view`` holds 0..V-1, ``sites`` are ``origin_sites``; ``order`` sorts
+    by view, then site, then a tiebreak, and so fixes the merge order.
+    Returns the merged rows' ``(view, sites, features)``.
     """
     view, sites = view[order], sites[order]
-    first = first_of_site(np.column_stack([view, sites]))
+    first = run_starts(pack_keys(np.column_stack([view, sites])))
     merged = merge_views(features[order], np.cumsum(first) - 1, view)
-    view, sites = view[first], sites[first]
-    lo = np.minimum.reduceat(sites, view_starts(view), axis=0)
-    return view, sites - lo[view], merged
+    return view[first], sites[first], merged
 
 
 def place_tiles(view: np.ndarray, coords: np.ndarray, features: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tiles of views 0..V-1 on the ``DOWNSAMPLE_FACTOR`` lattice, as rows.
 
-    ``coords`` are non-negative int64 pixel positions. Each view becomes a
-    canonical map, as ``build_sparse_map`` builds it alone; all views share
-    one sort and one merge.
+    ``view`` is non-decreasing; ``coords`` are non-negative int64 pixel
+    positions. Each view becomes a canonical map, as ``build_sparse_map``
+    builds it alone; all views share one sort and one merge.
     """
-    sites = coords // DOWNSAMPLE_FACTOR
-    order = tile_order(np.column_stack([view, sites, coords]), features)
+    sites = origin_sites(view, coords // DOWNSAMPLE_FACTOR)
+    order = tile_order(np.column_stack([view, sites, coords % DOWNSAMPLE_FACTOR]),
+                       features)
     return canonical_rows(view, sites, features, order)
 
 
@@ -227,12 +255,12 @@ def augment_rows(view: np.ndarray, sites: np.ndarray, features: np.ndarray,
     j = np.floor(sites[:, 1] * scale_y).astype(np.int64)
     cos, sin = _QUARTER_COS[r], _QUARTER_SIN[r]
     i, j = cos * i - sin * j, sin * i + cos * j
-    i = np.where(flip_x, -i, i)
-    j = np.where(flip_y, -j, j)
+    sites = origin_sites(view, np.stack([np.where(flip_x, -i, i),
+                                         np.where(flip_y, -j, j)], axis=1))
     # rows arrive sorted by view, then site: the stable sort keeps sites
     # that collide in that order
-    order = np.lexsort([j, i, view])
-    return canonical_rows(view, np.stack([i, j], axis=1), features, order)
+    order = np.argsort(pack_keys(np.column_stack([view, sites])), kind="stable")
+    return canonical_rows(view, sites, features, order)
 
 
 def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray]) -> SparseMap:
@@ -243,8 +271,9 @@ def build_sparse_map(tiles: tuple[np.ndarray, np.ndarray]) -> SparseMap:
     the same lattice site are merged by the element-wise mean of their
     features, and the result is origin-normalized.
 
-    Raises ``EmptyBag`` for no tiles and ``DimensionMismatch`` when the
-    features are not one row per tile.
+    Raises ``EmptyBag`` for no tiles, ``DimensionMismatch`` when the
+    features are not one row per tile and ``SpanTooLarge`` for a slide too
+    wide for ``tile_order``'s key.
     """
     coords, features = (np.asarray(a) for a in tiles)
     if len(coords) == 0:

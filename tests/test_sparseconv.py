@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slidessl.errors import DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache
+from slidessl.errors import (DegenerateBatch, DimensionMismatch, EmptyBag, NoForwardCache,
+                             SpanTooLarge)
 from slidessl.numcore import ParamStore, finite_diff_grad, init_params, max_rel_err
 from slidessl.selfcheck import dense_conv_at_active
 from slidessl.sparseconv import (
@@ -12,6 +14,7 @@ from slidessl.sparseconv import (
     PoolingNetwork,
     PoolingNetworkConfig,
     build_rulebook,
+    column_sums,
     global_average_pool,
     global_average_pool_backward,
     kernel_offsets,
@@ -120,6 +123,11 @@ class TestRulebook:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             build_rulebook(make_map([(0, 0)]), 2)
+
+    def test_unpackable_span_rejected(self):
+        # 2**32 rows of 2**31 + 2 padded columns pass the int64 maximum
+        with pytest.raises(SpanTooLarge, match=str(2 ** 31 + 2)):
+            build_rulebook(make_map([(0, 0), (2 ** 32 - 3, 2 ** 31 - 1)]), 3)
 
 
 class TestSubmConv:
@@ -401,6 +409,59 @@ class TestBatchNorm:
     def test_backward_requires_cache(self):
         with pytest.raises(NoForwardCache):
             sparse_batchnorm_backward(np.zeros((2, 1)), None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,order", [((4510, 16), "C"), ((300, 1), "C"),
+                                             ((64, 64), "C"), ((200, 5), "F")])
+    def test_bytes_equal_mean_var_formulas(self, dtype, shape, order):
+        # a training step's statistics and gradients at its own scale
+        rng = np.random.default_rng(14)
+        x = np.asarray(rng.normal(3.0, 2.0, size=shape), dtype=dtype, order=order)
+        r = rng.normal(size=shape).astype(dtype)
+        gamma, beta = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        stats = [np.full(shape[1], 0.5, dtype), np.full(shape[1], 2.0, dtype)]
+        want_stats = [a.copy() for a in stats]
+        want, want_cache = reference_bn(x, gamma, beta, *want_stats, training=True)
+        got, cache = sparse_batchnorm_forward(x, gamma, beta, *stats, training=True)
+        assert same_bytes(got, want)
+        for a, b in zip(stats, want_stats):
+            assert same_bytes(a, b)
+        _, dgamma, dbeta = sparse_batchnorm_backward(r, cache)
+        assert same_bytes(dgamma, (r * want_cache["xhat"]).sum(axis=0))
+        assert same_bytes(dbeta, r.sum(axis=0))
+
+
+@st.composite
+def summed_arrays(draw):
+    """Finite arrays of 1-64 columns and 1-5,000 rows in every layout numpy
+    hands a reduction: C-ordered, row-strided, misaligned (half an item
+    off), column-major."""
+    n, c = draw(st.integers(1, 5000)), draw(st.integers(1, 64))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = (rng.normal(size=(n, c)) * 10.0 ** draw(st.integers(-30, 30))).astype(dtype)
+    x[:, draw(st.integers(0, c - 1))] = draw(st.sampled_from([-0.0, 1e-310, 1.0]))
+    layout = draw(st.sampled_from(["C", "rows", "misaligned", "F"]))
+    if layout == "rows":
+        step = draw(st.integers(2, 3))
+        wide = np.zeros((n * step, c), dtype)
+        wide[::step] = x
+        x = wide[::step]
+    elif layout == "misaligned":
+        off = x.itemsize // 2
+        raw = np.zeros(x.nbytes + off, np.uint8)[off:].view(dtype).reshape(n, c)
+        raw[...] = x
+        x = raw
+        assert not x.flags.aligned
+    elif layout == "F":
+        x = np.asfortranarray(x)
+    return x
+
+
+@given(summed_arrays())
+@settings(max_examples=150, deadline=None)
+def test_column_sums_bytes_equal_sum(x):
+    assert same_bytes(column_sums(x), x.sum(axis=0))
 
 
 class TestGlobalAveragePool:

@@ -1,12 +1,13 @@
 """Sparse map construction and slide-level geometric augmentation."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidessl.errors import DimensionMismatch, EmptyBag
+from slidessl.errors import DimensionMismatch, EmptyBag, SpanTooLarge
 from slidessl.sparsemap import (
     DOWNSAMPLE_FACTOR,
     SCALE_RANGE,
@@ -17,6 +18,8 @@ from slidessl.sparsemap import (
     augment_sparse_map,
     build_sparse_map,
     merge_rows,
+    pack_keys,
+    place_tiles,
     sample_slide_aug,
     tile_order,
 )
@@ -143,6 +146,60 @@ class TestMergeRows:
         # the merge starts at zero: 0.0 + -0.0 is 0.0
         got = merge_rows(np.array([[-0.0], [1.0], [3.0]]), np.array([0, 1, 1]), 2)
         assert got.tobytes() == np.array([[0.0], [2.0]]).tobytes()
+
+
+@st.composite
+def key_columns(draw):
+    """1-5 int64 columns of up to 300 rows, negatives included; narrow
+    columns repeat values, so rows tie on leading keys."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for _ in range(m):
+        lo = draw(st.integers(-10 ** 12, 10 ** 12))
+        cols.append(rng.integers(lo, lo + draw(st.integers(1, 4000)), size=n))
+    return cols
+
+
+class TestPackKeys:
+    @given(key_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_stable_order_equals_lexsort(self, cols):
+        got = np.argsort(pack_keys(np.column_stack(cols)), kind="stable")
+        assert np.array_equal(got, np.lexsort(cols[::-1]))
+
+    @pytest.mark.parametrize("spans,fits", [
+        ((7, 1317624576693539401), True), ((7, 1317624576693539402), False),
+        ((2 ** 32, 2 ** 31 - 1), True), ((2 ** 32, 2 ** 31), False),
+        ((2 ** 63 - 1,), True), ((2 ** 63,), False), ((1, 2 ** 63 - 1, 1), True)])
+    def test_span_limit_is_int64_max(self, spans, fits):
+        # 7 * 1317624576693539401 is 2**63 - 1
+        lo = np.iinfo(np.int64).min
+        cols = [np.array([s - 1, 0]) if s <= 2 ** 62 else
+                np.array([lo + s - 1, lo], dtype=np.int64) for s in spans]
+        if not fits:
+            with pytest.raises(SpanTooLarge, match=str(max(spans))):
+                pack_keys(np.column_stack(cols))
+            return
+        key = pack_keys(np.column_stack(cols))
+        assert key.tolist() == [math.prod(spans) - 1, 0]
+        assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort(cols[::-1]))
+
+    def test_far_apart_views_pack_per_view(self):
+        # two views 2**60 px apart: packing their absolute sites would need
+        # more than 2**63 keys, each view's own extent needs few
+        rng = np.random.default_rng(16)
+        coords = rng.integers(0, 3 * 224, size=(20, 2))
+        coords[10:] += 2 ** 60
+        feats = rng.normal(size=(20, 3))
+        view = np.repeat([0, 1], 10)
+        got = place_tiles(view, coords, feats)
+        want = [build_sparse_map((coords[s], feats[s])) for s in (view == 0, view == 1)]
+        assert np.array_equal(np.bincount(got[0]), [w.n_sites for w in want])
+        assert got[1].tobytes() == np.concatenate([w.sites for w in want]).tobytes()
+        assert got[2].tobytes() == np.concatenate([w.features for w in want]).tobytes()
+        with pytest.raises(SpanTooLarge):     # one slide that wide does not fit
+            build_sparse_map((coords, feats))
 
 
 class TestTileOrder:

@@ -17,6 +17,7 @@ from slidessl.errors import (
     DimensionMismatch,
     FormatError,
     InsufficientTiles,
+    NonFiniteGradient,
     ValidationError,
 )
 from slidessl import training
@@ -539,6 +540,27 @@ class TestTrainStep:
                     for n in before)
         assert moved > len(before) / 2
         assert model.store.t == 1
+
+    def test_step_after_caught_failure_equals_fresh_copy(self, monkeypatch,
+                                                          tmp_path):
+        # a non-finite loss gradient fails the step in adam_step after
+        # every gradient has been accumulated; the next step must not see it
+        banks = [make_bank(slide_id=f"s{i}", seed=i) for i in range(4)]
+        model = tiny_model(seed=7)
+        train_step(banks, model, self.cfg(), np.random.default_rng(2))
+        with monkeypatch.context() as m:
+            m.setattr(training, "nt_xent",
+                      lambda z, temperature: (0.0, np.full_like(z, np.nan)))
+            with pytest.raises(NonFiniteGradient):
+                train_step(banks, model, self.cfg(), np.random.default_rng(3))
+        save_model(model, tmp_path / "m.ckpt", epoch=0)
+        fresh, _ = load_model(tmp_path / "m.ckpt")
+        losses = [train_step(banks, mdl, self.cfg(), np.random.default_rng(4))
+                  for mdl in (model, fresh)]
+        assert losses[0] == losses[1]
+        assert model.store.buffer.tobytes() == fresh.store.buffer.tobytes()
+        for name, buf in model.net.buffers.items():
+            assert buf.tobytes() == fresh.net.buffers[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
