@@ -437,8 +437,9 @@ def load_model(path) -> tuple[SlideModel, int]:
 def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
                rng: np.random.Generator) -> float:
     """One optimizer step on a batch of slides; returns the batch loss. It
-    starts from zero gradients: ``adam_step`` zeroes them after a step, and
-    a failed step before it raises."""
+    starts from zero gradients: ``adam_step`` zeroes them after a step. A
+    step that raises zeroes them too and puts back the batch-norm running
+    statistics its forward advanced, so it leaves no trace in the model."""
     if len(banks) < 2:
         raise DegenerateBatch(
             f"contrastive batch needs >= 2 slides, got {len(banks)}")
@@ -448,11 +449,12 @@ def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
                 f"bank '{bank.slide_id}' has {bank.feat_dim} feature dims, "
                 f"network expects {model.feat_dim}")
     x, pairs, segs = sample_batch(banks, cfg, rng, model.net_config.kernel_size)
-    pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
-    proj, pcache = mlp_projector_forward(pooled, model.store.params)
-    loss, dproj = nt_xent(proj, temperature=cfg.temperature)
-    dpooled, proj_grads = mlp_projector_backward(dproj, pcache)
+    running = {name: buf.copy() for name, buf in model.net.buffers.items()}
     try:
+        pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
+        proj, pcache = mlp_projector_forward(pooled, model.store.params)
+        loss, dproj = nt_xent(proj, temperature=cfg.temperature)
+        dpooled, proj_grads = mlp_projector_backward(dproj, pcache)
         for name, gradval in proj_grads.items():
             model.store.accumulate(name, gradval.astype(model.store[name].dtype,
                                                         copy=False))
@@ -460,6 +462,8 @@ def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
         adam_step(model.store, cfg.adam)
     except BaseException:     # the caller may catch it and step again
         model.store.zero_grads()
+        for name, buf in model.net.buffers.items():
+            buf[...] = running[name]
         raise
     return loss
 

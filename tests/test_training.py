@@ -1,7 +1,10 @@
 """View sampling, contrastive loss, training loop, checkpoint resume."""
 
+import ctypes
 import json
 import os
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.stats
 
+import slidessl
 from slidessl.bank import EmbeddingBank, save_bank
 from slidessl.errors import (
     DegenerateBatch,
@@ -561,6 +565,80 @@ class TestTrainStep:
         assert model.store.buffer.tobytes() == fresh.store.buffer.tobytes()
         for name, buf in model.net.buffers.items():
             assert buf.tobytes() == fresh.net.buffers[name].tobytes(), name
+
+    def test_failed_step_leaves_running_stats(self, monkeypatch):
+        # the training-mode forward advances every running statistic in
+        # place; a step that then fails must put them back
+        banks = [make_bank(slide_id=f"s{i}", seed=i) for i in range(4)]
+        model = tiny_model(seed=7)
+        train_step(banks, model, self.cfg(), np.random.default_rng(2))
+        before = {n: buf.tobytes() for n, buf in model.net.buffers.items()}
+        with monkeypatch.context() as m:
+            m.setattr(training, "nt_xent",
+                      lambda z, temperature: (0.0, np.full_like(z, np.nan)))
+            with pytest.raises(NonFiniteGradient):
+                train_step(banks, model, self.cfg(), np.random.default_rng(3))
+        assert len(before) == 8
+        for name, buf in model.net.buffers.items():
+            assert buf.tobytes() == before[name], name
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+#: dense training steps in a fresh interpreter; prints each step's minor
+#: page faults after three warm-up steps
+FAULTS_CHILD = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import slidessl
+rng = np.random.default_rng(0)
+banks = [slidessl.EmbeddingBank(f"s{i}", rng.integers(0, 8192, (3, 600, 2)),
+                                rng.normal(size=(3, 600, 16)).astype(np.float32))
+         for i in range(10)]
+net = slidessl.PoolingNetworkConfig(in_channels=16, block_channels=(16, 16),
+                                    out_dim=16)
+model = slidessl.build_model(net, seed=0, train_tiles=256)
+cfg = slidessl.TrainConfig(tiles=256, batch_size=10)
+faults = []
+for step in range(11):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    slidessl.train_step(banks, model, cfg, rng)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults[3:])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _has_mallopt(),
+                    reason="needs glibc's mallopt and Linux fault counts")
+def test_dense_steps_keep_their_heap_pages():
+    # importing slidessl fixes glibc's thresholds, so a dense step reuses
+    # the heap the previous one freed instead of faulting ~1,000 pages in
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_",
+                        "MALLOC_TRIM_THRESHOLD_")}
+    out = subprocess.run([sys.executable, "-c", FAULTS_CHILD, src],
+                         env=dict(env, OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    faults = [int(f) for f in out.stdout.split()]
+    assert len(faults) == 8 and np.median(faults) < 50, faults
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_MMAP_THRESHOLD_", "131072"),
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.malloc.arena_max=2:glibc.malloc.trim_threshold=0"),
+])
+def test_glibc_thresholds_set_by_the_user_are_kept(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert slidessl._keep_freed_heap() is False
 
 
 # ---------------------------------------------------------------------------
