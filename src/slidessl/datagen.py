@@ -51,8 +51,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValidationError(f"n_classes must be >= 1, got {self.n_classes}")
+        if not 1 <= self.n_classes <= len(CLASS_BLOCK_SIDES):
+            raise ValidationError(f"n_classes must lie in 1..{len(CLASS_BLOCK_SIDES)}"
+                                  f" (one prototype layout each), got {self.n_classes}")
         if self.n_slides < 2 * self.n_classes:
             raise ValidationError(
                 f"need >= 2 slides per class, got {self.n_slides} for "
@@ -106,7 +107,7 @@ def _aug_transforms(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _prototype_layout(cfg: GenConfig, label: int) -> np.ndarray:
     """Prototype index per grid cell, (side, side). Label picks block size."""
-    side = CLASS_BLOCK_SIDES[label % len(CLASS_BLOCK_SIDES)]
+    side = CLASS_BLOCK_SIDES[label]
     a, b = np.meshgrid(np.arange(cfg.grid_side), np.arange(cfg.grid_side),
                        indexing="ij")
     return ((a // side) + (b // side)) % cfg.n_prototypes

@@ -83,7 +83,8 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
                 kernel_size: int, dtype):
     """Views ``idx`` (R, T) of one tile set as network rows ``(x, pairs, segs)``:
     row for row and pair for pair what ``build_sparse_map`` per view and
-    ``PoolingNetwork.forward`` build, with features cast to ``dtype``. A
+    ``PoolingNetwork.forward`` build, with features cast to ``dtype`` and
+    the pairs one ``Adjacency`` for every conv pass of the slide. A
     view's tiles, in any order, sort in the order of the whole set
     restricted to them; an ``(R, 1 + sites)`` row map, whose column 0 is -1
     for "no neighbour", restricts the set's neighbour table to each view in

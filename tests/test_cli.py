@@ -54,6 +54,16 @@ def test_gen_verify_flag(tmp_path, capsys):
     assert "marginal-equality statistic" in capsys.readouterr().out
 
 
+def test_gen_refuses_more_classes_than_layouts(tmp_path, capsys):
+    out = tmp_path / "c"
+    rc = main(["gen", "--out", str(out), "--slides", "10", "--classes", "5",
+               "--tiles", "8", "--augs", "2", "--dim", "4", "--extent", "2048"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not list(tmp_path.rglob("*.gsb"))
+
+
 def test_gen_rejects_bad_config(tmp_path):
     rc = main(["gen", "--out", str(tmp_path / "c"), "--slides", "1"])
     assert rc == 1

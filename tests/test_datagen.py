@@ -164,6 +164,12 @@ def test_prototype_layouts_differ_by_class_not_frequency():
     assert (coarse[:, 1:] == coarse[:, :-1]).mean() > 0.7
 
 
+def test_every_allowed_class_has_its_own_layout():
+    cfg = GenConfig(**{**SMALL, "n_slides": 8, "n_classes": 4})
+    layouts = {_prototype_layout(cfg, label).tobytes() for label in range(4)}
+    assert len(layouts) == 4
+
+
 def test_marginal_equality_on_clean_corpus(tmp_path):
     cfg = GenConfig(n_slides=100, n_classes=2, n_tiles=64, n_augs=2,
                     feat_dim=16, grid_extent=2048, seed=7)
@@ -195,6 +201,7 @@ def test_marginal_statistic_insensitive_to_nuisance(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("n_slides", 3),          # fewer than 2 per class
     ("n_classes", 0),
+    ("n_classes", 5),         # more classes than prototype layouts
     ("feat_dim", 1),
     ("n_prototypes", 0),
     ("n_prototypes", 99),     # exceeds feat_dim

@@ -6,6 +6,7 @@ import pytest
 from slidessl.errors import (DimensionMismatch, FormatError, NonFiniteGradient,
                              ValidationError)
 from slidessl.numcore import (
+    ADAM_BLOCK,
     AdamConfig,
     ParamStore,
     adam_step,
@@ -201,6 +202,51 @@ class TestParamStore:
         store.accumulate("c", np.array([0.0, 0.0, np.nan]))
         before = store.buffer.copy()
         with pytest.raises(NonFiniteGradient, match="'c'"):
+            adam_step(store, AdamConfig())
+        assert store.buffer.tobytes() == before.tobytes()
+        assert store.t == 1
+
+    @staticmethod
+    def split_store(n, dtype, rng):
+        """A store of ``n`` elements, in two parameters where ``n`` > 1."""
+        sizes = {"a": n // 3, "b": n - n // 3} if n > 1 else {"b": 1}
+        init = {name: rng.normal(size=size).astype(dtype)
+                for name, size in sizes.items()}
+        return ParamStore(init), {name: a.copy() for name, a in init.items()}
+
+    @pytest.mark.parametrize("n", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1,
+                                   5 * ADAM_BLOCK // 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_blocks_equal_whole_row_update(self, n, dtype, weight_decay):
+        rng = np.random.default_rng(n)
+        store, params = self.split_store(n, dtype, rng)
+        m = {name: np.zeros_like(a) for name, a in params.items()}
+        v = {name: np.zeros_like(a) for name, a in params.items()}
+        cfg = AdamConfig(lr=0.01, weight_decay=weight_decay)
+        for t in range(1, 7):
+            grads = {name: rng.normal(size=a.shape).astype(dtype)
+                     for name, a in params.items()}
+            for name, g in grads.items():
+                store.accumulate(name, g)
+            adam_step(store, cfg)
+            reference_adam_step(params, grads, m, v, t, cfg)
+        assert store.t == 6 and not store.buffer[1].any()
+        for name in params:
+            assert store.params[name].tobytes() == params[name].tobytes(), name
+            assert store.m[name].tobytes() == m[name].tobytes(), name
+            assert store.v[name].tobytes() == v[name].tobytes(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_last_block_moves_nothing(self, bad):
+        store, _ = self.split_store(5 * ADAM_BLOCK // 2, np.float32,
+                                    np.random.default_rng(2))
+        store.accumulate("b", np.ones_like(store["b"]))
+        adam_step(store, AdamConfig())
+        store.accumulate("a", np.ones_like(store["a"]))
+        store.grads["b"][-1] = bad
+        before = store.buffer.copy()
+        with pytest.raises(NonFiniteGradient, match="'b'"):
             adam_step(store, AdamConfig())
         assert store.buffer.tobytes() == before.tobytes()
         assert store.t == 1

@@ -18,6 +18,7 @@ from slidessl.sparseconv import (
     global_average_pool,
     global_average_pool_backward,
     kernel_offsets,
+    neighbour_table,
     network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
@@ -128,6 +129,38 @@ class TestRulebook:
         # 2**32 rows of 2**31 + 2 padded columns pass the int64 maximum
         with pytest.raises(SpanTooLarge, match=str(2 ** 31 + 2)):
             build_rulebook(make_map([(0, 0), (2 ** 32 - 3, 2 ** 31 - 1)]), 3)
+
+
+def reference_neighbour_table(sites, kernel_size):
+    """``neighbour_table`` as one stable sort of the keys and one
+    ``searchsorted`` of every (offset, site) query: the form the search by
+    row windows must reproduce."""
+    c = kernel_size // 2
+    lo_i, lo_j = sites.min(axis=0) - c
+    width = sites[:, 1].max() + c - lo_j + 1
+    keys = (sites[:, 0] - lo_i) * width + (sites[:, 1] - lo_j)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    steps = np.array([di * width + dj for di, dj in kernel_offsets(kernel_size)],
+                     dtype=np.int64)
+    queries = keys + steps[:, None]
+    pos = np.searchsorted(sorted_keys, queries, side="right") - 1
+    return np.where(sorted_keys[pos] == queries, order[pos], -1)
+
+
+@given(st.sets(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+               min_size=1, max_size=80),
+       st.sampled_from([1, 3, 5]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_neighbour_table_equals_sort_and_search(cells, kernel_size, seed):
+    sites = np.array(sorted(cells), dtype=np.int64)   # canonical: by i, then j
+    shuffled = np.random.default_rng(seed).permutation(len(sites))
+    for order in (np.arange(len(sites)), shuffled):
+        got = neighbour_table(sites[order], kernel_size)
+        assert same_bytes(got, reference_neighbour_table(sites[order], kernel_size))
+        repeated = np.concatenate([sites[order], sites[order][-1:]])
+        with pytest.raises(ValueError, match="repeats a site"):
+            neighbour_table(repeated, kernel_size)
 
 
 class TestSubmConv:
@@ -287,6 +320,12 @@ def kernel_cases():
                   rng.normal(size=(sum(sizes), 4)),
                   view_pairs(np.repeat(np.arange(4), sizes),
                              np.concatenate([m.sites for m in maps]), 3)))
+    # three views whose offsets hold 0 pairs or exactly 1: (0, +-1) in the
+    # first view, (+-1, +-1) in the third, none elsewhere
+    sites = np.array([[0, 0], [0, 1], [5, 5], [0, 0], [1, 1]])
+    cases.append((rng.normal(size=(5, 3)), rng.normal(size=(3, 3, 3, 2)),
+                  rng.normal(size=2), rng.normal(size=(5, 2)),
+                  view_pairs(np.array([0, 0, 1, 2, 2]), sites, 3)))
     return cases
 
 
@@ -300,6 +339,10 @@ class TestKernelBytes:
             for got, want in zip(submconv_backward(g, x, w, pairs),
                                  loop_submconv_backward(g, x, w, pairs)):
                 assert same_bytes(got, want)
+
+    def test_offsets_of_zero_and_one_pair(self):
+        pairs = kernel_cases()[-1][-1]
+        assert [len(pr) for pr in pairs] == [1, 0, 0, 1, 5, 1, 0, 0, 1]
 
     def test_zero_offset_must_pair_every_row(self):
         x, w, b, g, pairs = kernel_cases()[0]
