@@ -40,15 +40,14 @@ for offset, pairs in zip(kernel_offsets(3), book.pairs):
 ### One convolution, against the dense oracle ################################
 
 w = rng.normal(size=(3, 3, 3, 5))
-b = rng.normal(size=5)
-out = submconv_forward(smap.features, w, b, book.pairs)
+out = submconv_forward(smap.features, w, book.pairs)
 
 dense = np.zeros((8, 8, 3))
 for (i, j), f in zip(smap.sites, smap.features):
     dense[i, j] = f
 want = []
 for i, j in smap.sites:
-    acc = b.copy()
+    acc = np.zeros(5)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if 0 <= i + di < 8 and 0 <= j + dj < 8:

@@ -9,10 +9,7 @@ Instance i of an op draws from the stream ``[seed, tag, i]``; an op's train
 and eval modes share a tag. No loss restores the BN running buffers: train
 mode folds batch statistics into them but normalizes with the batch
 statistics, so they never reach the loss, and eval mode leaves them as they
-are. Probe directions are kept small where a composed path contains train-mode
-BN: a convolution bias feeding it has an exactly-zero analytic gradient, and
-a small loss scale keeps the finite-difference roundoff on those coordinates
-below the relative-error floor.
+are.
 """
 
 from __future__ import annotations
@@ -79,13 +76,12 @@ def _submconv(rng):
     smap = _random_map(rng, rng.integers(3, 9), c_in)
     pairs = build_rulebook(smap, 3).pairs
     w = rng.normal(size=(3, 3, c_in, c_out))
-    b = rng.normal(size=c_out)
     probe = rng.normal(size=(smap.n_sites, c_out))
 
     def loss():
-        return float((submconv_forward(smap.features, w, b, pairs) * probe).sum())
+        return float((submconv_forward(smap.features, w, pairs) * probe).sum())
 
-    return (loss, (smap.features, w, b),
+    return (loss, (smap.features, w),
             submconv_backward(probe, smap.features, w, pairs))
 
 
@@ -147,7 +143,7 @@ def _randomize_network(net: PoolingNetwork, rng: np.random.Generator) -> None:
     Generic values make every hinge coordinate land strictly off zero.
     """
     for name, p in net.store.params.items():
-        if name.endswith(("conv1.b", "conv2.b", "beta", "head.b")):
+        if name.endswith(("beta", "head.b")):
             p[...] = 0.3 * rng.normal(size=p.shape)
         elif name.endswith("gamma"):
             p[...] = rng.uniform(0.5, 1.5, size=p.shape)
@@ -168,10 +164,7 @@ def _network(rng, training):
     _randomize_network(net, rng)
     maps = [_random_map(rng, int(rng.integers(2, 6)), c_in)
             for _ in range(int(rng.integers(2, 4)))]
-    # small probe: see module docstring on BN and structural zeros;
-    # train mode needs the smaller scale, eval has no zero-grad params
-    scale = 0.001 if training else 0.01
-    probe = scale * rng.normal(size=(len(maps), cfg.out_dim))
+    probe = 0.01 * rng.normal(size=(len(maps), cfg.out_dim))
 
     def loss():
         return float((net.forward(maps, training)[0] * probe).sum())

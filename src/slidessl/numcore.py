@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .container import Reader, string, u32, write_atomic
-from .errors import (DimensionMismatch, NonFiniteGradient, ValidationError,
-                     check_positive)
+from .errors import (DimensionMismatch, FormatError, NonFiniteGradient,
+                     ValidationError, check_positive)
 
 CHECKPOINT_MAGIC = b"GSCK"
 CHECKPOINT_VERSION = 1
@@ -241,6 +241,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(reader.fields[0]):
         name = reader.string("name")
         (rank,) = reader.u32(1, "rank")
+        if rank > 32:   # numpy 1.x's limit; numpy 2 allows 64
+            raise FormatError(f"{reader.name}: '{name}' has rank {rank} > 32")
         shape = reader.u32(rank, "shape")
         arrays[name] = reader.array("<f4", shape, f"data of '{name}'").copy()
     reader.end()

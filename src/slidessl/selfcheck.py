@@ -44,7 +44,7 @@ def a1_gradient_suite(n_instances: int) -> tuple[bool, str]:
     return passed, detail
 
 
-def dense_conv_at_active(smap, weights, bias, extent):
+def dense_conv_at_active(smap, weights, extent):
     """Zero-fill a dense image, convolve with explicit loops, read active sites."""
     c = weights.shape[0] // 2
     img = np.zeros((extent, extent, weights.shape[2]))
@@ -52,7 +52,7 @@ def dense_conv_at_active(smap, weights, bias, extent):
         img[i, j] = f
     rows = []
     for i, j in smap.sites:
-        acc = bias.copy()
+        acc = np.zeros(weights.shape[3])
         for di in range(-c, c + 1):
             for dj in range(-c, c + 1):
                 ii, jj = i + di, j + dj
@@ -78,10 +78,9 @@ def a2_dense_convolution_oracle() -> tuple[bool, str]:
                          axis=1).astype(np.int64)
         smap = SparseMap(sites, rng.normal(size=(n_sites, c_in)))
         weights = rng.normal(size=(kernel, kernel, c_in, c_out))
-        bias = rng.normal(size=c_out)
-        out = submconv_forward(smap.features, weights, bias,
+        out = submconv_forward(smap.features, weights,
                                build_rulebook(smap, kernel).pairs)
-        want = dense_conv_at_active(smap, weights, bias, DENSE_WINDOW)
+        want = dense_conv_at_active(smap, weights, DENSE_WINDOW)
         worst = max(worst, float(np.abs(out - want).max()))
     detail = (f"{DENSE_MAPS} random maps in a {DENSE_WINDOW}x{DENSE_WINDOW} "
               f"window, worst abs err {worst:.2e} (tol {DENSE_TOL:.0e}), "

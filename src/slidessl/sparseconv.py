@@ -19,10 +19,10 @@ with its backward are the only conv and pool implementations: the network,
 ``gradcheck`` and the dense convolution oracle of the acceptance suite
 (A2) all call them. The conv applies the zero offset as one dense product;
 ``submconv_forward`` says why its bytes equal those of a per-pair gather
-and ``+=``. Batch norm and the bias gradient sum columns with
-``column_sums``: ``x.sum(axis=0)``'s bytes without numpy's inner loop per
-row, which dominated them on a step's narrow ``(n, 16)`` rows; one column
-and column-major input keep ``sum``, which sums those pairwise.
+and ``+=``. Batch norm sums columns with ``column_sums``: ``x.sum(axis=0)``'s
+bytes without numpy's inner loop per row, which dominated them on a step's
+narrow ``(n, 16)`` rows; one column and column-major input keep ``sum``,
+which sums those pairwise.
 """
 
 from __future__ import annotations
@@ -198,11 +198,11 @@ def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray
     return merged
 
 
-def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+def submconv_forward(x: np.ndarray, weights: np.ndarray,
                      pairs: Adjacency | list[np.ndarray]) -> np.ndarray:
     """Submanifold convolution of the rows of ``x`` (one per active site).
 
-    out[t] = bias + sum over offsets o of W_o . x[source of t under o], with
+    out[t] = sum over offsets o of W_o . x[source of t under o], with
     ``pairs`` as ``adjacency`` takes them. The zero offset is one dense
     product ``out += x @ W_c`` at its place in the offset order; the other
     offsets' source rows come from one ``take`` per pass, and each offset
@@ -218,7 +218,7 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             f"weights {weights.shape} do not fit {x.shape[1]} input channels "
             f"and {len(pairs)} kernel offsets")
     adj = adjacency(pairs, len(x))
-    out = np.tile(bias, (len(x), 1))
+    out = np.zeros((len(x), weights.shape[3]), weights.dtype)
     xs = x.take(adj.src, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -235,15 +235,14 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 def submconv_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
                       pairs: Adjacency | list[np.ndarray]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input rows, weights, and bias; the zero offset is
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. input rows and weights; the zero offset is
     dense (``dw_c = x.T @ g``, ``dx += g @ W_c.T``) as in the forward, the
     other offsets' gradient and input rows one ``take`` each per pass."""
     k = weights.shape[0]
     adj = adjacency(pairs, len(x))
     dx = np.zeros_like(x)
     dw = np.zeros_like(weights)
-    db = column_sums(grad_out)
     gs, xs = grad_out.take(adj.dst, axis=0), x.take(adj.src, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -256,7 +255,7 @@ def submconv_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
             t = g @ w.T
             t += dx.take(src, axis=0)
             dx[src] = t
-    return dx, dw, db
+    return dx, dw
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +376,16 @@ class PoolingNetworkConfig:
 def network_shapes(config: PoolingNetworkConfig) -> dict[str, tuple[int, ...]]:
     """The network's parameters, name -> shape, in layout order: per block
     conv1, bn1, conv2, bn2 and, where the width changes, a 1x1 skip
-    projection ``proj.w``; then the head."""
+    projection ``proj.w``; then the head. The convs hold weights only:
+    a bias before a batch norm is cancelled by its mean."""
     k = config.kernel_size
     shapes: dict[str, tuple[int, ...]] = {}
     c_prev = config.in_channels
     for b, c in enumerate(config.block_channels):
         p = f"net.block{b}."
-        shapes.update({p + "conv1.w": (k, k, c_prev, c), p + "conv1.b": (c,),
+        shapes.update({p + "conv1.w": (k, k, c_prev, c),
                        p + "bn1.gamma": (c,), p + "bn1.beta": (c,),
-                       p + "conv2.w": (k, k, c, c), p + "conv2.b": (c,),
+                       p + "conv2.w": (k, k, c, c),
                        p + "bn2.gamma": (c,), p + "bn2.beta": (c,)})
         if c_prev != c:
             shapes[p + "proj.w"] = (1, 1, c_prev, c)
@@ -461,17 +461,17 @@ class PoolingNetwork:
     def embed_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
                    segs: list[tuple[int, int]]) -> np.ndarray:
         """``forward_rows(training=False)``'s output up to rounding, with no
-        cache: each batch norm is folded into its conv, as weights ``W s`` and
-        bias ``(b - run_mean) s + beta`` with ``s = gamma / sqrt(run_var +
+        cache: each batch norm is folded into its conv, as weights ``W s``
+        and bias ``beta - run_mean s`` with ``s = gamma / sqrt(run_var +
         BN_EPS)``, anew on every call, so the fold is never stale or saved."""
         st, buf, pairs = self.store, self.buffers, adjacency(pairs, len(x))
         for b in range(self.config.n_blocks):
             p, h = f"net.block{b}.", x
             for i in (1, 2):
-                bn, conv = f"{p}bn{i}.", f"{p}conv{i}."
+                bn = f"{p}bn{i}."
                 s = st[bn + "gamma"] / np.sqrt(buf[bn + "run_var"] + BN_EPS)
-                bias = (st[conv + "b"] - buf[bn + "run_mean"]) * s + st[bn + "beta"]
-                h = submconv_forward(h, st[conv + "w"] * s, bias, pairs)
+                h = submconv_forward(h, st[f"{p}conv{i}.w"] * s, pairs)
+                h += st[bn + "beta"] - buf[bn + "run_mean"] * s
                 if i == 1:
                     np.maximum(h, 0.0, out=h)
             h += x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
@@ -482,10 +482,10 @@ class PoolingNetwork:
                        training: bool) -> tuple[np.ndarray, dict]:
         p = f"net.block{b}."
         st = self.store
-        y1 = submconv_forward(x, st[p + "conv1.w"], st[p + "conv1.b"], pairs)
+        y1 = submconv_forward(x, st[p + "conv1.w"], pairs)
         a1, bn1c = self._batchnorm(y1, p + "bn1", training)
         np.maximum(a1, 0.0, out=a1)
-        y2 = submconv_forward(a1, st[p + "conv2.w"], st[p + "conv2.b"], pairs)
+        y2 = submconv_forward(a1, st[p + "conv2.w"], pairs)
         out, bn2c = self._batchnorm(y2, p + "bn2", training)
         if p + "proj.w" in st:
             out += x @ st[p + "proj.w"][0, 0]
@@ -525,18 +525,14 @@ class PoolingNetwork:
         dy2, dg2, db2 = sparse_batchnorm_backward(dpre, bc["bn2"])
         st.accumulate(p + "bn2.gamma", dg2)
         st.accumulate(p + "bn2.beta", db2)
-        da1, dw2, dbias2 = submconv_backward(dy2, bc["a1"],
-                                             st[p + "conv2.w"], pairs)
+        da1, dw2 = submconv_backward(dy2, bc["a1"], st[p + "conv2.w"], pairs)
         st.accumulate(p + "conv2.w", dw2)
-        st.accumulate(p + "conv2.b", dbias2)
         dy1n = da1 * (bc["a1"] > 0.0)
         dy1, dg1, db1 = sparse_batchnorm_backward(dy1n, bc["bn1"])
         st.accumulate(p + "bn1.gamma", dg1)
         st.accumulate(p + "bn1.beta", db1)
-        dx, dw1, dbias1 = submconv_backward(dy1, bc["x"],
-                                            st[p + "conv1.w"], pairs)
+        dx, dw1 = submconv_backward(dy1, bc["x"], st[p + "conv1.w"], pairs)
         st.accumulate(p + "conv1.w", dw1)
-        st.accumulate(p + "conv1.b", dbias1)
         if p + "proj.w" in st:
             wp = st[p + "proj.w"]
             st.accumulate(p + "proj.w", (bc["x"].T @ dpre)[None, None])

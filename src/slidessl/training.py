@@ -394,9 +394,10 @@ def save_model(model: SlideModel, path, epoch: int):
 
 def load_model(path) -> tuple[SlideModel, int]:
     """Rebuild a model from a checkpoint; returns (model, next epoch). An
-    array holding NaN or infinity, or a running variance (``*.run_var``)
-    below zero, which training never stores, is a ``FormatError`` naming
-    the first."""
+    array holding NaN or infinity, a running variance (``*.run_var``)
+    below zero, which training never stores, or an array the model does
+    not hold (outside ``_checkpoint_arrays`` and ``meta.*``) is a
+    ``FormatError`` naming the first."""
     arrays = load_checkpoint(path)
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
@@ -419,7 +420,13 @@ def load_model(path) -> tuple[SlideModel, int]:
         epoch, model.store.t = (int(v) for v in arrays["meta.state"])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{Path(path).name}: bad model metadata: {exc!r}") from None
-    for name, dest in _checkpoint_arrays(model).items():
+    dests = _checkpoint_arrays(model)
+    extra = next((n for n in arrays
+                  if n not in dests and not n.startswith("meta.")), None)
+    if extra is not None:
+        raise FormatError(f"{Path(path).name}: '{extra}' is not an array "
+                          f"of this model")
+    for name, dest in dests.items():
         src = arrays.get(name)
         if src is None:
             if not name.endswith((".m", ".v")):

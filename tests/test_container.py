@@ -19,7 +19,7 @@ from slidessl.training import build_model, load_model, save_model
 PINNED = {
     "s1.gsb": "7c41426004b79ffc82a5fc296e53f35643dbe5c672d673eef2ededf055de87aa",
     "s1.json": "3d2171ffeb3577831ac3c999643ddc5ab16aea371f6f2436a94b7929548e5f24",
-    "m.ckpt": "eeacccfae6ce9d57aa006046d3f9c5293394370e8b4e6fc484d20b2364dc501b",
+    "m.ckpt": "5cd99afe5b7b82cf6acf5fcc0340b3bf56889df470d51115518705cc0755bf28",
     "e.gse": "046e85b8148bb861439fed0c45d5883c9061e9727a682c5bd3076390c221fe0b",
 }
 

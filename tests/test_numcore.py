@@ -520,6 +520,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="UTF-8"):
             load_checkpoint(path)
 
+    def test_rank_above_numpy_limit(self, tmp_path):
+        from slidessl.container import string, u32
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"GSCK" + u32(1, 1) + string("a") + u32(65)
+                         + u32(*[0] * 65))
+        with pytest.raises(FormatError, match="'a' has rank 65"):
+            load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})

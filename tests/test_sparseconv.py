@@ -168,24 +168,21 @@ class TestSubmConv:
         rng = np.random.default_rng(seed)
         m = random_map(rng, n, dim=c_in)
         w = rng.normal(size=(k, k, c_in, c_out))
-        b = rng.normal(size=c_out)
-        return m, w, b, build_rulebook(m, k).pairs
+        return m, w, build_rulebook(m, k).pairs
 
     def test_single_site_center_tap(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=3)
         m = make_map([(5, 7)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        b = rng.normal(size=4)
-        out = submconv_forward(m.features, w, b, build_rulebook(m, 3).pairs)
-        np.testing.assert_allclose(out[0], f @ w[1, 1] + b, rtol=1e-12)
+        out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
+        np.testing.assert_allclose(out[0], f @ w[1, 1], rtol=1e-12)
 
     def test_identity_kernel(self):
         m = random_map(np.random.default_rng(2), 12, dim=5)
         w = np.zeros((3, 3, 5, 5))
         w[1, 1] = np.eye(5)
-        out = submconv_forward(m.features, w, np.zeros(5),
-                               build_rulebook(m, 3).pairs)
+        out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
         np.testing.assert_allclose(out, m.features, rtol=1e-15)
 
     def test_matches_dense_oracle(self):
@@ -194,41 +191,38 @@ class TestSubmConv:
             n = int(rng.integers(1, 30))
             m = random_map(rng, n, dim=3, extent=8)
             w = rng.normal(size=(3, 3, 3, 4))
-            b = rng.normal(size=4)
-            out = submconv_forward(m.features, w, b, build_rulebook(m, 3).pairs)
-            ref = dense_conv_at_active(m, w, b, extent=8)
+            out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
+            ref = dense_conv_at_active(m, w, extent=8)
             np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_dense_oracle_16_window_kernel5(self):
         rng = np.random.default_rng(6)
         m = random_map(rng, 40, dim=2, extent=16)
         w = rng.normal(size=(5, 5, 2, 3))
-        b = rng.normal(size=3)
-        out = submconv_forward(m.features, w, b, build_rulebook(m, 5).pairs)
-        ref = dense_conv_at_active(m, w, b, extent=16)
+        out = submconv_forward(m.features, w, build_rulebook(m, 5).pairs)
+        ref = dense_conv_at_active(m, w, extent=16)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_preserves_active_sites(self):
-        m, w, b, pairs = self.setup_instance()
-        out = submconv_forward(m.features, w, b, pairs)
+        m, w, pairs = self.setup_instance()
+        out = submconv_forward(m.features, w, pairs)
         assert out.shape == (m.n_sites, 4)
 
     def test_kernel_size_mismatch_is_stale(self):
-        m, w, b, _ = self.setup_instance(k=3)
+        m, w, _ = self.setup_instance(k=3)
         with pytest.raises(DimensionMismatch):
-            submconv_forward(m.features, w, b, build_rulebook(m, 5).pairs)
+            submconv_forward(m.features, w, build_rulebook(m, 5).pairs)
 
     def test_channel_mismatch(self):
-        m, _, b, pairs = self.setup_instance()
+        m, _, pairs = self.setup_instance()
         with pytest.raises(DimensionMismatch):
-            submconv_forward(m.features, np.zeros((3, 3, 7, 4)), np.zeros(4),
-                             pairs)
+            submconv_forward(m.features, np.zeros((3, 3, 7, 4)), pairs)
 
     def test_backward_zero_grad(self):
-        m, w, b, pairs = self.setup_instance()
-        dx, dw, db = submconv_backward(np.zeros((m.n_sites, 4)), m.features,
-                                       w, pairs)
-        assert not dx.any() and not dw.any() and not db.any()
+        m, w, pairs = self.setup_instance()
+        dx, dw = submconv_backward(np.zeros((m.n_sites, 4)), m.features,
+                                   w, pairs)
+        assert not dx.any() and not dw.any()
 
     def test_backward_single_site_closed_form(self):
         rng = np.random.default_rng(9)
@@ -236,39 +230,34 @@ class TestSubmConv:
         g = rng.normal(size=4)
         m = make_map([(2, 2)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        dx, dw, db = submconv_backward(g[None, :], m.features, w,
-                                       build_rulebook(m, 3).pairs)
-        np.testing.assert_allclose(db, g, rtol=1e-14)
+        dx, dw = submconv_backward(g[None, :], m.features, w,
+                                   build_rulebook(m, 3).pairs)
         np.testing.assert_allclose(dw[1, 1], np.outer(f, g), rtol=1e-14)
         np.testing.assert_allclose(dx[0], g @ w[1, 1].T, rtol=1e-14)
         assert not dw[0, 0].any()
 
     def test_backward_matches_finite_differences(self):
-        m, w, b, pairs = self.setup_instance(seed=10, n=14)
+        m, w, pairs = self.setup_instance(seed=10, n=14)
         rng = np.random.default_rng(11)
         r = rng.normal(size=(m.n_sites, 4))
 
-        dx, dw, db = submconv_backward(r, m.features, w, pairs)
+        dx, dw = submconv_backward(r, m.features, w, pairs)
 
         def loss_x(x):
-            return float(np.sum(submconv_forward(x, w, b, pairs) * r))
+            return float(np.sum(submconv_forward(x, w, pairs) * r))
 
         def loss_w(ww):
-            return float(np.sum(submconv_forward(m.features, ww, b, pairs) * r))
-
-        def loss_b(bb):
-            return float(np.sum(submconv_forward(m.features, w, bb, pairs) * r))
+            return float(np.sum(submconv_forward(m.features, ww, pairs) * r))
 
         assert max_rel_err(dx, finite_diff_grad(loss_x, m.features)) < 1e-6
         assert max_rel_err(dw, finite_diff_grad(loss_w, w)) < 1e-6
-        assert max_rel_err(db, finite_diff_grad(loss_b, b)) < 1e-6
 
 
-def loop_submconv_forward(x, weights, bias, pairs):
+def loop_submconv_forward(x, weights, pairs):
     """The per-pair form of the convolution: gather, product, ``+=``
     scatter for every offset, the zero offset included."""
     k = weights.shape[0]
-    out = np.tile(bias, (len(x), 1))
+    out = np.zeros((len(x), weights.shape[3]), weights.dtype)
     for o, pr in enumerate(pairs):
         if len(pr):
             out[pr[:, 1]] += x[pr[:, 0]] @ weights[o // k, o % k]
@@ -280,13 +269,12 @@ def loop_submconv_backward(grad_out, x, weights, pairs):
     k = weights.shape[0]
     dx = np.zeros_like(x)
     dw = np.zeros_like(weights)
-    db = grad_out.sum(axis=0)
     for o, pr in enumerate(pairs):
         if len(pr):
             src, dst = pr[:, 0], pr[:, 1]
             dw[o // k, o % k] = x[src].T @ grad_out[dst]
             dx[src] += grad_out[dst] @ weights[o // k, o % k].T
-    return dx, dw, db
+    return dx, dw
 
 
 def same_bytes(a, b):
@@ -294,7 +282,7 @@ def same_bytes(a, b):
 
 
 def kernel_cases():
-    """(x, weights, bias, grad_out, pairs) over random maps, one-site maps,
+    """(x, weights, grad_out, pairs) over random maps, one-site maps,
     maps whose off-centre offsets are all empty, k = 5 and one channel."""
     rng = np.random.default_rng(40)
     cases = []
@@ -309,14 +297,13 @@ def kernel_cases():
                         rng.normal(size=(3, c_in)))
         for m in maps + [far]:
             cases.append((m.features, rng.normal(size=(k, k, c_in, c_out)),
-                          rng.normal(size=c_out),
                           rng.normal(size=(m.n_sites, c_out)),
                           build_rulebook(m, k).pairs))
     # many maps laid out as rows, as training and inference run them
     sizes = [7, 1, 12, 5]
     maps = [random_map(rng, n, dim=3, extent=6) for n in sizes]
     cases.append((np.concatenate([m.features for m in maps]),
-                  rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4),
+                  rng.normal(size=(3, 3, 3, 4)),
                   rng.normal(size=(sum(sizes), 4)),
                   view_pairs(np.repeat(np.arange(4), sizes),
                              np.concatenate([m.sites for m in maps]), 3)))
@@ -324,7 +311,7 @@ def kernel_cases():
     # first view, (+-1, +-1) in the third, none elsewhere
     sites = np.array([[0, 0], [0, 1], [5, 5], [0, 0], [1, 1]])
     cases.append((rng.normal(size=(5, 3)), rng.normal(size=(3, 3, 3, 2)),
-                  rng.normal(size=2), rng.normal(size=(5, 2)),
+                  rng.normal(size=(5, 2)),
                   view_pairs(np.array([0, 0, 1, 2, 2]), sites, 3)))
     return cases
 
@@ -332,10 +319,10 @@ def kernel_cases():
 class TestKernelBytes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_per_pair_form(self, dtype):
-        for x, w, b, g, pairs in kernel_cases():
-            x, w, b, g = (a.astype(dtype) for a in (x, w, b, g))
-            assert same_bytes(submconv_forward(x, w, b, pairs),
-                              loop_submconv_forward(x, w, b, pairs))
+        for x, w, g, pairs in kernel_cases():
+            x, w, g = (a.astype(dtype) for a in (x, w, g))
+            assert same_bytes(submconv_forward(x, w, pairs),
+                              loop_submconv_forward(x, w, pairs))
             for got, want in zip(submconv_backward(g, x, w, pairs),
                                  loop_submconv_backward(g, x, w, pairs)):
                 assert same_bytes(got, want)
@@ -345,12 +332,12 @@ class TestKernelBytes:
         assert [len(pr) for pr in pairs] == [1, 0, 0, 1, 5, 1, 0, 0, 1]
 
     def test_zero_offset_must_pair_every_row(self):
-        x, w, b, g, pairs = kernel_cases()[0]
+        x, w, g, pairs = kernel_cases()[0]
         center = len(pairs) // 2
         for bad in (pairs[center][1:], np.concatenate([pairs[center]] * 2)):
             broken = pairs[:center] + [bad] + pairs[center + 1:]
             with pytest.raises(DimensionMismatch, match="zero offset"):
-                submconv_forward(x, w, b, broken)
+                submconv_forward(x, w, broken)
             with pytest.raises(DimensionMismatch, match="zero offset"):
                 submconv_backward(g, x, w, broken)
 
@@ -627,11 +614,9 @@ def reference_rows(net, x, pairs, segs, training, grad_z):
                                 buffers[p + name + ".run_mean"],
                                 buffers[p + name + ".run_var"], training)
 
-        y1n, bn1 = bn(loop_submconv_forward(x, st[p + "conv1.w"],
-                                            st[p + "conv1.b"], pairs), "bn1")
+        y1n, bn1 = bn(loop_submconv_forward(x, st[p + "conv1.w"], pairs), "bn1")
         a1 = np.maximum(y1n, 0.0)
-        y2n, bn2 = bn(loop_submconv_forward(a1, st[p + "conv2.w"],
-                                            st[p + "conv2.b"], pairs), "bn2")
+        y2n, bn2 = bn(loop_submconv_forward(a1, st[p + "conv2.w"], pairs), "bn2")
         skip = x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
         pre = y2n + skip
         blocks.append((p, x, a1, y1n > 0.0, pre > 0.0, bn1, bn2))
@@ -648,13 +633,12 @@ def reference_rows(net, x, pairs, segs, training, grad_z):
     for p, xin, a1, mask1, masko, bn1, bn2 in reversed(blocks):
         dpre = dx * masko
         dy2, grads_g2, grads_b2 = sparse_batchnorm_backward(dpre, bn2)
-        da1, dw2, dbias2 = loop_submconv_backward(dy2, a1, st[p + "conv2.w"], pairs)
+        da1, dw2 = loop_submconv_backward(dy2, a1, st[p + "conv2.w"], pairs)
         dy1, grads_g1, grads_b1 = sparse_batchnorm_backward(da1 * mask1, bn1)
-        dx, dw1, dbias1 = loop_submconv_backward(dy1, xin, st[p + "conv1.w"], pairs)
+        dx, dw1 = loop_submconv_backward(dy1, xin, st[p + "conv1.w"], pairs)
         for name, g in [("bn2.gamma", grads_g2), ("bn2.beta", grads_b2),
-                        ("conv2.w", dw2), ("conv2.b", dbias2),
-                        ("bn1.gamma", grads_g1), ("bn1.beta", grads_b1),
-                        ("conv1.w", dw1), ("conv1.b", dbias1)]:
+                        ("conv2.w", dw2), ("bn1.gamma", grads_g1),
+                        ("bn1.beta", grads_b1), ("conv1.w", dw1)]:
             grads[p + name] += g
         if p + "proj.w" in st:
             wp = st[p + "proj.w"]
@@ -694,9 +678,9 @@ class TestResidualBlock:
             xh = (v - mean) / np.sqrt(var + 1e-5)
             return store[name + ".gamma"] * xh + store[name + ".beta"]
 
-        y1 = x @ store[p + "conv1.w"][1, 1] + store[p + "conv1.b"]
+        y1 = x @ store[p + "conv1.w"][1, 1]
         a1 = np.maximum(bn_eval(y1, p + "bn1"), 0.0)
-        y2 = a1 @ store[p + "conv2.w"][1, 1] + store[p + "conv2.b"]
+        y2 = a1 @ store[p + "conv2.w"][1, 1]
         pre = bn_eval(y2, p + "bn2") + x @ store[p + "proj.w"][0, 0]
         np.testing.assert_allclose(out[0], np.maximum(pre, 0.0),
                                    rtol=1e-12)
@@ -860,9 +844,8 @@ class TestPoolingNetwork:
         net, store = build_network(cfg, seed=30)
         rng = np.random.default_rng(31)
         maps = [random_map(rng, n, dim=3) for n in (5, 7)]
-        # conv biases feeding train-mode BN have exactly-zero gradients; a
-        # small loss scale keeps finite-difference roundoff below the
-        # 1e-8 denominator floor for those entries
+        # a small loss scale keeps finite-difference roundoff below the
+        # 1e-8 denominator floor for near-zero gradient entries
         r = 0.01 * rng.normal(size=(2, 6))
 
         z, cache = net.forward(maps, training=True)

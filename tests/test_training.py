@@ -372,9 +372,9 @@ class TestModelCheckpoint:
         for b, c in enumerate(cfg.block_channels):
             p = f"net.block{b}."
             zeros, ones = np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)
-            params.update({p + "conv1.w": conv_init(c_prev, c, k), p + "conv1.b": zeros,
+            params.update({p + "conv1.w": conv_init(c_prev, c, k),
                            p + "bn1.gamma": ones, p + "bn1.beta": zeros,
-                           p + "conv2.w": conv_init(c, c, k), p + "conv2.b": zeros,
+                           p + "conv2.w": conv_init(c, c, k),
                            p + "bn2.gamma": ones, p + "bn2.beta": zeros})
             if c_prev != c:
                 params[p + "proj.w"] = conv_init(c_prev, c, 1)
@@ -482,6 +482,22 @@ class TestModelCheckpoint:
             arrays[name].flat[0] = np.nan
         save_checkpoint(path, arrays)
         with pytest.raises(FormatError, match=f"'{names[2]}'"):
+            load_model(path)
+
+    def test_array_the_model_does_not_hold_rejected(self, tmp_path):
+        """A checkpoint of the layout that held conv biases: the model's
+        arrays plus ``net.block0.conv1.b`` and its moments, in file order."""
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        old = {}
+        for name, arr in load_checkpoint(path).items():
+            old[name] = arr
+            if name.startswith("net.block0.conv1.w"):
+                old[name.replace(".w", ".b")] = np.zeros(6, np.float32)
+        save_checkpoint(path, old)
+        with pytest.raises(FormatError,
+                           match="'net.block0.conv1.b' is not an array"):
             load_model(path)
 
     def test_negative_running_variance_rejected(self, tmp_path):
