@@ -240,6 +240,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(reader.fields[0]):
         name = reader.string("name")
+        if name in arrays:
+            raise FormatError(f"{reader.name}: array '{name}' is repeated")
         (rank,) = reader.u32(1, "rank")
         if rank > 32:   # numpy 1.x's limit; numpy 2 allows 64
             raise FormatError(f"{reader.name}: '{name}' has rank {rank} > 32")

@@ -344,6 +344,21 @@ def test_probe_non_finite_embedding_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "row 5" in err
 
 
+def test_probe_repeated_label_id_exits_1(tmp_path, capsys):
+    from slidessl.inference import save_embeddings
+    ids = [f"s{i}" for i in range(12)]
+    gse = tmp_path / "m.gse"
+    save_embeddings(gse, ids, np.random.default_rng(0).normal(size=(12, 4)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("slide_id,label\n" + "".join(
+        f"{sid},{i % 2}\n" for i, sid in enumerate(ids)) + "s3,0\n")
+    rc = main(["probe", "--embeddings", str(gse), "--labels", str(labels)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'s3' is repeated" in err
+    assert "Traceback" not in err
+
+
 # Each case: the arguments, given the bank directory ``b``, the checkpoint
 # ``m`` and a directory ``t`` that holds ``dir`` (a directory where a file
 # belongs), ``file`` (a file where a directory belongs), ``mil.gse``,

@@ -528,6 +528,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'a' has rank 65"):
             load_checkpoint(path)
 
+    def test_repeated_array_name(self, tmp_path):
+        from slidessl.container import string, u32
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"GSCK" + u32(1, 2)
+                         + string("a") + u32(1, 1) + np.float32(1.0).tobytes()
+                         + string("a") + u32(1, 1) + np.float32(2.0).tobytes())
+        with pytest.raises(FormatError, match="array 'a' is repeated"):
+            load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})

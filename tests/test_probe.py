@@ -489,6 +489,78 @@ class TestSolverBytes:
             assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0)
 
 
+def loss_summed_as_before(w, b, x, onehot, l2):
+    """The loss in the summation order every evaluation used to form it."""
+    logits = x @ w + b
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(logits), axis=1))
+    return ((np.add.reduce(logz) - np.vdot(logits, onehot)) / x.shape[0]
+            + 0.5 * l2 * np.vdot(w, w))
+
+
+class TestLossFormedOnce:
+    """The solver forms the loss once, from the returned point's last
+    evaluation, and writes each gradient into its own stacked rows; both
+    keep the bytes of the five-argument objective, whose loss keeps the
+    bytes it had when every evaluation formed one."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    @pytest.mark.parametrize("normalization", ["l2", "standard"])
+    @pytest.mark.parametrize("max_iter", [0, 1, 17, 20000])
+    def test_loss_is_the_objective_at_the_returned_point(
+            self, n_classes, normalization, max_iter):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n_classes, 5])
+            n, d = int(rng.integers(12, 80)), int(rng.integers(2, 24))
+            y = rng.permutation(np.arange(n) % n_classes)
+            x = rng.normal(size=(n, d)) + 0.7 * rng.normal(size=(n_classes, d))[y]
+            init = None
+            if seed:
+                init = (rng.normal(size=(d, n_classes)), rng.normal(size=n_classes))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit = fit_logistic(x, y, normalization=normalization,
+                                   max_iter=max_iter, init=init)
+            onehot = np.eye(n_classes)[np.searchsorted(fit.classes, y)]
+            args = (fit.weights, fit.bias, fit.apply_norm(x), onehot,
+                    probe.DEFAULT_L2)
+            assert fit.loss.hex() == probe._softmax_loss_grad(*args)[0].hex()
+            assert fit.loss.hex() == loss_summed_as_before(*args).hex()
+
+    @pytest.mark.parametrize("case", ["large_logits", "tied_maxima"])
+    def test_in_place_gradient_bytes(self, case):
+        rng = np.random.default_rng(7)
+        # 12 classes: numpy's row maximum takes its vector path
+        for n_classes in (2, 3, 4, 12):
+            x = rng.normal(size=(30, 6))
+            w = rng.normal(size=(6, n_classes))
+            b = rng.normal(size=n_classes)
+            if case == "large_logits":
+                w *= 1e3
+                b *= 1e3
+            else:
+                w[:, 1] = w[:, 0]
+                b[1] = b[0] = b.max() + 1.0
+                x[::3] = 0.0
+            onehot = np.eye(n_classes)[rng.integers(0, n_classes, size=30)]
+            loss, gw, gb = probe._softmax_loss_grad(w, b, x, onehot,
+                                                    probe.DEFAULT_L2)
+            # the solver's buffers: stale values from another point first
+            logits, p = np.full((2, 30, n_classes), np.nan)
+            grad = np.full((7, n_classes), np.nan)
+            for point in (-w, w):
+                logz = probe._softmax_loss_grad(point, b, x, onehot,
+                                                probe.DEFAULT_L2, logits, p,
+                                                grad)
+            want = reference_softmax_loss_grad(w, b, x, onehot,
+                                               probe.DEFAULT_L2)
+            assert same_bytes(gw, want[1]) and same_bytes(gb, want[2])
+            assert same_bytes(grad[:6], gw)
+            assert same_bytes(grad[6], gb)
+            assert probe._loss(w, logits, logz, onehot,
+                               probe.DEFAULT_L2).hex() == loss.hex()
+
+
 # ---------------------------------------------------------------------------
 # bootstrap_eval
 
@@ -637,6 +709,13 @@ def test_labels_csv_short_row(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("slide_id,label\ns1\n")
     with pytest.raises(FormatError):
+        load_labels_csv(path)
+
+
+def test_labels_csv_repeated_id(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("slide_id,label\na,0\nb,1\na,1\n")
+    with pytest.raises(FormatError, match="slide id 'a' is repeated"):
         load_labels_csv(path)
 
 
