@@ -49,8 +49,9 @@ from slidessl.sparseconv import (
     Rulebook,
     build_rulebook,
     global_average_pool,
-    submconv_backward,
     submconv_forward,
+    submconv_input_grad,
+    submconv_weight_grad,
 )
 from slidessl.sparsemap import (
     SlideAugParams,
@@ -154,8 +155,9 @@ __all__ = [
     "save_bank",
     "save_embeddings",
     "save_model",
-    "submconv_backward",
     "submconv_forward",
+    "submconv_input_grad",
+    "submconv_weight_grad",
     "train_step",
     "verify_marginal_equality",
     "write_report_csv",

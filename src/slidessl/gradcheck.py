@@ -9,7 +9,9 @@ Instance i of an op draws from the stream ``[seed, tag, i]``; an op's train
 and eval modes share a tag. No loss restores the BN running buffers: train
 mode folds batch statistics into them but normalizes with the batch
 statistics, so they never reach the loss, and eval mode leaves them as they
-are.
+are. The network ops check parameter gradients only, as the network makes
+no input-feature gradient; block 0's parameter gradients still test every
+later block's input gradient, and the ``submconv`` op the conv's own.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .sparseconv import (
     network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
-    submconv_backward,
     submconv_forward,
+    submconv_input_grad,
+    submconv_weight_grad,
 )
 from .sparsemap import SparseMap
 from .training import nt_xent
@@ -81,8 +84,10 @@ def _submconv(rng):
     def loss():
         return float((submconv_forward(smap.features, w, pairs) * probe).sum())
 
+    dw = np.zeros_like(w)
+    submconv_weight_grad(probe, smap.features, pairs, dw)
     return (loss, (smap.features, w),
-            submconv_backward(probe, smap.features, w, pairs))
+            (submconv_input_grad(probe, w, pairs), dw))
 
 
 def _batchnorm(rng, training):
@@ -169,9 +174,8 @@ def _network(rng, training):
     def loss():
         return float((net.forward(maps, training)[0] * probe).sum())
 
-    dmaps = net.backward(probe, net.forward(maps, training)[1])
-    return (loss, [m.features for m in maps] + [*store.params.values()],
-            dmaps + [*store.grads.values()])
+    net.backward(probe, net.forward(maps, training)[1])
+    return loss, [*store.params.values()], [*store.grads.values()]
 
 
 CHECKS = (

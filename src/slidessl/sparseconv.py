@@ -14,13 +14,17 @@ offset's (input row, output row) pairs in one array. ``view_pairs`` does
 so once per batch for many maps laid out as rows: a step's views for
 ``PoolingNetwork.forward_rows``, a slide's for ``embed_rows``.
 ``build_rulebook`` and ``merge_rulebooks`` give the same pairs map by map.
-``submconv_forward``, ``submconv_backward`` and ``global_average_pool``
-with its backward are the only conv and pool implementations: the network,
-``gradcheck`` and the dense convolution oracle of the acceptance suite
-(A2) all call them. The conv applies the zero offset as one dense product;
-``submconv_forward`` says why its bytes equal those of a per-pair gather
-and ``+=``. Batch norm sums columns with ``column_sums``: ``x.sum(axis=0)``'s
-bytes without numpy's inner loop per row, which dominated them on a step's
+``submconv_forward``, its backward halves ``submconv_weight_grad`` and
+``submconv_input_grad``, and ``global_average_pool`` with its backward are
+the only conv and pool implementations: the network, ``gradcheck`` and the
+dense convolution oracle of the acceptance suite (A2) all call them. The
+conv applies the zero offset as one dense product; ``submconv_forward``
+says why its bytes equal those of a per-pair gather and ``+=``.
+``PoolingNetwork.backward`` returns nothing: it writes each conv weight
+gradient into the store's zeroed gradient row, adds the others, and makes
+no gradient for the network's input features, which no caller reads.
+Batch norm sums columns with ``column_sums``: ``x.sum(axis=0)``'s bytes
+without numpy's inner loop per row, which dominated them on a step's
 narrow ``(n, 16)`` rows; one column and column-major input keep ``sum``,
 which sums those pairwise.
 """
@@ -153,12 +157,12 @@ def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
     Offsets are scanned row-major over the window. ``pairs[o]`` is an
     ``(m, 2)`` int64 array of (input site, output site) with output sites
     ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
-    offset is the complete identity pairing, which ``submconv_forward`` and
-    ``submconv_backward`` apply as a dense product. The pair order fixes the
-    summation order of ``submconv_backward``'s weight gradient, so it is
-    part of the contract. Raises ``ValueError`` for a repeated site. This
-    is ``view_pairs`` of one map, so checks of a rulebook audit the
-    adjacency that training and ``PoolingNetwork.forward`` build.
+    offset is the complete identity pairing, which the conv kernels apply
+    as a dense product. The pair order fixes the summation order of
+    ``submconv_weight_grad``, so it is part of the contract. Raises
+    ``ValueError`` for a repeated site. This is ``view_pairs`` of one map,
+    so checks of a rulebook audit the adjacency that training and
+    ``PoolingNetwork.forward`` build.
     """
     return Rulebook(kernel_size, list(view_pairs(
         np.zeros(smap.n_sites, dtype=np.int64), smap.sites, kernel_size)))
@@ -233,29 +237,46 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray,
     return out
 
 
-def submconv_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
-                      pairs: Adjacency | list[np.ndarray]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input rows and weights; the zero offset is
-    dense (``dw_c = x.T @ g``, ``dx += g @ W_c.T``) as in the forward, the
-    other offsets' gradient and input rows one ``take`` each per pass."""
-    k = weights.shape[0]
+def submconv_weight_grad(grad_out: np.ndarray, x: np.ndarray,
+                         pairs: Adjacency | list[np.ndarray],
+                         dw: np.ndarray) -> None:
+    """Write the weight gradient into ``dw``, which must be zero: each
+    offset's ``x_src.T @ g_dst`` (the zero offset's dense) by ``np.dot(...,
+    out=)``, which takes BLAS where ``@`` loops over a one-pair offset, with
+    equal bytes; offsets without pairs stay zero. 1 x 1 channels, where
+    ``np.dot`` keeps a -0.0 that ``@`` sums to +0.0, and rows of another
+    dtype than ``dw`` go through ``np.matmul``."""
+    k = dw.shape[0]
+    product = (np.matmul if dw.shape[2:] == (1, 1)
+               or np.result_type(x, grad_out) != dw.dtype else np.dot)
     adj = adjacency(pairs, len(x))
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(weights)
     gs, xs = grad_out.take(adj.dst, axis=0), x.take(adj.src, axis=0)
+    for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
+        if o == len(adj) // 2:
+            product(x.T, grad_out, out=dw[o // k, o % k])
+        elif lo < hi:
+            product(xs[lo:hi].T, gs[lo:hi], out=dw[o // k, o % k])
+
+
+def submconv_input_grad(grad_out: np.ndarray, weights: np.ndarray,
+                        pairs: Adjacency | list[np.ndarray]) -> np.ndarray:
+    """Gradient w.r.t. the input rows; the zero offset is dense (``dx +=
+    g @ W_c.T``) as in the forward, the other offsets' gradient rows one
+    ``take`` per pass."""
+    k = weights.shape[0]
+    adj = adjacency(pairs, len(grad_out))
+    dx = np.zeros((len(grad_out), weights.shape[2]), grad_out.dtype)
+    gs = grad_out.take(adj.dst, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
         if o == len(adj) // 2:
-            dw[o // k, o % k] = x.T @ grad_out
             dx += grad_out @ w.T
         elif lo < hi:
-            src, g = adj.src[lo:hi], gs[lo:hi]
-            dw[o // k, o % k] = xs[lo:hi].T @ g
-            t = g @ w.T
+            src = adj.src[lo:hi]
+            t = gs[lo:hi] @ w.T
             t += dx.take(src, axis=0)
             dx[src] = t
-    return dx, dw
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -497,45 +518,46 @@ class PoolingNetwork:
         return out, {"x": x, "a1": a1, "out": out,
                      "bn1": bn1c, "bn2": bn2c, "p": p}
 
-    def backward(self, grad_z: np.ndarray, cache: dict) -> list[np.ndarray]:
-        """Accumulate parameter gradients; return per-map input-feature grads."""
+    def backward(self, grad_z: np.ndarray, cache: dict) -> None:
+        """Parameter gradients for output gradient ``grad_z``: conv weight
+        gradients are written into ``store.grads``, which must be zero, as
+        ``adam_step`` leaves them, the others added. Backprop stops at block
+        0's parameter gradients; no input-feature gradient is made."""
         if not cache or "pooled" not in cache:
             raise NoForwardCache("network backward needs the forward cache")
         st = self.store
-        segs = cache["segs"]
-        pairs = cache["pairs"]
         grad_z = np.asarray(grad_z)
 
-        w = st["net.head.w"]
         st.accumulate("net.head.w", cache["pooled"].T @ grad_z)
         st.accumulate("net.head.b", grad_z.sum(axis=0))
 
-        dx = global_average_pool_backward(grad_z @ w.T, segs).astype(
+        dx = global_average_pool_backward(grad_z @ st["net.head.w"].T,
+                                          cache["segs"]).astype(
             cache["pooled"].dtype, copy=False)
         for b in range(self.config.n_blocks - 1, -1, -1):
-            dx = self._block_backward(dx, cache["blocks"][b], pairs)
+            dx = self._block_backward(dx, cache["blocks"][b], cache["pairs"], b > 0)
 
-        return [dx[s:e] for s, e in segs]
-
-    def _block_backward(self, dout: np.ndarray, bc: dict,
-                        pairs: Adjacency) -> np.ndarray:
+    def _block_backward(self, dout: np.ndarray, bc: dict, pairs: Adjacency,
+                        input_grad: bool) -> np.ndarray | None:
+        """The block's parameter gradients; returns its input gradient when
+        ``input_grad``, else None."""
         st = self.store
         p = bc["p"]
         dpre = dout * (bc["out"] > 0.0)    # into bn2 and the skip alike
         dy2, dg2, db2 = sparse_batchnorm_backward(dpre, bc["bn2"])
         st.accumulate(p + "bn2.gamma", dg2)
         st.accumulate(p + "bn2.beta", db2)
-        da1, dw2 = submconv_backward(dy2, bc["a1"], st[p + "conv2.w"], pairs)
-        st.accumulate(p + "conv2.w", dw2)
-        dy1n = da1 * (bc["a1"] > 0.0)
+        submconv_weight_grad(dy2, bc["a1"], pairs, st.grads[p + "conv2.w"])
+        dy1n = submconv_input_grad(dy2, st[p + "conv2.w"], pairs)
+        dy1n *= bc["a1"] > 0.0
         dy1, dg1, db1 = sparse_batchnorm_backward(dy1n, bc["bn1"])
         st.accumulate(p + "bn1.gamma", dg1)
         st.accumulate(p + "bn1.beta", db1)
-        dx, dw1 = submconv_backward(dy1, bc["x"], st[p + "conv1.w"], pairs)
-        st.accumulate(p + "conv1.w", dw1)
-        if p + "proj.w" in st:
-            wp = st[p + "proj.w"]
+        submconv_weight_grad(dy1, bc["x"], pairs, st.grads[p + "conv1.w"])
+        proj = p + "proj.w" in st
+        if proj:
             st.accumulate(p + "proj.w", (bc["x"].T @ dpre)[None, None])
-            return dx + dpre @ wp[0, 0].T
-        return dx + dpre
-
+        if not input_grad:
+            return None
+        dx = submconv_input_grad(dy1, st[p + "conv1.w"], pairs)
+        return dx + (dpre @ st[p + "proj.w"][0, 0].T if proj else dpre)

@@ -397,7 +397,8 @@ def load_model(path) -> tuple[SlideModel, int]:
     array holding NaN or infinity, a running variance (``*.run_var``)
     below zero, which training never stores, or an array the model does
     not hold (outside ``_checkpoint_arrays`` and ``meta.*``) is a
-    ``FormatError`` naming the first."""
+    ``FormatError`` naming the first; so is a ``meta.state`` whose epoch
+    or step count is not a non-negative integer."""
     arrays = load_checkpoint(path)
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
@@ -417,9 +418,13 @@ def load_model(path) -> tuple[SlideModel, int]:
                             for name, shape in _shapes(net_config, proj_dim).items()})
         model = SlideModel(store, PoolingNetwork(net_config, store), net_config,
                            proj_dim, None if tiles is None else int(tiles))
-        epoch, model.store.t = (int(v) for v in arrays["meta.state"])
+        state = [float(v) for v in arrays["meta.state"]]
+        epoch, model.store.t = (int(v) for v in state)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{Path(path).name}: bad model metadata: {exc!r}") from None
+    if not all(v >= 0 and v.is_integer() for v in state):
+        raise FormatError(f"{Path(path).name}: 'meta.state' holds {state}; epoch "
+                          f"and step count must be non-negative integers")
     dests = _checkpoint_arrays(model)
     extra = next((n for n in arrays
                   if n not in dests and not n.startswith("meta.")), None)
@@ -485,7 +490,8 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     The per-epoch log is "epoch,loss" CSV. With ``resume`` the checkpoint's
     epoch counter continues the schedule; the random stream of epoch e is
     derived from (seed, e) alone, so the loss trajectory matches an
-    uninterrupted run exactly.
+    uninterrupted run exactly. A checkpoint already past ``cfg.epochs`` is
+    a ``ValidationError``, raised before anything is written.
 
     Every bank stays mapped, each holding a file descriptor, so the soft
     open-file limit is raised first if the bank count needs it. Before any
@@ -510,6 +516,10 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     start_epoch = 0
     if resume and out_checkpoint.exists():
         model, start_epoch = load_model(out_checkpoint)
+        if start_epoch > cfg.epochs:
+            raise ValidationError(
+                f"{out_checkpoint.name} has trained {start_epoch} epochs, past "
+                f"the {cfg.epochs} asked for; resuming would rewrite it backwards")
         if model.feat_dim != feat_dim:
             raise DimensionMismatch(
                 f"checkpoint expects {model.feat_dim} feature dims, "

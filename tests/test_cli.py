@@ -109,6 +109,43 @@ def test_pretrain_single_bank_exits_1(tmp_path, corpus):
     assert rc == 1
 
 
+def resumable_copy(trained, tmp_path):
+    """A copy of the trained checkpoint and its log, and the argv that
+    resumes it with the flags it was trained with."""
+    _, banks, ckpt = trained
+    copy = tmp_path / "m.ckpt"
+    copy.write_bytes(ckpt.read_bytes())
+    copy.with_suffix(".log.csv").write_bytes(ckpt.with_suffix(".log.csv").read_bytes())
+    return copy, ["pretrain", "--banks", str(banks), "--checkpoint", str(copy),
+                  "--tiles", "4", "--batch", "4", "--seed", "1", "--resume"]
+
+
+def test_pretrain_resume_past_epochs_exits_1_and_writes_nothing(
+        trained, tmp_path, capsys):
+    ckpt, argv = resumable_copy(trained, tmp_path)
+    files = [ckpt, ckpt.with_suffix(".log.csv")]
+    before = [f.read_bytes() for f in files]
+    assert main(argv + ["--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: m.ckpt has trained 2 epochs") and "Traceback" not in err
+    assert [f.read_bytes() for f in files] == before
+    assert main(argv + ["--epochs", "2"]) == 0          # already complete
+    assert [f.read_bytes() for f in files] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.log.csv"]
+
+
+def test_pretrain_resume_bad_state_exits_1(trained, tmp_path, capsys):
+    from slidessl.numcore import load_checkpoint, save_checkpoint
+    ckpt, argv = resumable_copy(trained, tmp_path)
+    arrays = load_checkpoint(ckpt)
+    arrays["meta.state"] = np.array([-3.0, 2.5], dtype=np.float32)
+    save_checkpoint(ckpt, arrays)
+    assert main(argv + ["--epochs", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'meta.state'" in err[0]
+
+
 def test_embed_writes_gse_and_csv(trained, tmp_path):
     _, banks, ckpt = trained
     out = tmp_path / "e.gse"

@@ -22,8 +22,9 @@ from slidessl.sparseconv import (
     network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
-    submconv_backward,
     submconv_forward,
+    submconv_input_grad,
+    submconv_weight_grad,
     view_pairs,
     view_segments,
 )
@@ -220,8 +221,8 @@ class TestSubmConv:
 
     def test_backward_zero_grad(self):
         m, w, pairs = self.setup_instance()
-        dx, dw = submconv_backward(np.zeros((m.n_sites, 4)), m.features,
-                                   w, pairs)
+        dx, dw = conv_backward(np.zeros((m.n_sites, 4)), m.features,
+                               w, pairs)
         assert not dx.any() and not dw.any()
 
     def test_backward_single_site_closed_form(self):
@@ -230,8 +231,8 @@ class TestSubmConv:
         g = rng.normal(size=4)
         m = make_map([(2, 2)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        dx, dw = submconv_backward(g[None, :], m.features, w,
-                                   build_rulebook(m, 3).pairs)
+        dx, dw = conv_backward(g[None, :], m.features, w,
+                               build_rulebook(m, 3).pairs)
         np.testing.assert_allclose(dw[1, 1], np.outer(f, g), rtol=1e-14)
         np.testing.assert_allclose(dx[0], g @ w[1, 1].T, rtol=1e-14)
         assert not dw[0, 0].any()
@@ -241,7 +242,7 @@ class TestSubmConv:
         rng = np.random.default_rng(11)
         r = rng.normal(size=(m.n_sites, 4))
 
-        dx, dw = submconv_backward(r, m.features, w, pairs)
+        dx, dw = conv_backward(r, m.features, w, pairs)
 
         def loss_x(x):
             return float(np.sum(submconv_forward(x, w, pairs) * r))
@@ -251,6 +252,13 @@ class TestSubmConv:
 
         assert max_rel_err(dx, finite_diff_grad(loss_x, m.features)) < 1e-6
         assert max_rel_err(dw, finite_diff_grad(loss_w, w)) < 1e-6
+
+
+def conv_backward(grad_out, x, weights, pairs):
+    """(dx, dw) of the convolution from its two backward halves."""
+    dw = np.zeros_like(weights)
+    submconv_weight_grad(grad_out, x, pairs, dw)
+    return submconv_input_grad(grad_out, weights, pairs), dw
 
 
 def loop_submconv_forward(x, weights, pairs):
@@ -323,7 +331,7 @@ class TestKernelBytes:
             x, w, g = (a.astype(dtype) for a in (x, w, g))
             assert same_bytes(submconv_forward(x, w, pairs),
                               loop_submconv_forward(x, w, pairs))
-            for got, want in zip(submconv_backward(g, x, w, pairs),
+            for got, want in zip(conv_backward(g, x, w, pairs),
                                  loop_submconv_backward(g, x, w, pairs)):
                 assert same_bytes(got, want)
 
@@ -339,7 +347,9 @@ class TestKernelBytes:
             with pytest.raises(DimensionMismatch, match="zero offset"):
                 submconv_forward(x, w, broken)
             with pytest.raises(DimensionMismatch, match="zero offset"):
-                submconv_backward(g, x, w, broken)
+                submconv_weight_grad(g, x, broken, np.zeros_like(w))
+            with pytest.raises(DimensionMismatch, match="zero offset"):
+                submconv_input_grad(g, w, broken)
 
 
 def fresh_bn(c):
@@ -600,8 +610,8 @@ def reference_bn(x, gamma, beta, run_mean, run_var, training, eps=1e-5):
 def reference_rows(net, x, pairs, segs, training, grad_z):
     """``forward_rows`` then ``backward`` of ``net`` written out block by
     block with the per-pair convolution, explicit ReLU masks and no
-    in-place update. Returns (z, input grads, parameter grads, buffers)
-    without touching ``net``'s own gradients or buffers."""
+    in-place update. Returns (z, parameter grads, buffers) without
+    touching ``net``'s own gradients or buffers."""
     st = net.store
     buffers = {n: b.copy() for n, b in net.buffers.items()}
     grads = {n: np.zeros_like(st[n]) for n in st.params}
@@ -648,7 +658,7 @@ def reference_rows(net, x, pairs, segs, training, grad_z):
             dx = dx + dpre @ wp[0, 0].T
         else:
             dx = dx + dpre
-    return z, [dx[s:e] for s, e in segs], grads, buffers
+    return z, grads, buffers
 
 
 class TestResidualBlock:
@@ -712,18 +722,75 @@ class TestRowsBytes:
         segs = view_segments(sizes)
         grad_z = rng.normal(size=(4, 6)).astype(dtype)
 
-        want_z, want_dx, want_grads, want_buffers = reference_rows(
+        want_z, want_grads, want_buffers = reference_rows(
             net, x, pairs, segs, training, grad_z)
         z, cache = net.forward_rows(x, pairs, segs, training)
         store.zero_grads()
-        dx = net.backward(grad_z, cache)
+        assert net.backward(grad_z, cache) is None
         assert same_bytes(z, want_z)
-        for got, want in zip(dx, want_dx):
-            assert same_bytes(got, want)
         for name in store.params:
             assert same_bytes(store.grads[name], want_grads[name]), name
         for name, buf in net.buffers.items():
             assert same_bytes(buf, want_buffers[name]), name
+
+
+class TestSparseViewBytes:
+    """Views of five tiles scattered over an 8 x 8 window, as a T = 5 step
+    draws them: four offsets hold exactly one pair and four none."""
+
+    def views(self, dtype):
+        rng = np.random.default_rng(95)
+        maps = [random_map(rng, 5, dim=32, extent=8) for _ in range(6)]
+        pairs = view_pairs(np.repeat(np.arange(6), 5),
+                           np.concatenate([m.sites for m in maps]), 3)
+        x = np.concatenate([m.features for m in maps]).astype(dtype)
+        return x, pairs, view_segments([5] * 6), rng
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_weight_grads_equal_per_pair_form(self, dtype):
+        x, pairs, segs, rng = self.views(dtype)
+        assert [len(pairs[o]) for o in range(9)] == [1, 0, 1, 0, 30, 0, 1, 0, 1]
+        cfg = PoolingNetworkConfig(in_channels=32, block_channels=(16, 16),
+                                   out_dim=6)
+        net, store = build_network(cfg, seed=63, dtype=dtype)
+        grad_z = rng.normal(size=(6, 6)).astype(dtype)
+        _, want_grads, _ = reference_rows(net, x, pairs, segs, True, grad_z)
+        _, cache = net.forward_rows(x, pairs, segs, training=True)
+        store.zero_grads()
+        net.backward(grad_z, cache)
+        for name in store.params:
+            assert same_bytes(store.grads[name], want_grads[name]), name
+        for b in range(2):
+            for conv in ("conv1.w", "conv2.w"):
+                dw = store.grads[f"net.block{b}.{conv}"]
+                assert not dw[[0, 1, 1, 2], [1, 0, 2, 1]].any()   # no pairs
+                assert all(dw[i, j].any() for i in (0, 2) for j in (0, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_grad_of_zero_rows_keeps_positive_zero(self, dtype):
+        """ReLU outputs hold exact zeros; a one-pair product of a zero with
+        a negative gradient is -0.0, which the per-pair form sums to +0.0."""
+        x, pairs, _, rng = self.views(dtype)
+        x[:, ::2] = 0.0
+        g = -np.abs(rng.normal(size=(len(x), 16))).astype(dtype)
+        for c_in, c_out in ((32, 16), (1, 1), (1, 16), (32, 1)):
+            # C-contiguous rows, as the network passes them
+            xc, gc = x[:, :c_in].copy(), g[:, :c_out].copy()
+            w = np.ones((3, 3, c_in, c_out), dtype)
+            dw = np.zeros_like(w)
+            submconv_weight_grad(gc, xc, pairs, dw)
+            assert same_bytes(dw, loop_submconv_backward(gc, xc, w, pairs)[1])
+            assert not np.signbit(dw[dw == 0]).any()
+
+    def test_weight_grad_casts_wider_rows_into_its_dtype(self):
+        """float64 features through a float32 network: each offset's
+        product is made in float64 and rounded once into the float32 row."""
+        x, pairs, _, rng = self.views(np.float64)
+        g = rng.normal(size=(len(x), 16))
+        w = np.ones((3, 3, 32, 16), np.float32)
+        dw = np.zeros_like(w)
+        submconv_weight_grad(g, x, pairs, dw)
+        assert same_bytes(dw, loop_submconv_backward(g, x, w, pairs)[1])
 
 
 class TestFoldedEval:
@@ -850,25 +917,14 @@ class TestPoolingNetwork:
 
         z, cache = net.forward(maps, training=True)
         store.zero_grads()
-        dmaps = net.backward(r, cache)
+        net.backward(r, cache)
         analytic = {n: store.grads[n].copy() for n in store.params}
 
         def run_loss():
             zz, _ = net.forward(maps, training=True)
             return float(np.sum(zz * r))
 
-        # input features of each map
-        for idx, m in enumerate(maps):
-            def f_x(x, idx=idx):
-                trial = list(maps)
-                trial[idx] = SparseMap(maps[idx].sites, x)
-                zz, _ = net.forward(trial, training=True)
-                return float(np.sum(zz * r))
-
-            num = finite_diff_grad(f_x, m.features)
-            assert max_rel_err(dmaps[idx], num) < 1e-4, f"map {idx}"
-
-        # every parameter
+        # every parameter; block 0's reach it through block 1's input grads
         for name in store.params:
             saved = store[name].copy()
 

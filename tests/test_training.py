@@ -430,6 +430,18 @@ class TestModelCheckpoint:
         with pytest.raises(FormatError, match="metadata"):
             load_model(path)
 
+    @pytest.mark.parametrize("state", [[-3.0, 2.5], [1.0, 2.5], [-1.0, 0.0],
+                                       [0.5, 4.0]])
+    def test_state_must_hold_non_negative_integers(self, tmp_path, state):
+        from slidessl.numcore import load_checkpoint, save_checkpoint
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model(), path, epoch=1)
+        arrays = load_checkpoint(path)
+        arrays["meta.state"] = np.array(state, dtype=np.float32)
+        save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="'meta.state'"):
+            load_model(path)
+
     @pytest.mark.parametrize("epoch,t", [(2 ** 24, 0), (0, 2 ** 24)])
     def test_counters_beyond_float32_rejected_before_writing(self, tmp_path,
                                                             epoch, t):
@@ -923,6 +935,19 @@ class TestPretrain:
         full_log = (tmp_path / "full.log.csv").read_text()
         split_log = (tmp_path / "split.log.csv").read_text()
         assert full_log == split_log
+
+    def test_resume_past_the_asked_epochs_is_refused(self, tmp_path):
+        banks = self.corpus(tmp_path)
+        out = tmp_path / "m.ckpt"
+        log = tmp_path / "m.log.csv"
+        pretrain(self.cfg(epochs=3), banks, out, net_config=self.small_net(),
+                 proj_dim=8)
+        before = out.read_bytes(), log.read_bytes()
+        with pytest.raises(ValidationError, match="3 epochs, past the 1"):
+            pretrain(self.cfg(epochs=1), banks, out, resume=True)
+        assert (out.read_bytes(), log.read_bytes()) == before
+        pretrain(self.cfg(epochs=3), banks, out, resume=True)   # complete
+        assert (out.read_bytes(), log.read_bytes()) == before
 
     def test_rerun_is_byte_identical(self, tmp_path):
         banks = self.corpus(tmp_path)
