@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean-tile baseline instead of the trained model")
     emb.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     emb.add_argument("--threads", type=int,
-                     help="accepted and ignored: slides embed one at a time")
+                     help="at least 1; accepted and ignored: slides embed one "
+                          "at a time")
 
     prb = sub.add_parser("probe", help="linear probe embeddings against labels")
     prb.add_argument("--embeddings", required=True, help="embedding file (.gse)")
@@ -184,6 +185,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError(f"embed needs at least 1 thread, got {args.threads}")
     if args.avgmil:
         ids, matrix, failures = embed_banks(
             args.banks, lambda _, bank: average_mil_embed(bank), dim=0)

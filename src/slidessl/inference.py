@@ -86,9 +86,10 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     ``PoolingNetwork.forward`` build, with features cast to ``dtype`` and
     the pairs one ``Adjacency`` for every conv pass of the slide. A
     view's tiles, in any order, sort in the order of the whole set
-    restricted to them; an ``(R, 1 + sites)`` row map, whose column 0 is -1
-    for "no neighbour", restricts the set's neighbour table to each view in
-    one flat ``take``."""
+    restricted to them, so the flat slot key ``view * (1 + sites) + 1 +
+    site`` never decreases and its runs are the rows. A flat row map of
+    those slots, slot 0 of each view -1 for "no neighbour", restricts the
+    set's neighbour table to each view in one ``take``."""
     r_views, tiles = idx.shape
     # only drawn tiles are read, cast and sorted: a paper-scale slice is large
     used = np.flatnonzero(np.bincount(idx.ravel(), minlength=len(coords)))
@@ -102,19 +103,19 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
     rank[used[order]] = np.arange(len(used))
     pos = np.sort(rank[idx], axis=1).ravel()  # each view's tiles, sorted
     view = np.repeat(np.arange(r_views), tiles)
-    tile_site = site_of[pos]
-    n_sites = int(first.sum())
-    present = np.zeros((r_views, n_sites), dtype=bool)
-    present[view, tile_site] = True
-    row_map = np.full((r_views, 1 + n_sites), -1, dtype=np.int64)
-    row_map[:, 1:][present] = np.arange(np.count_nonzero(present))
-    row_view, row_site = np.nonzero(present)
-    tile_row = row_map[view, 1 + tile_site]
-    x = merge_views(feats[order[pos]], tile_row, view)
-    nbr = neighbour_table(sites[first], kernel_size)[:, row_site]
-    nbr += 1 + row_view * (1 + n_sites)       # flat index, -1 -> column 0
-    adj = row_map.take(nbr)
-    return x, table_pairs(adj), view_segments(present.sum(axis=1))
+    tile_site = site_of.take(pos)
+    slots = 1 + int(first.sum())              # per view: "none", then sites
+    slot = view * slots + 1 + tile_site
+    start = run_starts(slot)
+    row_slot, row_site = slot[start], tile_site[start]
+    row_map = np.full(r_views * slots, -1, dtype=np.int64)
+    row_map[row_slot] = np.arange(len(row_slot))
+    x = merge_views(feats.take(order.take(pos), axis=0), np.cumsum(start) - 1,
+                    view)
+    nbr = neighbour_table(sites[first], kernel_size).take(row_site, axis=1)
+    nbr += row_slot - row_site                # flat slot, -1 -> "none"
+    sizes = np.bincount(row_slot // slots, minlength=r_views)
+    return x, table_pairs(row_map.take(nbr)), view_segments(sizes)
 
 
 def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None,

@@ -11,8 +11,9 @@ finds every site's neighbours with one ``searchsorted`` per row shift (the
 hashed kernel map of MinkowskiEngine, with a sorted array for the hash
 table), and ``table_pairs`` turns the table into an ``Adjacency``, every
 offset's (input row, output row) pairs in one array. ``view_pairs`` does
-so once per batch for many maps laid out as rows: a step's views for
-``PoolingNetwork.forward_rows``, a slide's for ``embed_rows``.
+so once per batch for a step's views laid out as rows, for
+``PoolingNetwork.forward_rows``; a slide's views for ``embed_rows`` restrict
+one table of the slide's sites (``inference._view_batch``).
 ``build_rulebook`` and ``merge_rulebooks`` give the same pairs map by map.
 ``submconv_forward``, its backward halves ``submconv_weight_grad`` and
 ``submconv_input_grad``, and ``global_average_pool`` with its backward are
@@ -141,14 +142,17 @@ def neighbour_table(sites: np.ndarray, kernel_size: int) -> np.ndarray:
 
 def table_pairs(table: np.ndarray) -> Adjacency:
     """The ``Adjacency`` of a neighbour table whose zero offset row pairs
-    each row with itself. ``np.nonzero`` walks the ``(k², n)`` table
-    row-major, so the pairs come out ordered by offset, then output row.
+    each row with itself. One ``flatnonzero`` walks the ``(k², n)`` table
+    row-major, so the pairs come out ordered by offset, then output row;
+    each flat position divided by n is ``(offset, dst)``, and the table
+    entry there is ``src``.
     """
     found = table >= 0
     found[len(table) // 2] = False
-    offset, dst = np.nonzero(found)
+    flat = np.flatnonzero(found)
+    offset, dst = np.divmod(flat, table.shape[1])
     bounds = np.searchsorted(offset, np.arange(len(table) + 1)).tolist()
-    return Adjacency(table[offset, dst], dst, bounds, table.shape[1])
+    return Adjacency(table.take(flat), dst, bounds, table.shape[1])
 
 
 def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:

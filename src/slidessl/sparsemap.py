@@ -167,22 +167,23 @@ def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarra
     """Mean of the ``features`` rows sent to each output row by ``rows``.
 
     ``rows`` is non-decreasing and names every output row, so the inputs of
-    an output row are one run. Each output row starts at zero, adds its
-    inputs in the order given, and is divided by their count: the collision
-    merge of every map. Pass r adds the r-th input of every run that has
-    one, longest runs first, so the work is one add per input even when
-    every input lands on one row.
+    an output row are one run: the collision merge of every map. Row i's
+    bytes are ``(0.0 + f_1 + ... + f_n) / n`` over its n inputs in the
+    order given, so a lone -0.0 comes out +0.0. The row starts from its
+    first input plus 0.0, which is ``0.0 + f_1``; pass r adds the r-th input
+    of the runs still that long, and only rows of two or more inputs are
+    divided, as dividing by 1.0 is exact. The work is one add per input
+    even when every input lands on one row.
     """
     counts = np.bincount(rows, minlength=n_rows)
     starts = np.cumsum(counts) - counts
-    merged = np.zeros((n_rows, features.shape[1]), dtype=features.dtype)
-    merged += features[starts]
-    by_size = np.argsort(-counts, kind="stable")
-    longer = np.searchsorted(-counts[by_size], -np.arange(1, counts.max()))
-    for r, n_runs in enumerate(longer.tolist(), start=1):
-        runs = by_size[:n_runs]
-        merged[runs] += features[starts[runs] + r]
-    merged /= counts.astype(features.dtype)[:, None]
+    merged = features.take(starts, axis=0)
+    merged += 0.0
+    multi = runs = np.flatnonzero(counts > 1)
+    for r in range(1, int(counts.max())):
+        runs = runs[counts[runs] > r]
+        merged[runs] += features.take(starts[runs] + r, axis=0)
+    merged[multi] /= counts[multi].astype(features.dtype)[:, None]
     return merged
 
 

@@ -209,6 +209,21 @@ def test_embed_without_checkpoint_exits_1(corpus, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("avgmil", [False, True])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_embed_without_threads_exits_1(trained, tmp_path, capsys, n, avgmil):
+    _, banks, ckpt = trained
+    out = tmp_path / "e.gse"
+    source = ["--avgmil"] if avgmil else ["--checkpoint", str(ckpt)]
+    rc = main(["embed", "--banks", str(banks), *source, "--out", str(out),
+               "--views", "2", "--threads", n])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: embed needs at least 1 thread, got {n}\n"
+    assert not out.exists()
+
+
 def test_embed_corrupt_bank_exits_2(trained, tmp_path, capsys):
     _, banks, ckpt = trained
     broken = tmp_path / "broken"

@@ -220,6 +220,10 @@ def crowded_bank(n_tiles, feat_dim, cells, same_pixel=0, seed=0):
         (35, 4, 5, 10, 12, 1, 6, (8, 8), np.float32),     # k = 1
         (35, 6, 5, 10, 12, 5, 6, (8, 12), np.float64),    # k = 5, two projections
         (60, 20, 0, 5, 30, 3, 8, (8,), np.float32),       # sparse, few collisions
+        # 120 tiles on at most 9 sites: a site holds >= 14 of a view's tiles
+        (200, 3, 20, 120, 10, 3, 6, (8, 8), np.float64),
+        # T = bank size in every view: all 40 tiles on at most 4 sites
+        (40, 2, 10, 40, 6, 3, 6, (8, 8), np.float32),
     ])
 def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
                                           r_views, kernel, feat_dim, blocks,

@@ -25,6 +25,7 @@ from slidessl.sparseconv import (
     submconv_forward,
     submconv_input_grad,
     submconv_weight_grad,
+    table_pairs,
     view_pairs,
     view_segments,
 )
@@ -162,6 +163,58 @@ def test_neighbour_table_equals_sort_and_search(cells, kernel_size, seed):
         repeated = np.concatenate([sites[order], sites[order][-1:]])
         with pytest.raises(ValueError, match="repeats a site"):
             neighbour_table(repeated, kernel_size)
+
+
+def loop_table_pairs(table):
+    """The ``Adjacency`` entries of a neighbour table by a loop over offsets
+    and, within one, over output rows; the zero offset contributes none."""
+    src, dst, bounds = [], [], [0]
+    for o in range(len(table)):
+        for t in range(table.shape[1]):
+            if o != len(table) // 2 and table[o, t] >= 0:
+                src.append(int(table[o, t]))
+                dst.append(t)
+        bounds.append(len(src))
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), bounds
+
+
+class TestTablePairs:
+    @staticmethod
+    def check(table):
+        got = table_pairs(table)
+        src, dst, bounds = loop_table_pairs(table)
+        assert got.src.dtype == got.dst.dtype == np.int64
+        assert same_bytes(got.src, src) and same_bytes(got.dst, dst)
+        assert got.bounds == bounds
+        assert got.n_rows == table.shape[1]
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_neighbour_tables(self, kernel_size):
+        rng = np.random.default_rng(kernel_size)
+        for n_sites in (1, 2, 7, 30, 64):
+            m = random_map(rng, n_sites, dim=1)
+            self.check(neighbour_table(m.sites, kernel_size))
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_random_tables(self, kernel_size):
+        rng = np.random.default_rng(10 + kernel_size)
+        for n in (1, 3, 20, 101):
+            table = rng.integers(-1, n, size=(kernel_size ** 2, n))
+            table[rng.random(table.shape) < 0.5] = -1
+            table[0] = rng.integers(0, n, size=n)      # a full offset
+            self.check(table)
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_tables_without_neighbours(self, kernel_size):
+        table = np.full((kernel_size ** 2, 6), -1, dtype=np.int64)
+        self.check(table)
+        table[len(table) // 2] = np.arange(6)          # the identity only
+        self.check(table)
+        assert table_pairs(table).bounds == [0] * (kernel_size ** 2 + 1)
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_width_zero_table(self, kernel_size):
+        self.check(np.zeros((kernel_size ** 2, 0), dtype=np.int64))
 
 
 class TestSubmConv:

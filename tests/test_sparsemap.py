@@ -18,6 +18,7 @@ from slidessl.sparsemap import (
     augment_sparse_map,
     build_sparse_map,
     merge_rows,
+    merge_views,
     pack_keys,
     place_tiles,
     sample_slide_aug,
@@ -146,6 +147,69 @@ class TestMergeRows:
         # the merge starts at zero: 0.0 + -0.0 is 0.0
         got = merge_rows(np.array([[-0.0], [1.0], [3.0]]), np.array([0, 1, 1]), 2)
         assert got.tobytes() == np.array([[0.0], [2.0]]).tobytes()
+
+    @staticmethod
+    def loop_reference(features, rows, n_rows):
+        """Every output row starts at 0.0, adds its inputs one by one in the
+        order given and is divided by their count, ones included."""
+        merged = np.zeros((n_rows, features.shape[1]), dtype=features.dtype)
+        counts = np.zeros(n_rows, dtype=np.int64)
+        for f, r in zip(features, rows.tolist()):
+            merged[r] += f
+            counts[r] += 1
+        for r in range(n_rows):
+            merged[r] /= features.dtype.type(counts[r])
+        return merged
+
+    @staticmethod
+    def runs_input(sizes, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        feats = (rng.normal(size=(len(rows), 5)) * 1e3).astype(dtype)
+        feats[::2, 0] = -0.0
+        feats[1::3, 2] = -0.0
+        return feats, rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 4, 5, 1, 5, 2, 1, 1, 4, 3],          # lengths 1-5, mixed
+        [3, 1, 5, 5, 2, 1, 1, 1, 4, 2, 3, 5, 1, 4],
+        [1] * 30,                                       # every run length 1
+        [40],                                           # one run, every input
+        [5, 5, 5, 5],
+    ])
+    def test_equals_zero_start_loop(self, sizes, dtype):
+        feats, rows = self.runs_input(sizes, dtype, seed=len(sizes))
+        got = merge_rows(feats, rows, len(sizes))
+        want = self.loop_reference(feats, rows, len(sizes))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the lone -0.0 inputs come out +0.0
+        starts = np.cumsum(sizes) - sizes
+        lone = (np.array(sizes) == 1)[:, None] & (feats[starts] == 0)
+        assert not np.signbit(got[lone]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_views_without_collisions_keep_negative_zero(self, dtype):
+        # view 0 has a collision, so its lone -0.0 becomes +0.0; view 1
+        # has none and keeps its rows as they are; view 2 is view 0 again
+        feats = np.array([[-0.0, 1.0], [2.0, -0.0], [4.0, 3.0],
+                          [-0.0, -0.0], [-0.0, 5.0],
+                          [-0.0, 1.0], [2.0, -0.0], [4.0, 3.0]], dtype=dtype)
+        rows = np.array([0, 1, 1, 2, 3, 4, 5, 5])
+        view = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+        got = merge_views(feats, rows, view)
+        dirty = self.loop_reference(feats[:3], rows[:3], 2)
+        want = np.concatenate([dirty, feats[3:5], dirty])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[[0, 4], 0]).any()
+        assert np.signbit(got[2]).all() and np.signbit(got[3, 0])
+
+    def test_views_without_any_collision_are_returned_as_given(self):
+        feats = np.array([[-0.0], [1.0], [-0.0]], dtype=np.float32)
+        got = merge_views(feats, np.arange(3), np.array([0, 0, 1]))
+        assert got.tobytes() == feats.tobytes()
 
 
 @st.composite
