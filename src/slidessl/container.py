@@ -4,6 +4,9 @@ A file is a 4-byte magic, a u32 version, then little-endian fields: u32s,
 strings (u32 byte count, then UTF-8) and raw arrays. Each format picks the
 fields; parsing, its checks and atomic writes live here.
 
+``write_csv`` writes the text reports (embedding and probe CSVs) through
+the same atomic replace.
+
 A file is read through a read-only memory map, so arrays read from it are
 views of the page cache. A mapping lives, and holds one file descriptor,
 until the last array viewing it is freed. Truncating a file in place while
@@ -11,7 +14,9 @@ such arrays live can end the process with SIGBUS; every writer here replaces
 files atomically (``write_atomic``), which leaves a mapped old file intact.
 """
 
+import csv
 import errno
+import io
 import math
 import mmap
 import os
@@ -53,6 +58,18 @@ def write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write rows of strings as CSV with "\n" line ends, atomically. A field
+    holding a comma, quote or "\n" is quoted; csv's minimal quoting leaves a
+    lone "\r" bare, so a row holding one is quoted whole."""
+    text = io.StringIO()
+    minimal = csv.writer(text, lineterminator="\n")
+    whole = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (whole if any("\r" in f for f in row) else minimal).writerow(row)
+    write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def reserve_descriptors(n_maps: int) -> None:

@@ -12,7 +12,9 @@ draws them, in one call for at most 512 tiles and view by view above.
 ``embed_slide`` builds them as one batch (``_view_batch``), row for row
 what ``build_sparse_map`` per view builds, for one eval-mode
 ``PoolingNetwork.embed_rows`` pass with batch norm folded into the convs.
-Slides are embedded one at a time, in order.
+Slides are embedded one at a time, in order. ``embed_dataset`` folds once
+per call and passes the fold to every slide; ``embed_slide`` called alone
+folds for itself.
 
 The module also provides the mean-tile baseline and the ``.gse`` file of
 embedding matrices (a ``container`` with magic ``GSLE``) with a CSV export.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import EmbeddingBank, list_banks, load_bank
-from .container import Reader, string, u32, write_atomic
+from .container import Reader, string, u32, write_atomic, write_csv
 from .errors import (
     CorruptBank,
     DegenerateEmbedding,
@@ -120,15 +122,17 @@ def _view_batch(coords: np.ndarray, feats: np.ndarray, idx: np.ndarray,
 
 def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None,
                 r_views: int = DEFAULT_R_VIEWS,
-                rng: np.random.Generator | None = None) -> SlideEmbedding:
+                rng: np.random.Generator | None = None,
+                fold=None) -> SlideEmbedding:
     """Ensemble ``r_views`` sampled views into one unit-norm slide vector.
 
     Each view holds ``tiles`` tiles drawn without replacement from
     augmentation slice 0 by ``draw_views``: in one call for a bank of at
     most 512 tiles, view by view above (timings in its docstring).
     All views run as one batch through ``PoolingNetwork.embed_rows``, eval
-    mode with batch norm folded into the convs, and the view outputs are
-    averaged then L2-normalized.
+    mode with batch norm folded into the convs (``fold``, as
+    ``fold_batchnorm`` gives it, or a fold of its own), and the view
+    outputs are averaged then L2-normalized.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -146,7 +150,7 @@ def embed_slide(bank: EmbeddingBank, model: SlideModel, tiles: int | None = None
     x, pairs, segs = _view_batch(bank.coords[0], bank.features[0], idx,
                                  model.net_config.kernel_size,
                                  model.store.buffer.dtype)
-    mean = model.net.embed_rows(x, pairs, segs).mean(axis=0)
+    mean = model.net.embed_rows(x, pairs, segs, fold).mean(axis=0)
     if not np.isfinite(mean).all():
         raise DegenerateEmbedding(
             f"{bank.slide_id}: view-averaged vector is not finite")
@@ -210,16 +214,18 @@ def embed_dataset(bank_dir, model: SlideModel, tiles: int | None = None,
     sorted listing, so failures elsewhere never change a slide's embedding.
     ``threads`` is ignored: a slide's many small numpy calls hold the GIL.
     The counts are checked, and a tile count other than the checkpoint's
-    warns once, here, before any slide.
+    warns once, here, before any slide. Batch norm is folded into the convs
+    once, here, and the fold is dropped when the call returns.
     """
     check_seed(seed)
     tiles = _resolve_tiles(model, tiles, r_views)
     model = replace(model, train_tiles=tiles)   # so no slide warns again
+    fold = model.net.fold_batchnorm()
 
     def one(slide_idx, bank):
         rng = np.random.default_rng([seed, 2, slide_idx])
         return embed_slide(bank, model, tiles=tiles, r_views=r_views,
-                           rng=rng).vector
+                           rng=rng, fold=fold).vector
 
     return embed_banks(bank_dir, one, model.net_config.out_dim)
 
@@ -268,13 +274,16 @@ def _repeated_id(ids: list[str]) -> str | None:
 
 
 def export_embeddings_csv(path, ids: list[str], matrix: np.ndarray) -> None:
-    """Write the same matrix as CSV with header id,v0,...  One row per slide."""
+    """Write the same matrix as CSV with header id,v0,...  One row per slide,
+    fields quoted where CSV needs it. A repeated id raises
+    ``ValidationError`` before anything is written."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match {len(ids)} ids")
-    dim = matrix.shape[1]
-    lines = ["id," + ",".join(f"v{j}" for j in range(dim))]
-    for sid, row in zip(ids, matrix):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in row))
-    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    dup = _repeated_id(ids)
+    if dup is not None:
+        raise ValidationError(f"slide id {dup!r} is repeated")
+    header = ["id"] + [f"v{j}" for j in range(matrix.shape[1])]
+    write_csv(path, [header] + [[sid] + [repr(float(v)) for v in row]
+                                for sid, row in zip(ids, matrix)])

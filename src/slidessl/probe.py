@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import write_atomic
+from .container import write_csv
 from .errors import (BudgetTooSmall, DegenerateLabels, DimensionMismatch,
                      FormatError, ValidationError, check_positive, check_seed)
 
@@ -399,15 +399,16 @@ def align_labels(ids: list[str], label_map: dict[str, str]):
 
 
 def write_report_csv(path, reports: list[ProbeReport]) -> None:
-    """task,budget,split,auc rows, then one mean/std summary row per report."""
-    lines = ["task,budget,split,auc"]
+    """task,budget,split,auc rows, then one mean/std summary row per report;
+    fields quoted where CSV needs it."""
+    rows = [["task", "budget", "split", "auc"]]
     for rep in reports:
         for split, value in enumerate(rep.aucs):
-            lines.append(f"{rep.task},{rep.budget},{split},{value!r}")
+            rows.append([str(rep.task), str(rep.budget), str(split), repr(value)])
     for rep in reports:
-        lines.append(f"{rep.task},{rep.budget},mean,{rep.mean!r}")
-        lines.append(f"{rep.task},{rep.budget},std,{rep.std!r}")
-    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+        rows.append([str(rep.task), str(rep.budget), "mean", repr(rep.mean)])
+        rows.append([str(rep.task), str(rep.budget), "std", repr(rep.std)])
+    write_csv(path, rows)
 
 
 def format_report_table(reports: list[ProbeReport]) -> str:

@@ -23,6 +23,7 @@ relative to their view's corner, so the limit (about 5e8 px per side for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -163,6 +164,33 @@ def tile_order(keys: np.ndarray, features: np.ndarray) -> np.ndarray:
     return order
 
 
+@functools.lru_cache(maxsize=None)
+def _row_item(size: int) -> np.dtype:
+    return np.dtype((np.void, size))    # made once per row size: ~0.8 us
+
+
+def row_writer(dest: np.ndarray):
+    """A function ``put(rows, src)`` that does ``dest[rows] = src`` for 2-D
+    ``dest``, ``src`` holding one row per index. Where both are C-contiguous
+    with one dtype, each row is viewed as one ``void`` item and copied
+    whole: numpy's fancy store otherwise runs its inner loop once per row
+    (44 against 26 us for 1,900 rows of 16 float32). Bytes are copied, not
+    converted, so -0.0 and NaN payloads survive; other operands take the
+    plain store. ``dest``'s item view is made once, for all its stores."""
+    size = dest.shape[1] * dest.itemsize
+    if not size or not dest.flags.c_contiguous:
+        return dest.__setitem__
+    item = _row_item(size)
+    items = dest.view(item)[:, 0]
+
+    def put(rows: np.ndarray, src: np.ndarray) -> None:
+        if src.dtype == dest.dtype and src.flags.c_contiguous:
+            items[rows] = src.view(item)[:, 0]
+        else:
+            dest[rows] = src
+    return put
+
+
 def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """Mean of the ``features`` rows sent to each output row by ``rows``.
 
@@ -180,10 +208,15 @@ def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarra
     merged = features.take(starts, axis=0)
     merged += 0.0
     multi = runs = np.flatnonzero(counts > 1)
+    put = row_writer(merged)
     for r in range(1, int(counts.max())):
         runs = runs[counts[runs] > r]
-        merged[runs] += features.take(starts[runs] + r, axis=0)
-    merged[multi] /= counts[multi].astype(features.dtype)[:, None]
+        t = merged.take(runs, axis=0)
+        t += features.take(starts[runs] + r, axis=0)
+        put(runs, t)
+    t = merged.take(multi, axis=0)
+    t /= counts[multi].astype(features.dtype)[:, None]
+    put(multi, t)
     return merged
 
 
@@ -202,7 +235,7 @@ def merge_views(features: np.ndarray, rows: np.ndarray,
     dirty = np.zeros(int(view[-1]) + 1, dtype=bool)
     dirty[view[1:][rows[1:] == rows[:-1]]] = True
     clean = ~dirty[view]
-    merged[rows[clean]] = features[clean]
+    row_writer(merged)(rows[clean], features[clean])
     return merged
 
 

@@ -1,5 +1,6 @@
 """View-ensembled slide embedding, the mean-tile baseline, and GSLE files."""
 
+import csv
 import inspect
 import struct
 import threading
@@ -261,6 +262,75 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     for a, b in zip(pairs, want_pairs):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# One batch-norm fold per embed_dataset call
+
+def model_with_statistics(cfg, tiles, seed=1):
+    """A model whose running statistics are far from their initial 0 and 1."""
+    model = build_model(cfg, proj_dim=12, seed=seed, train_tiles=tiles)
+    rng = np.random.default_rng(seed)
+    for name, buf in model.net.buffers.items():
+        buf[...] = (rng.uniform(0.2, 3.0, buf.shape) if name.endswith("run_var")
+                    else rng.normal(size=buf.shape))
+    return model
+
+
+def slides_folding_alone(bank_dir, model, r_views, seed):
+    """``embed_dataset``'s ids and rows from one ``embed_slide`` per bank,
+    each folding batch norm for itself."""
+    rows = {}
+    for slide_idx, path in enumerate(list_banks(bank_dir)):
+        bank = load_bank(path, slices=1)
+        rows[bank.slide_id] = embed_slide(
+            bank, model, r_views=r_views,
+            rng=np.random.default_rng([seed, 2, slide_idx])).vector
+    ids = sorted(rows)
+    return ids, np.stack([rows[sid] for sid in ids])
+
+
+@pytest.mark.parametrize("corpus", ["crowded", "wide"])
+def test_dataset_rows_equal_slides_folding_alone(tmp_path, corpus):
+    if corpus == "crowded":
+        # ~700 rows of 8 and 16 channels per slide: the tiled bias add
+        # covers whole groups and a remainder
+        for i in range(3):
+            b = crowded_bank(300, 16, cells=6, same_pixel=20, seed=i)
+            save_bank(EmbeddingBank(f"s{i}", b.coords, b.features),
+                      tmp_path / f"s{i}.gsb")
+        cfg = PoolingNetworkConfig(in_channels=16, block_channels=(8, 16),
+                                   out_dim=10)
+        tiles, r_views = 120, 20
+    else:
+        for i in range(2):
+            save_bank(make_bank(f"s{i}", n_augs=1, feat_dim=2048, seed=i),
+                      tmp_path / f"s{i}.gsb")
+        cfg = PoolingNetworkConfig(in_channels=2048, block_channels=(8, 8),
+                                   out_dim=10)
+        tiles, r_views = 5, 8
+    model = model_with_statistics(cfg, tiles)
+    ids, matrix, failures = embed_dataset(tmp_path, model, r_views=r_views,
+                                          seed=4)
+    assert failures == []
+    want_ids, want = slides_folding_alone(tmp_path, model, r_views, seed=4)
+    assert ids == want_ids
+    assert matrix.tobytes() == want.tobytes()
+
+
+def test_dataset_fold_does_not_outlive_the_call(tmp_path):
+    write_corpus(tmp_path)
+    model = model_with_statistics(make_model().net_config, tiles=5)
+    attributes = set(vars(model.net))
+    first = embed_dataset(tmp_path, model, r_views=4, seed=2)
+    model.net.buffers["net.block1.bn2.run_mean"] += 0.5
+    second = embed_dataset(tmp_path, model, r_views=4, seed=2)
+    assert first[0] == second[0]
+    assert not np.array_equal(first[1], second[1])
+    want_ids, want = slides_folding_alone(tmp_path, model, 4, seed=2)
+    assert second[0] == want_ids
+    assert second[1].tobytes() == want.tobytes()
+    assert set(vars(model.net)) == attributes
 
 
 # ---------------------------------------------------------------------------
@@ -688,3 +758,30 @@ def test_csv_export(tmp_path):
     assert lines[0] == "id,v0,v1"
     assert lines[1] == "a,0.5,-1.25"
     assert lines[2] == "b,2.0,0.0"
+
+
+def test_csv_export_quotes_an_id_holding_a_comma(tmp_path):
+    path = tmp_path / "e.csv"
+    export_embeddings_csv(path, ["a,b"], np.zeros((1, 2)))
+    assert path.read_text() == 'id,v0,v1\n"a,b",0.0,0.0\n'
+
+
+def test_csv_export_rows_parse_back(tmp_path):
+    path = tmp_path / "e.csv"
+    ids = ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn", "plain"]
+    matrix = np.arange(10, dtype=np.float32).reshape(5, 2)
+    export_embeddings_csv(path, ids, matrix)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "v0", "v1"]
+    assert [len(r) for r in rows] == [3] * 6
+    assert [r[0] for r in rows[1:]] == ids
+    assert np.array_equal(np.array([r[1:] for r in rows[1:]], float), matrix)
+    assert path.read_text(encoding="utf-8").endswith("\nplain,8.0,9.0\n")
+
+
+def test_csv_export_refuses_repeated_id(tmp_path):
+    with pytest.raises(ValidationError, match="slide id 'a' is repeated"):
+        export_embeddings_csv(tmp_path / "e.csv", ["a", "b", "a"],
+                              np.zeros((3, 2)))
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Linear probe fitting, Mann-Whitney AUC, and budgeted bootstrap reports."""
 
+import csv
 import itertools
 import warnings
 
@@ -746,6 +747,20 @@ def test_report_csv_layout(tmp_path):
         "demo,all,1,0.75\n"
         "demo,all,mean,0.625\n"
         "demo,all,std,0.125\n")
+
+
+def test_report_csv_quotes_the_task(tmp_path):
+    path = tmp_path / "report.csv"
+    tasks = ["lung,adeno", 'say "hi"', "two\nlines", "carriage\rreturn"]
+    write_report_csv(path, [ProbeReport(t, "all", (0.5, 0.7), (10, 10))
+                            for t in tasks])
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["task", "budget", "split", "auc"]
+    assert [len(r) for r in rows] == [4] * (1 + 4 * len(tasks))
+    # two split rows per report, then a mean and a std row per report
+    assert [r[0] for r in rows[1:]] == [t for t in tasks for _ in range(2)] * 2
+    assert rows[1] == ["lung,adeno", "all", "0", "0.5"]
 
 
 def test_report_table_alignment():
