@@ -231,7 +231,7 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray,
             f"and {len(pairs)} kernel offsets")
     adj = adjacency(pairs, len(x))
     out = np.zeros((len(x), weights.shape[3]), weights.dtype)
-    put = row_writer(out)
+    put = row_writer(out, len(adj.src))
     xs = x.take(adj.src, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -275,7 +275,7 @@ def submconv_input_grad(grad_out: np.ndarray, weights: np.ndarray,
     k = weights.shape[0]
     adj = adjacency(pairs, len(grad_out))
     dx = np.zeros((len(grad_out), weights.shape[2]), grad_out.dtype)
-    put = row_writer(dx)
+    put = row_writer(dx, len(adj.src))
     gs = grad_out.take(adj.dst, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -371,7 +371,7 @@ def global_average_pool(x: np.ndarray, segs: list[tuple[int, int]]
     sizes = np.diff(segs)
     seg, row = np.nonzero(np.arange(sizes.max()) < sizes)
     buf = np.full((sizes.max(), len(segs), x.shape[1]), -0.0, dtype=x.dtype)
-    row_writer(buf.reshape(-1, x.shape[1]))(row * len(segs) + seg, x)
+    row_writer(buf.reshape(-1, x.shape[1]), len(x))(row * len(segs) + seg, x)
     return (buf.sum(axis=0) / sizes).astype(x.dtype)   # as mean divides
 
 
@@ -391,8 +391,7 @@ def add_folded_bias(h: np.ndarray, wide: np.ndarray) -> None:
     tiled m times: whole groups of m rows add as one wide row, as numpy's
     broadcast add loops once per narrow row (44 against 112 us on 11,700 x
     16 float32), and the rest, or rows that are not C-contiguous, add row
-    by row. Each value gets the same add,
-    so the bytes do not change."""
+    by row. Each value gets the same add, so the bytes do not change."""
     c = h.shape[1]
     q = len(h) - len(h) % (len(wide) // c) if h.flags.c_contiguous else 0
     if q:

@@ -4,7 +4,8 @@ bias add of the folded eval forward, against written-out references.
 Each kernel that stores rows through ``row_writer`` is compared, byte for
 byte, with a loop that writes one row at a time by plain indexing, on rows
 holding -0.0 and a NaN with a payload, in float32 and float64, with one
-channel among the widths.
+channel among the widths, and on inputs that store fewer rows than
+``ITEM_STORE_MIN_ROWS`` (the plain store) and more (item copies).
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ from slidessl.sparseconv import (
     view_pairs,
     view_segments,
 )
-from slidessl.sparsemap import merge_rows, merge_views, row_writer
+from slidessl.sparsemap import (ITEM_STORE_MIN_ROWS, merge_rows, merge_views,
+                                row_writer)
 
 DTYPES = [np.float32, np.float64]
 PAYLOAD_BITS = {np.float32: (np.uint32, 0x7FC0_1234),
@@ -43,7 +45,7 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def views_layout(rng, sizes, extent=5):
+def views_layout(rng, sizes, extent=9):
     """Maps of the given sizes laid out as rows, their pairs and segments."""
     sites = [rng.choice(extent * extent, size=n, replace=False) for n in sizes]
     sites = np.concatenate([np.stack([s // extent, s % extent], axis=1)
@@ -58,7 +60,9 @@ def views_layout(rng, sizes, extent=5):
 class TestRowWriter:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("width", [1, 3, 16])
-    def test_equals_plain_store(self, dtype, width):
+    @pytest.mark.parametrize("n_rows", [ITEM_STORE_MIN_ROWS - 1,
+                                        ITEM_STORE_MIN_ROWS])
+    def test_equals_plain_store(self, dtype, width, n_rows):
         rng = np.random.default_rng(width)
         dest = rng.normal(size=(40, width)).astype(dtype)
         want = dest.copy()
@@ -66,9 +70,14 @@ class TestRowWriter:
         src = special_rows(rng, 17, width, dtype)
         for r, row in zip(rows.tolist(), src):
             want[r] = row
-        row_writer(dest)(rows, src)
+        row_writer(dest, n_rows)(rows, src)
         assert same_bytes(dest, want)
         assert np.signbit(dest[rows[::5]]).all()      # the -0.0 rows
+
+    def test_few_rows_take_the_plain_store(self):
+        dest = np.zeros((4, 3))
+        assert row_writer(dest, ITEM_STORE_MIN_ROWS - 1) == dest.__setitem__
+        assert row_writer(dest, ITEM_STORE_MIN_ROWS) != dest.__setitem__
 
     def test_other_dtype_is_cast_as_the_plain_store_casts(self):
         rng = np.random.default_rng(1)
@@ -77,7 +86,7 @@ class TestRowWriter:
         rows = np.array([7, 2, 5])
         src = rng.normal(size=(3, 4)) * 1e-3          # float64
         want[rows] = src
-        row_writer(dest)(rows, src)
+        row_writer(dest, ITEM_STORE_MIN_ROWS)(rows, src)
         assert same_bytes(dest, want)
 
     def test_strided_operands_take_the_plain_store(self):
@@ -87,15 +96,16 @@ class TestRowWriter:
         want = wide.copy()
         src = np.asfortranarray(rng.normal(size=(2, 3)))
         want[[9, 4], 1:4] = src
-        row_writer(dest)(np.array([9, 4]), src)
+        row_writer(dest, ITEM_STORE_MIN_ROWS)(np.array([9, 4]), src)
         assert same_bytes(wide, want)                  # written in place
         contiguous = np.zeros((5, 3))
-        row_writer(contiguous)(np.array([0, 3]), src)
+        row_writer(contiguous, ITEM_STORE_MIN_ROWS)(np.array([0, 3]), src)
         assert same_bytes(contiguous[[0, 3]], np.ascontiguousarray(src))
 
     def test_zero_width_rows(self):
         dest = np.zeros((4, 0), np.float32)
-        row_writer(dest)(np.array([1, 2]), np.zeros((2, 0), np.float32))
+        row_writer(dest, ITEM_STORE_MIN_ROWS)(np.array([1, 2]),
+                                              np.zeros((2, 0), np.float32))
         assert dest.shape == (4, 0)
 
 
@@ -138,7 +148,8 @@ def pool_reference(x, segs):
     return np.stack(out)
 
 
-KERNEL_SIZES = [[9, 1, 14, 6, 20, 11], [25, 25], [3, 2, 1]]
+# the last layout's pairs pass ITEM_STORE_MIN_ROWS; the others' do not
+KERNEL_SIZES = [[9, 1, 14, 6, 20, 11], [25, 25], [3, 2, 1], [60] * 8]
 
 
 class TestKernelStores:
@@ -168,7 +179,11 @@ class TestKernelStores:
     @pytest.mark.parametrize("width", [2, 3, 16])
     def test_pool(self, dtype, width):
         rng = np.random.default_rng(width)
-        sizes = [1, 7, 3, 1, 12, 5, 2]
+        for sizes in ([1, 7, 3, 1, 12, 5, 2], [1, 7, 3, 1, 120, 50, 2, 90]):
+            self.check_pool(rng, sizes, width, dtype)
+
+    @staticmethod
+    def check_pool(rng, sizes, width, dtype):
         segs = view_segments(sizes)
         x = special_rows(rng, sum(sizes), width, dtype)
         x[8:11] = -0.0                                 # a segment of -0.0 rows
@@ -190,9 +205,10 @@ class TestKernelStores:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("width", [1, 5])
-    def test_merge_rows(self, dtype, width):
+    @pytest.mark.parametrize("repeats", [1, 40])
+    def test_merge_rows(self, dtype, width, repeats):
         rng = np.random.default_rng(width)
-        sizes = [1, 3, 1, 4, 2, 1, 5, 1]
+        sizes = [1, 3, 1, 4, 2, 1, 5, 1] * repeats
         rows = np.repeat(np.arange(len(sizes)), sizes)
         feats = special_rows(rng, len(rows), width, dtype)
         want = np.zeros((len(sizes), width), dtype)
@@ -203,13 +219,14 @@ class TestKernelStores:
         assert same_bytes(merge_rows(feats, rows, len(sizes)), want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_merge_views_keeps_clean_rows_bytes(self, dtype):
+    @pytest.mark.parametrize("clean", [4, ITEM_STORE_MIN_ROWS])
+    def test_merge_views_keeps_clean_rows_bytes(self, dtype, clean):
         # view 0 collides; view 1 does not and keeps -0.0 and the payload
         rng = np.random.default_rng(4)
-        feats = special_rows(rng, 7, 3, dtype)
+        feats = special_rows(rng, 3 + clean, 3, dtype)
         feats[5] = -0.0
-        rows = np.array([0, 0, 1, 2, 3, 4, 5])
-        view = np.array([0, 0, 0, 1, 1, 1, 1])
+        rows = np.concatenate([[0, 0], np.arange(1, clean + 2)])
+        view = np.repeat([0, 1], [3, clean])
         got = merge_views(feats, rows, view)
         assert same_bytes(got[2:], feats[3:])
         assert same_bytes(got[:2], merge_rows(feats[:3], rows[:3], 2))
