@@ -231,7 +231,7 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray,
             f"and {len(pairs)} kernel offsets")
     adj = adjacency(pairs, len(x))
     out = np.zeros((len(x), weights.shape[3]), weights.dtype)
-    put = row_writer(out, len(adj.src))
+    put = row_writer(out)
     xs = x.take(adj.src, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -275,7 +275,7 @@ def submconv_input_grad(grad_out: np.ndarray, weights: np.ndarray,
     k = weights.shape[0]
     adj = adjacency(pairs, len(grad_out))
     dx = np.zeros((len(grad_out), weights.shape[2]), grad_out.dtype)
-    put = row_writer(dx, len(adj.src))
+    put = row_writer(dx)
     gs = grad_out.take(adj.dst, axis=0)
     for o, (lo, hi) in enumerate(zip(adj.bounds, adj.bounds[1:])):
         w = weights[o // k, o % k]
@@ -371,7 +371,7 @@ def global_average_pool(x: np.ndarray, segs: list[tuple[int, int]]
     sizes = np.diff(segs)
     seg, row = np.nonzero(np.arange(sizes.max()) < sizes)
     buf = np.full((sizes.max(), len(segs), x.shape[1]), -0.0, dtype=x.dtype)
-    row_writer(buf.reshape(-1, x.shape[1]), len(x))(row * len(segs) + seg, x)
+    row_writer(buf.reshape(-1, x.shape[1]))(row * len(segs) + seg, x)
     return (buf.sum(axis=0) / sizes).astype(x.dtype)   # as mean divides
 
 
@@ -380,25 +380,6 @@ def global_average_pool_backward(dpooled: np.ndarray,
     """The pool's gradient, for segments that tile the rows from row 0."""
     sizes = np.diff(segs)
     return np.repeat(dpooled / sizes.astype(dpooled.dtype), sizes[:, 0], 0)
-
-
-#: Values per row of a folded bias tiled by ``fold_batchnorm``.
-FOLD_BIAS_WIDTH = 1024
-
-
-def add_folded_bias(h: np.ndarray, wide: np.ndarray) -> None:
-    """``h += bias`` for C-contiguous ``(n, C)`` rows, ``wide`` the bias
-    tiled m times: whole groups of m rows add as one wide row, as numpy's
-    broadcast add loops once per narrow row (44 against 112 us on 11,700 x
-    16 float32), and the rest, or rows that are not C-contiguous, add row
-    by row. Each value gets the same add, so the bytes do not change."""
-    c = h.shape[1]
-    q = len(h) - len(h) % (len(wide) // c) if h.flags.c_contiguous else 0
-    if q:
-        groups = h[:q].reshape(-1, len(wide))
-        groups += wide
-    if q < len(h):
-        h[q:] += wide[:c]
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +493,7 @@ class PoolingNetwork:
     def fold_batchnorm(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each eval batch norm folded into the conv before it, in block
         order: per conv the weights ``W s`` and the bias ``beta - run_mean
-        s``, with ``s = gamma / sqrt(run_var + BN_EPS)``, the bias tiled to
-        a row of about ``FOLD_BIAS_WIDTH`` values for ``add_folded_bias``.
-        It reads the store and buffers as they are now; callers pass it to
+        s``, with ``s = gamma / sqrt(run_var + BN_EPS)``. It reads the store and buffers as they are now; callers pass it to
         ``embed_rows`` and drop it, so no fold is kept on the model."""
         st, buf = self.store, self.buffers
         fold = []
@@ -523,8 +502,7 @@ class PoolingNetwork:
                 bn = f"net.block{b}.bn{i}."
                 s = st[bn + "gamma"] / np.sqrt(buf[bn + "run_var"] + BN_EPS)
                 bias = st[bn + "beta"] - buf[bn + "run_mean"] * s
-                fold.append((st[f"net.block{b}.conv{i}.w"] * s,
-                             np.tile(bias, max(1, FOLD_BIAS_WIDTH // len(bias)))))
+                fold.append((st[f"net.block{b}.conv{i}.w"] * s, bias))
         return tuple(fold)
 
     def embed_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
@@ -539,7 +517,7 @@ class PoolingNetwork:
             for i in (1, 2):
                 w, bias = next(convs)
                 h = submconv_forward(h, w, pairs)
-                add_folded_bias(h, bias)
+                h += bias
                 if i == 1:
                     np.maximum(h, 0.0, out=h)
             h += x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x

@@ -23,7 +23,6 @@ relative to their view's corner, so the limit (about 5e8 px per side for
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -164,32 +163,20 @@ def tile_order(keys: np.ndarray, features: np.ndarray) -> np.ndarray:
     return order
 
 
-#: Fewest rows, over all stores through one ``row_writer``, for which the
-#: item view pays: below it, making the view (~1.5 us) costs more than the
-#: item copies save (~7 ns a row of 16 float32). A paper-shaped training
-#: step's convs store 1-5 rows per offset; a dense slide's ~1,900.
-ITEM_STORE_MIN_ROWS = 256
-
-
-@functools.lru_cache(maxsize=None)
-def _row_item(size: int) -> np.dtype:
-    return np.dtype((np.void, size))    # made once per row size: ~0.8 us
-
-
-def row_writer(dest: np.ndarray, n_rows: int):
+def row_writer(dest: np.ndarray):
     """A function ``put(rows, src)`` that does ``dest[rows] = src`` for 2-D
-    ``dest``, ``src`` holding one row per index, for a caller that will
-    store ``n_rows`` rows through it in all. From ``ITEM_STORE_MIN_ROWS``
-    on, where both are C-contiguous with one dtype, each row is viewed as
-    one ``void`` item and copied whole: numpy's fancy store otherwise runs
-    its inner loop once per row (44 against 26 us for 1,900 rows of 16
-    float32). Bytes are copied, not converted, so -0.0 and NaN payloads
+    ``dest``, ``src`` holding one row per index. Where both are C-contiguous
+    with one dtype, each row is viewed as one ``void`` item and copied
+    whole: numpy's fancy store otherwise runs its inner loop once per row.
+    That pays from one row on, view included (a gather-add-store of 16
+    float32 rows: 2.5 against 2.9 us for 1 row, 37 against 60 us for
+    1,900). Bytes are copied, not converted, so -0.0 and NaN payloads
     survive; other operands take the plain store. ``dest``'s item view is
     made once, for all its stores."""
     size = dest.shape[1] * dest.itemsize
-    if n_rows < ITEM_STORE_MIN_ROWS or not size or not dest.flags.c_contiguous:
+    if not size or not dest.flags.c_contiguous:
         return dest.__setitem__
-    item = _row_item(size)
+    item = np.dtype((np.void, size))
     items = dest.view(item)[:, 0]
 
     def put(rows: np.ndarray, src: np.ndarray) -> None:
@@ -217,8 +204,7 @@ def merge_rows(features: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarra
     merged = features.take(starts, axis=0)
     merged += 0.0
     multi = runs = np.flatnonzero(counts > 1)
-    # one store per input past a run's first, and one per divided run
-    put = row_writer(merged, len(features) - n_rows + len(multi))
+    put = row_writer(merged)
     for r in range(1, int(counts.max())):
         runs = runs[counts[runs] > r]
         t = merged.take(runs, axis=0)
@@ -245,8 +231,7 @@ def merge_views(features: np.ndarray, rows: np.ndarray,
     dirty = np.zeros(int(view[-1]) + 1, dtype=bool)
     dirty[view[1:][rows[1:] == rows[:-1]]] = True
     clean = ~dirty[view]
-    kept = rows[clean]
-    row_writer(merged, len(kept))(kept, features[clean])
+    row_writer(merged)(rows[clean], features[clean])
     return merged
 
 

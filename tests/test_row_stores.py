@@ -1,27 +1,24 @@
-"""Whole-row stores through an index array (``row_writer``) and the tiled
-bias add of the folded eval forward, against written-out references.
+"""Whole-row stores through an index array (``row_writer``) against
+written-out references.
 
 Each kernel that stores rows through ``row_writer`` is compared, byte for
 byte, with a loop that writes one row at a time by plain indexing, on rows
 holding -0.0 and a NaN with a payload, in float32 and float64, with one
-channel among the widths, and on inputs that store fewer rows than
-``ITEM_STORE_MIN_ROWS`` (the plain store) and more (item copies).
+channel among the widths, and on inputs that store a few rows per offset
+and many.
 """
 
 import numpy as np
 import pytest
 
 from slidessl.sparseconv import (
-    FOLD_BIAS_WIDTH,
-    add_folded_bias,
     global_average_pool,
     submconv_forward,
     submconv_input_grad,
     view_pairs,
     view_segments,
 )
-from slidessl.sparsemap import (ITEM_STORE_MIN_ROWS, merge_rows, merge_views,
-                                row_writer)
+from slidessl.sparsemap import merge_rows, merge_views, row_writer
 
 DTYPES = [np.float32, np.float64]
 PAYLOAD_BITS = {np.float32: (np.uint32, 0x7FC0_1234),
@@ -60,24 +57,24 @@ def views_layout(rng, sizes, extent=9):
 class TestRowWriter:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("width", [1, 3, 16])
-    @pytest.mark.parametrize("n_rows", [ITEM_STORE_MIN_ROWS - 1,
-                                        ITEM_STORE_MIN_ROWS])
+    @pytest.mark.parametrize("n_rows", [2, 17])
     def test_equals_plain_store(self, dtype, width, n_rows):
         rng = np.random.default_rng(width)
         dest = rng.normal(size=(40, width)).astype(dtype)
         want = dest.copy()
-        rows = rng.choice(40, size=17, replace=False)
-        src = special_rows(rng, 17, width, dtype)
+        rows = rng.choice(40, size=n_rows, replace=False)
+        src = special_rows(rng, n_rows, width, dtype)
         for r, row in zip(rows.tolist(), src):
             want[r] = row
-        row_writer(dest, n_rows)(rows, src)
+        row_writer(dest)(rows, src)
         assert same_bytes(dest, want)
         assert np.signbit(dest[rows[::5]]).all()      # the -0.0 rows
 
-    def test_few_rows_take_the_plain_store(self):
+    def test_c_contiguous_rows_are_stored_as_items(self):
         dest = np.zeros((4, 3))
-        assert row_writer(dest, ITEM_STORE_MIN_ROWS - 1) == dest.__setitem__
-        assert row_writer(dest, ITEM_STORE_MIN_ROWS) != dest.__setitem__
+        assert row_writer(dest) != dest.__setitem__
+        strided = dest[:, :2]
+        assert row_writer(strided) == strided.__setitem__
 
     def test_other_dtype_is_cast_as_the_plain_store_casts(self):
         rng = np.random.default_rng(1)
@@ -86,7 +83,7 @@ class TestRowWriter:
         rows = np.array([7, 2, 5])
         src = rng.normal(size=(3, 4)) * 1e-3          # float64
         want[rows] = src
-        row_writer(dest, ITEM_STORE_MIN_ROWS)(rows, src)
+        row_writer(dest)(rows, src)
         assert same_bytes(dest, want)
 
     def test_strided_operands_take_the_plain_store(self):
@@ -96,16 +93,15 @@ class TestRowWriter:
         want = wide.copy()
         src = np.asfortranarray(rng.normal(size=(2, 3)))
         want[[9, 4], 1:4] = src
-        row_writer(dest, ITEM_STORE_MIN_ROWS)(np.array([9, 4]), src)
+        row_writer(dest)(np.array([9, 4]), src)
         assert same_bytes(wide, want)                  # written in place
         contiguous = np.zeros((5, 3))
-        row_writer(contiguous, ITEM_STORE_MIN_ROWS)(np.array([0, 3]), src)
+        row_writer(contiguous)(np.array([0, 3]), src)
         assert same_bytes(contiguous[[0, 3]], np.ascontiguousarray(src))
 
     def test_zero_width_rows(self):
         dest = np.zeros((4, 0), np.float32)
-        row_writer(dest, ITEM_STORE_MIN_ROWS)(np.array([1, 2]),
-                                              np.zeros((2, 0), np.float32))
+        row_writer(dest)(np.array([1, 2]), np.zeros((2, 0), np.float32))
         assert dest.shape == (4, 0)
 
 
@@ -148,7 +144,7 @@ def pool_reference(x, segs):
     return np.stack(out)
 
 
-# the last layout's pairs pass ITEM_STORE_MIN_ROWS; the others' do not
+# a few rows per offset in the first three layouts, dozens in the last
 KERNEL_SIZES = [[9, 1, 14, 6, 20, 11], [25, 25], [3, 2, 1], [60] * 8]
 
 
@@ -219,7 +215,7 @@ class TestKernelStores:
         assert same_bytes(merge_rows(feats, rows, len(sizes)), want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("clean", [4, ITEM_STORE_MIN_ROWS])
+    @pytest.mark.parametrize("clean", [4, 300])
     def test_merge_views_keeps_clean_rows_bytes(self, dtype, clean):
         # view 0 collides; view 1 does not and keeps -0.0 and the payload
         rng = np.random.default_rng(4)
@@ -230,31 +226,3 @@ class TestKernelStores:
         got = merge_views(feats, rows, view)
         assert same_bytes(got[2:], feats[3:])
         assert same_bytes(got[:2], merge_rows(feats[:3], rows[:3], 2))
-
-
-# ---------------------------------------------------------------------------
-# add_folded_bias
-
-class TestFoldedBiasAdd:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("width", [1, 3, 16, 64])
-    def test_equals_broadcast_add(self, dtype, width):
-        m = max(1, FOLD_BIAS_WIDTH // width)
-        rng = np.random.default_rng(width)
-        bias = rng.normal(size=width).astype(dtype)
-        bias[0] = -0.0
-        wide = np.tile(bias, m)
-        for n in sorted({0, 1, m - 1, m, 3 * m + 5}):
-            h = special_rows(rng, max(n, 1), width, dtype)[:n]
-            want = h + bias
-            add_folded_bias(h, wide)
-            assert same_bytes(h, want), n
-
-    def test_strided_rows_are_added_in_place(self):
-        rng = np.random.default_rng(5)
-        base = rng.normal(size=(300, 8)).astype(np.float32)
-        bias = rng.normal(size=4).astype(np.float32)
-        want = base.copy()
-        want[:, 2:6] += bias
-        add_folded_bias(base[:, 2:6], np.tile(bias, FOLD_BIAS_WIDTH // 4))
-        assert same_bytes(base, want)
