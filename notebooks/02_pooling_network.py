@@ -15,32 +15,33 @@ from slidessl import (
     PoolingNetwork,
     PoolingNetworkConfig,
     ParamStore,
-    build_rulebook,
     run_gradcheck,
     format_gradcheck_report,
     submconv_forward,
 )
 from slidessl.numcore import init_params
-from slidessl.sparseconv import kernel_offsets, network_shapes
+from slidessl.sparseconv import kernel_offsets, network_shapes, view_pairs
 from slidessl.sparsemap import SparseMap
 
 rng = np.random.default_rng(0)
 
-### A sparse map and its rulebook ############################################
-# The rulebook lists, per kernel offset, the (input site, output site)
+### A sparse map and its adjacency ##########################################
+# The adjacency holds, per kernel offset, the (input site, output site)
 # index pairs. Convolution is then a handful of gathers and matmuls.
+# view_pairs builds it for maps laid out as rows, view after view; here
+# every row belongs to view 0, the one map.
 
 sites = np.array([[0, 0], [0, 1], [1, 1], [3, 2]])
 smap = SparseMap(sites, rng.normal(size=(4, 3)))
-book = build_rulebook(smap, kernel_size=3)
-for offset, pairs in zip(kernel_offsets(3), book.pairs):
-    if len(pairs):
-        print(f"offset {offset}: {len(pairs)} pair(s)")
+pairs = view_pairs(np.zeros(smap.n_sites, np.int64), smap.sites, kernel_size=3)
+for o, offset in enumerate(kernel_offsets(3)):
+    if len(pairs[o]):
+        print(f"offset {offset}: {len(pairs[o])} pair(s)")
 
 ### One convolution, against the dense oracle ################################
 
 w = rng.normal(size=(3, 3, 3, 5))
-out = submconv_forward(smap.features, w, book.pairs)
+out = submconv_forward(smap.features, w, pairs)
 
 dense = np.zeros((8, 8, 3))
 for (i, j), f in zip(smap.sites, smap.features):
@@ -61,6 +62,8 @@ cfg = PoolingNetworkConfig(in_channels=3, block_channels=(8, 8), out_dim=6)
 # the network's name -> shape table, initialised and laid out in one store
 store = ParamStore(init_params(network_shapes(cfg), rng, np.float64))
 net = PoolingNetwork(cfg, store)
+# eval mode: batch norm normalizes with the running statistics, folded
+# into the convs (PoolingNetwork.embed_rows)
 vec = net.forward([smap], training=False)[0][0]
 print("pooled slide vector:", np.round(vec, 3))
 

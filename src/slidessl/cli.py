@@ -178,9 +178,12 @@ def cmd_pretrain(args) -> int:
     report = pretrain(cfg, args.banks, args.checkpoint,
                       resume=args.resume, log_path=args.log,
                       report_path=args.report)
-    print(f"trained {report['epochs']} epochs over {report['banks']} banks; "
-          f"final loss {report['final_loss']:.4f}; "
-          f"checkpoint {args.checkpoint}")
+    if report["final_loss"] is None:
+        ran = f"no epoch ran: the checkpoint is at epoch {report['epochs']}"
+    else:
+        ran = (f"trained {report['epochs']} epochs over {report['banks']} banks; "
+               f"final loss {report['final_loss']:.4f}")
+    print(f"{ran}; checkpoint {args.checkpoint}")
     return 0
 
 

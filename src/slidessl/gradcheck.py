@@ -5,18 +5,17 @@ returns ``(loss, inputs, grads)``: a random linear probe loss that reads the
 input arrays in place, those arrays, and their analytic gradients. One
 harness, ``_worst_err``, perturbs each input in place, compares central
 differences of ``loss()`` with the analytic gradient and restores the input.
-Instance i of an op draws from the stream ``[seed, tag, i]``; an op's train
-and eval modes share a tag. No loss restores the BN running buffers: train
-mode folds batch statistics into them but normalizes with the batch
-statistics, so they never reach the loss, and eval mode leaves them as they
-are. The network ops check parameter gradients only, as the network makes
-no input-feature gradient; block 0's parameter gradients still test every
-later block's input gradient, and the ``submconv`` op the conv's own.
+Instance i of an op draws from the stream ``[seed, tag, i]``. Batch norm
+has a backward in training mode only, and no loss restores its running
+buffers: it folds batch statistics into them but normalizes with the batch
+statistics, so they never reach the loss. The conv and network ops take
+their pairs from ``view_pairs``, as training does. The network op checks
+parameter gradients only, as the network makes no input-feature gradient;
+block 0's parameter gradients still test every later block's input
+gradient, and the ``submconv`` op the conv's own.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -33,15 +32,16 @@ from .numcore import (
 from .sparseconv import (
     PoolingNetwork,
     PoolingNetworkConfig,
-    build_rulebook,
     global_average_pool,
     global_average_pool_backward,
+    map_rows,
     network_shapes,
     sparse_batchnorm_backward,
     sparse_batchnorm_forward,
     submconv_forward,
     submconv_input_grad,
     submconv_weight_grad,
+    view_pairs,
 )
 from .sparsemap import SparseMap
 from .training import nt_xent
@@ -77,7 +77,7 @@ def _random_map(rng, n_sites, channels, extent=6) -> SparseMap:
 def _submconv(rng):
     c_in, c_out = rng.integers(1, 4), rng.integers(1, 4)
     smap = _random_map(rng, rng.integers(3, 9), c_in)
-    pairs = build_rulebook(smap, 3).pairs
+    pairs = view_pairs(np.zeros(smap.n_sites, np.int64), smap.sites, 3)
     w = rng.normal(size=(3, 3, c_in, c_out))
     probe = rng.normal(size=(smap.n_sites, c_out))
 
@@ -90,7 +90,7 @@ def _submconv(rng):
             (submconv_input_grad(probe, w, pairs), dw))
 
 
-def _batchnorm(rng, training):
+def _batchnorm(rng):
     n, c = rng.integers(2, 9), rng.integers(1, 5)
     x = rng.normal(size=(n, c))
     gamma, beta = rng.normal(size=c), rng.normal(size=c)
@@ -98,7 +98,7 @@ def _batchnorm(rng, training):
     probe = rng.normal(size=(n, c))
 
     def forward():
-        return sparse_batchnorm_forward(x, gamma, beta, *running, training)
+        return sparse_batchnorm_forward(x, gamma, beta, *running)
 
     grads = sparse_batchnorm_backward(probe, forward()[1])
     return lambda: float((forward()[0] * probe).sum()), (x, gamma, beta), grads
@@ -142,7 +142,7 @@ def _nt_xent(rng):
 def _randomize_network(net: PoolingNetwork, rng: np.random.Generator) -> None:
     """Move every parameter and buffer off its init value.
 
-    Fresh networks have zero biases and identity-like eval BN, which lines
+    Fresh networks have zero biases and identity-like BN, which lines
     whole neighborhoods up at exact ReLU hinges where the loss is not
     differentiable and finite differences measure a subgradient average.
     Generic values make every hinge coordinate land strictly off zero.
@@ -159,8 +159,9 @@ def _randomize_network(net: PoolingNetwork, rng: np.random.Generator) -> None:
             buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
 
 
-def _network(rng, training):
-    """End to end through conv, BN, ReLU, residual merge, GAP, head."""
+def _network(rng):
+    """End to end through conv, BN, ReLU, residual merge, GAP, head; the
+    rows are built once, as only parameters are perturbed."""
     c_in = int(rng.integers(2, 4))
     cfg = PoolingNetworkConfig(in_channels=c_in, block_channels=(3, 3),
                                kernel_size=3, out_dim=3)
@@ -170,23 +171,22 @@ def _network(rng, training):
     maps = [_random_map(rng, int(rng.integers(2, 6)), c_in)
             for _ in range(int(rng.integers(2, 4)))]
     probe = 0.01 * rng.normal(size=(len(maps), cfg.out_dim))
+    rows = map_rows(maps, cfg.kernel_size)
 
     def loss():
-        return float((net.forward(maps, training)[0] * probe).sum())
+        return float((net.forward_rows(*rows)[0] * probe).sum())
 
-    net.backward(probe, net.forward(maps, training)[1])
+    net.backward(probe, net.forward_rows(*rows)[1])
     return loss, [*store.params.values()], [*store.grads.values()]
 
 
 CHECKS = (
     ("submconv", 10, _submconv),
-    ("batchnorm_train", 11, partial(_batchnorm, training=True)),
-    ("batchnorm_eval", 11, partial(_batchnorm, training=False)),
+    ("batchnorm_train", 11, _batchnorm),
     ("global_average_pool", 12, _global_average_pool),
     ("projector", 13, _projector),
     ("nt_xent", 14, _nt_xent),
-    ("network_train", 15, partial(_network, training=True)),
-    ("network_eval", 15, partial(_network, training=False)),
+    ("network_train", 15, _network),
 )
 
 

@@ -17,13 +17,12 @@ import numpy as np
 from .bank import EmbeddingBank
 from .gradcheck import PASS_BOUND, run_gradcheck
 from .inference import embed_slide
-from .sparseconv import PoolingNetworkConfig, build_rulebook, submconv_forward
+from .sparseconv import PoolingNetworkConfig, submconv_forward, view_pairs
 from .sparsemap import SlideAugParams, SparseMap, augment_sparse_map
 from .training import build_model, nt_xent
 
-GRADCHECK_OPS = {"submconv", "batchnorm_train", "batchnorm_eval",
-                 "global_average_pool", "projector", "nt_xent",
-                 "network_train", "network_eval"}
+GRADCHECK_OPS = {"submconv", "batchnorm_train", "global_average_pool",
+                 "projector", "nt_xent", "network_train"}
 DENSE_MAPS = 100
 DENSE_WINDOW = 16
 DENSE_TOL = 1e-6
@@ -78,8 +77,8 @@ def a2_dense_convolution_oracle() -> tuple[bool, str]:
                          axis=1).astype(np.int64)
         smap = SparseMap(sites, rng.normal(size=(n_sites, c_in)))
         weights = rng.normal(size=(kernel, kernel, c_in, c_out))
-        out = submconv_forward(smap.features, weights,
-                               build_rulebook(smap, kernel).pairs)
+        pairs = view_pairs(np.zeros(n_sites, np.int64), sites, kernel)
+        out = submconv_forward(smap.features, weights, pairs)
         want = dense_conv_at_active(smap, weights, DENSE_WINDOW)
         worst = max(worst, float(np.abs(out - want).max()))
     detail = (f"{DENSE_MAPS} random maps in a {DENSE_WINDOW}x{DENSE_WINDOW} "

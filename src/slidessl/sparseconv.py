@@ -10,11 +10,11 @@ active-site set, and only active neighbors contribute. ``neighbour_table``
 finds every site's neighbours with one ``searchsorted`` per row shift (the
 hashed kernel map of MinkowskiEngine, with a sorted array for the hash
 table), and ``table_pairs`` turns the table into an ``Adjacency``, every
-offset's (input row, output row) pairs in one array. ``view_pairs`` does
-so once per batch for a step's views laid out as rows, for
-``PoolingNetwork.forward_rows``; a slide's views for ``embed_rows`` restrict
-one table of the slide's sites (``inference._view_batch``).
-``build_rulebook`` and ``merge_rulebooks`` give the same pairs map by map.
+offset's (input row, output row) pairs in one array: the one form the
+kernels take. ``view_pairs`` builds it once per batch of maps laid out as
+rows (one map is a batch of one); a slide's views restrict one table of
+its sites (``inference._view_batch``). ``build_rulebook`` and
+``merge_rulebooks`` list the same pairs per offset, for inspection.
 ``submconv_forward``, its backward halves ``submconv_weight_grad`` and
 ``submconv_input_grad``, and ``global_average_pool`` with its backward are
 the only conv and pool implementations: the network, ``gradcheck`` and the
@@ -29,9 +29,10 @@ without numpy's inner loop per row, which dominated them on a step's
 narrow ``(n, 16)`` rows; one column and column-major input keep ``sum``,
 which sums those pairwise. For the same reason the conv, its input
 gradient and the pool store rows through an index array as whole items
-(``sparsemap.row_writer``). ``PoolingNetwork.embed_rows`` is the eval
-forward with each batch norm folded into its conv; ``fold_batchnorm``
-makes the fold, once per ``embed_dataset`` call, and it is never kept.
+(``sparsemap.row_writer``). Batch norm has a training mode only;
+``PoolingNetwork.embed_rows``, the one eval forward, folds each batch norm
+into its conv. ``fold_batchnorm`` makes the fold, once per
+``embed_dataset`` call, and it is never kept.
 """
 
 from __future__ import annotations
@@ -82,16 +83,8 @@ class Adjacency:
         return np.stack([self.src[lo:hi], self.dst[lo:hi]], axis=1)
 
 
-def adjacency(pairs, n_rows: int) -> Adjacency:
-    """``pairs`` as an ``Adjacency``: itself, or built from per-offset
-    ``(m, 2)`` arrays as ``Rulebook.pairs`` holds them. Raises
-    ``DimensionMismatch`` unless the zero offset holds one pair per row."""
-    if not isinstance(pairs, Adjacency):
-        c = len(pairs) // 2
-        src, dst = np.concatenate([np.zeros((0, 2), np.int64), *pairs[:c],
-                                   *pairs[c + 1:]]).T.copy()
-        sizes = [0 if o == c else len(pr) for o, pr in enumerate(pairs)]
-        pairs = Adjacency(src, dst, np.cumsum([0, *sizes]).tolist(), len(pairs[c]))
+def adjacency(pairs: Adjacency, n_rows: int) -> Adjacency:
+    """``pairs``, or ``DimensionMismatch`` unless it is of ``n_rows`` rows."""
     if pairs.n_rows != n_rows:
         raise DimensionMismatch(
             f"zero offset holds {pairs.n_rows} pairs for {n_rows} rows; "
@@ -160,18 +153,11 @@ def table_pairs(table: np.ndarray) -> Adjacency:
 
 
 def build_rulebook(smap: SparseMap, kernel_size: int = 3) -> Rulebook:
-    """Enumerate active-neighbor pairs for every kernel offset.
-
-    Offsets are scanned row-major over the window. ``pairs[o]`` is an
-    ``(m, 2)`` int64 array of (input site, output site) with output sites
-    ascending, ``(0, 2)`` when no site has a neighbour at offset o; the zero
-    offset is the complete identity pairing, which the conv kernels apply
-    as a dense product. The pair order fixes the summation order of
-    ``submconv_weight_grad``, so it is part of the contract. Raises
-    ``ValueError`` for a repeated site. This is ``view_pairs`` of one map,
-    so checks of a rulebook audit the adjacency that training and
-    ``PoolingNetwork.forward`` build.
-    """
+    """One map's ``view_pairs`` listed per kernel offset, row-major over
+    the window: ``pairs[o]`` is an ``(m, 2)`` int64 array of (input site,
+    output site), output sites ascending, ``(0, 2)`` when no site has a
+    neighbour at offset o; the zero offset pairs every site with itself.
+    Raises ``ValueError`` for a repeated site."""
     return Rulebook(kernel_size, list(view_pairs(
         np.zeros(smap.n_sites, dtype=np.int64), smap.sites, kernel_size)))
 
@@ -199,6 +185,16 @@ def view_segments(sizes) -> list[tuple[int, int]]:
     return list(zip([0] + ends[:-1], ends))
 
 
+def map_rows(maps: list[SparseMap], kernel_size: int
+             ) -> tuple[np.ndarray, Adjacency, list[tuple[int, int]]]:
+    """Maps laid out as network rows ``(x, pairs, segs)``, map after map."""
+    sizes = [m.n_sites for m in maps]
+    view = np.repeat(np.arange(len(maps)), sizes)
+    return (np.concatenate([m.features for m in maps], axis=0),
+            view_pairs(view, np.concatenate([m.sites for m in maps]), kernel_size),
+            view_segments(sizes))
+
+
 def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray]:
     """Concatenate per-map pair lists into global-index pair lists."""
     n_off = len(books[0].pairs)
@@ -211,11 +207,11 @@ def merge_rulebooks(books: list[Rulebook], starts: list[int]) -> list[np.ndarray
 
 
 def submconv_forward(x: np.ndarray, weights: np.ndarray,
-                     pairs: Adjacency | list[np.ndarray]) -> np.ndarray:
+                     pairs: Adjacency) -> np.ndarray:
     """Submanifold convolution of the rows of ``x`` (one per active site).
 
     out[t] = sum over offsets o of W_o . x[source of t under o], with
-    ``pairs`` as ``adjacency`` takes them. The zero offset is one dense
+    ``pairs`` the ``Adjacency`` of x's rows. The zero offset is one dense
     product ``out += x @ W_c`` at its place in the offset order; the other
     offsets' source rows come from one ``take`` per pass, and each offset
     multiplies its contiguous slice and writes its output rows back once,
@@ -247,7 +243,7 @@ def submconv_forward(x: np.ndarray, weights: np.ndarray,
 
 
 def submconv_weight_grad(grad_out: np.ndarray, x: np.ndarray,
-                         pairs: Adjacency | list[np.ndarray],
+                         pairs: Adjacency,
                          dw: np.ndarray) -> None:
     """Write the weight gradient into ``dw``, which must be zero: each
     offset's ``x_src.T @ g_dst`` (the zero offset's dense) by ``np.dot(...,
@@ -268,7 +264,7 @@ def submconv_weight_grad(grad_out: np.ndarray, x: np.ndarray,
 
 
 def submconv_input_grad(grad_out: np.ndarray, weights: np.ndarray,
-                        pairs: Adjacency | list[np.ndarray]) -> np.ndarray:
+                        pairs: Adjacency) -> np.ndarray:
     """Gradient w.r.t. the input rows; the zero offset is dense (``dx +=
     g @ W_c.T``) as in the forward, the other offsets' gradient rows one
     ``take`` per pass, stored back as whole rows by ``row_writer``."""
@@ -308,36 +304,30 @@ BN_EPS = 1e-5
 
 
 def sparse_batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                             running_mean: np.ndarray, running_var: np.ndarray,
-                             training: bool) -> tuple[np.ndarray, dict]:
+                             running_mean: np.ndarray, running_var: np.ndarray
+                             ) -> tuple[np.ndarray, dict]:
     """Normalize each channel over every active site in the batch.
 
-    Train mode uses biased batch statistics and folds them into the running
-    stats in place, at rate ``BN_MOMENTUM``; eval mode normalizes with the
-    running stats unchanged. The update keeps a running variance >= 0, and
-    ``load_model`` rejects a checkpoint that holds a negative one. Train
-    mode's statistics are ``x.mean`` and ``x.var``'s bytes from one
-    centring and two ``column_sums``; the centred rows become ``xhat``.
+    Normalizes with the biased batch statistics and folds them into the
+    running stats in place, at rate ``BN_MOMENTUM``. The update keeps a
+    running variance >= 0, and ``load_model`` rejects a checkpoint that
+    holds a negative one. The statistics are ``x.mean`` and ``x.var``'s
+    bytes from one centring and two ``column_sums``; the centred rows
+    become ``xhat``.
     """
-    if training:
-        if len(x) < 2:
-            raise DegenerateBatch(
-                f"batch normalization over {len(x)} active site(s); need >= 2")
-        mean = column_sums(x) / len(x)
-        xhat = x - mean
-        var = column_sums(xhat * xhat) / len(x)  # biased
-        running_mean += BN_MOMENTUM * (mean - running_mean)
-        running_var += BN_MOMENTUM * (var - running_var)
-    else:
-        var = running_var
-        xhat = x - running_mean
+    if len(x) < 2:
+        raise DegenerateBatch(
+            f"batch normalization over {len(x)} active site(s); need >= 2")
+    mean = column_sums(x) / len(x)
+    xhat = x - mean
+    var = column_sums(xhat * xhat) / len(x)  # biased
+    running_mean += BN_MOMENTUM * (mean - running_mean)
+    running_var += BN_MOMENTUM * (var - running_var)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     out = gamma * xhat
     out += beta
-    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma,
-             "training": training}
-    return out, cache
+    return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}
 
 
 def sparse_batchnorm_backward(grad_out: np.ndarray, cache: dict | None
@@ -348,14 +338,8 @@ def sparse_batchnorm_backward(grad_out: np.ndarray, cache: dict | None
     xhat, inv_std, gamma = cache["xhat"], cache["inv_std"], cache["gamma"]
     dgamma = column_sums(grad_out * xhat)
     dbeta = column_sums(grad_out)
-    if cache["training"]:
-        n = len(xhat)
-        dx = (gamma * inv_std) * (
-            grad_out
-            - dbeta / n
-            - xhat * (dgamma / n))
-    else:
-        dx = grad_out * (gamma * inv_std)
+    n = len(xhat)
+    dx = (gamma * inv_std) * (grad_out - dbeta / n - xhat * (dgamma / n))
     return dx, dgamma, dbeta
 
 
@@ -444,19 +428,16 @@ class PoolingNetwork:
             if name.endswith(".gamma")
             for stat, fill in (("run_mean", np.zeros), ("run_var", np.ones))}
 
-    def _batchnorm(self, y: np.ndarray, name: str, training: bool):
+    def _batchnorm(self, y: np.ndarray, name: str):
         return sparse_batchnorm_forward(
             y, self.store[name + ".gamma"], self.store[name + ".beta"],
-            self.buffers[name + ".run_mean"], self.buffers[name + ".run_var"],
-            training)
+            self.buffers[name + ".run_mean"], self.buffers[name + ".run_var"])
 
     def forward(self, maps: list[SparseMap], training: bool
-                ) -> tuple[np.ndarray, dict]:
-        """Embed a batch of maps; returns (B, out_dim) and the backward cache.
-
-        Convolutions act per map (adjacency never crosses views); batch
-        normalization pools statistics over every active site of the batch.
-        """
+                ) -> tuple[np.ndarray, dict | None]:
+        """Embed a batch of maps; returns (B, out_dim) and the backward
+        cache: ``forward_rows`` or, with no cache, ``embed_rows`` of the
+        maps laid out as rows (``map_rows``)."""
         if len(maps) == 0:
             raise EmptyBag("empty batch")
         for m in maps:
@@ -464,25 +445,20 @@ class PoolingNetwork:
                 raise DimensionMismatch(
                     f"map has {m.feat_dim} channels, "
                     f"network expects {self.config.in_channels}")
-        sizes = [m.n_sites for m in maps]
-        view = np.repeat(np.arange(len(maps)), sizes)
-        pairs = view_pairs(view, np.concatenate([m.sites for m in maps]),
-                           self.config.kernel_size)
-        x = np.concatenate([m.features for m in maps], axis=0)
-        return self.forward_rows(x, pairs, view_segments(sizes), training)
+        rows = map_rows(maps, self.config.kernel_size)
+        if training:
+            return self.forward_rows(*rows)
+        return self.embed_rows(*rows), None
 
-    def forward_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
-                     segs: list[tuple[int, int]], training: bool
-                     ) -> tuple[np.ndarray, dict]:
-        """``forward`` on a batch laid out as rows: ``x`` holds every map's
-        site features, map after map, ``segs`` the maps' ``(start, end)``
-        rows and ``pairs`` their adjacency in global rows, as ``view_pairs``
-        or ``merge_rulebooks`` give it."""
-        pairs = adjacency(pairs, len(x))
-        cache: dict = {"segs": segs, "pairs": pairs, "training": training,
-                       "blocks": []}
+    def forward_rows(self, x: np.ndarray, pairs: Adjacency,
+                     segs: list[tuple[int, int]]) -> tuple[np.ndarray, dict]:
+        """The training forward of maps laid out as rows: ``x`` holds their
+        site features, map after map, ``segs`` their ``(start, end)`` rows,
+        ``pairs`` their ``view_pairs``. Batch norm pools statistics over
+        every row of the batch."""
+        cache: dict = {"segs": segs, "pairs": pairs, "blocks": []}
         for b in range(self.config.n_blocks):
-            x, bc = self._block_forward(b, x, pairs, training)
+            x, bc = self._block_forward(b, x, pairs)
             cache["blocks"].append(bc)
 
         pooled = global_average_pool(x, segs)
@@ -491,9 +467,10 @@ class PoolingNetwork:
         return z, cache
 
     def fold_batchnorm(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Each eval batch norm folded into the conv before it, in block
-        order: per conv the weights ``W s`` and the bias ``beta - run_mean
-        s``, with ``s = gamma / sqrt(run_var + BN_EPS)``. It reads the store and buffers as they are now; callers pass it to
+        """Each batch norm, with its running stats, folded into the conv
+        before it, in block order: per conv the weights ``W s`` and the bias
+        ``beta - run_mean s``, with ``s = gamma / sqrt(run_var + BN_EPS)``.
+        It reads the store and buffers as they are now; callers pass it to
         ``embed_rows`` and drop it, so no fold is kept on the model."""
         st, buf = self.store, self.buffers
         fold = []
@@ -505,12 +482,12 @@ class PoolingNetwork:
                 fold.append((st[f"net.block{b}.conv{i}.w"] * s, bias))
         return tuple(fold)
 
-    def embed_rows(self, x: np.ndarray, pairs: Adjacency | list[np.ndarray],
+    def embed_rows(self, x: np.ndarray, pairs: Adjacency,
                    segs: list[tuple[int, int]], fold=None) -> np.ndarray:
-        """``forward_rows(training=False)``'s output up to rounding, with no
-        cache, through the convs of ``fold``, as ``fold_batchnorm`` gives
-        it; without one, the call folds for itself."""
-        st, pairs = self.store, adjacency(pairs, len(x))
+        """The eval forward of rows as ``forward_rows`` takes them, batch
+        norm on the running stats folded into the convs of ``fold``, as
+        ``fold_batchnorm`` gives it; without one, the call folds for itself."""
+        st = self.store
         convs = iter(self.fold_batchnorm() if fold is None else fold)
         for b in range(self.config.n_blocks):
             p, h = f"net.block{b}.", x
@@ -524,15 +501,15 @@ class PoolingNetwork:
             x = np.maximum(h, 0.0, out=h)
         return global_average_pool(x, segs) @ st["net.head.w"] + st["net.head.b"]
 
-    def _block_forward(self, b: int, x: np.ndarray, pairs: Adjacency,
-                       training: bool) -> tuple[np.ndarray, dict]:
+    def _block_forward(self, b: int, x: np.ndarray, pairs: Adjacency
+                       ) -> tuple[np.ndarray, dict]:
         p = f"net.block{b}."
         st = self.store
         y1 = submconv_forward(x, st[p + "conv1.w"], pairs)
-        a1, bn1c = self._batchnorm(y1, p + "bn1", training)
+        a1, bn1c = self._batchnorm(y1, p + "bn1")
         np.maximum(a1, 0.0, out=a1)
         y2 = submconv_forward(a1, st[p + "conv2.w"], pairs)
-        out, bn2c = self._batchnorm(y2, p + "bn2", training)
+        out, bn2c = self._batchnorm(y2, p + "bn2")
         if p + "proj.w" in st:
             out += x @ st[p + "proj.w"][0, 0]
         else:

@@ -63,23 +63,11 @@ from .sparseconv import (
     view_segments,
 )
 from .sparsemap import (
-    SlideAugParams,
     SparseMap,
     augment_rows,
     draw_slide_aug,
     place_tiles,
 )
-
-
-@dataclass(frozen=True)
-class ViewSpec:
-    """Record of the random draws that produced one view."""
-
-    slide_id: str
-    shared: bool
-    aug_indices: tuple[int, ...]
-    tile_indices: tuple[int, ...]
-    slide_aug: SlideAugParams | None
 
 
 @dataclass(frozen=True)
@@ -239,16 +227,13 @@ def _view_rows(banks: list[EmbeddingBank], draws):
 
 
 def sample_view(bank: EmbeddingBank, cfg: TrainConfig, rng: np.random.Generator
-                ) -> tuple[SparseMap, ViewSpec]:
-    """One training view: ``draw_batch`` of one view, so its rng calls are
-    those of a batch with V = 1 (slice indices, tile set, five augmentation
-    values), and its map is the one ``sample_batch`` builds from them."""
-    draws = slices, tiles, aug = draw_batch([bank], cfg, rng, per_bank=1)
+                ) -> tuple[SparseMap, tuple]:
+    """One training view and its draws ``(slices, tiles, aug)``:
+    ``draw_batch`` of one view, so its rng calls are those of a batch with
+    V = 1, and its map is the one ``sample_batch`` builds from them."""
+    draws = draw_batch([bank], cfg, rng, per_bank=1)
     _, sites, x = _view_rows([bank], draws)
-    spec = ViewSpec(bank.slide_id, cfg.shared_aug, tuple(slices[0].tolist()),
-                    tuple(tiles[0].tolist()), None if aug is None else
-                    SlideAugParams(*(a[0].item() for a in aug)))
-    return SparseMap(sites, x), spec
+    return SparseMap(sites, x), draws
 
 
 def sample_batch(banks: list[EmbeddingBank], cfg: TrainConfig,
@@ -464,7 +449,7 @@ def train_step(banks: list[EmbeddingBank], model: SlideModel, cfg: TrainConfig,
     x, pairs, segs = sample_batch(banks, cfg, rng, model.net_config.kernel_size)
     running = {name: buf.copy() for name, buf in model.net.buffers.items()}
     try:
-        pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
+        pooled, cache = model.net.forward_rows(x, pairs, segs)
         proj, pcache = mlp_projector_forward(pooled, model.store.params)
         loss, dproj = nt_xent(proj, temperature=cfg.temperature)
         dpooled, proj_grads = mlp_projector_backward(dproj, pcache)
@@ -491,7 +476,8 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     epoch counter continues the schedule; the random stream of epoch e is
     derived from (seed, e) alone, so the loss trajectory matches an
     uninterrupted run exactly. A checkpoint already past ``cfg.epochs`` is
-    a ``ValidationError``, raised before anything is written.
+    a ``ValidationError``, raised before anything is written. The report's
+    ``final_loss`` is None when no epoch runs.
 
     Every bank stays mapped, each holding a file descriptor, so the soft
     open-file limit is raised first if the bank count needs it. Before any
@@ -536,7 +522,7 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
     log_path = Path(log_path)
     mode = "a" if (resume and start_epoch > 0 and log_path.exists()) else "w"
 
-    last_loss = float("nan")
+    last_loss = None
     with open(log_path, mode) as log:
         if mode == "w":
             log.write("epoch,loss\n")
@@ -569,6 +555,6 @@ def pretrain(cfg: TrainConfig, bank_dir, out_checkpoint,
         "checkpoint": out_checkpoint.name,
     }
     if report_path is not None:
-        text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=1, allow_nan=False) + "\n"
         write_atomic(report_path, [text.encode("utf-8")])
     return report

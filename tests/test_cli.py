@@ -78,6 +78,31 @@ def test_pretrain_writes_artifacts(trained):
     assert doc["tiles"] == 4
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and infinities, as JSON does."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("how", ["zero epochs", "resume at the last epoch"])
+def test_pretrain_report_when_no_epoch_runs(trained, tmp_path, capsys, how):
+    _, banks, ckpt = trained
+    out, report = tmp_path / "m.ckpt", tmp_path / "r.json"
+    argv = ["pretrain", "--banks", str(banks), "--checkpoint", str(out),
+            "--tiles", "4", "--batch", "4", "--seed", "1", "--report", str(report)]
+    if how == "zero epochs":
+        argv += ["--epochs", "0"]
+    else:
+        out.write_bytes(ckpt.read_bytes())
+        argv += ["--epochs", "2", "--resume"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    doc = strict_json(report.read_text())
+    assert doc["final_loss"] is None
+    assert capsys.readouterr().out.startswith("no epoch ran: ")
+
+
 def test_pretrain_flag_overrides_config(corpus, tmp_path, capsys):
     _, banks = corpus
     cfg = tmp_path / "train.cfg"

@@ -32,7 +32,8 @@ from slidessl.inference import (
     load_embeddings,
     save_embeddings,
 )
-from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
+from slidessl.sparseconv import (PoolingNetworkConfig, build_rulebook, merge_rulebooks,
+                                 view_pairs)
 from slidessl.sparsemap import build_sparse_map
 from slidessl.training import (
     DRAW_ONE_CALL_MAX,
@@ -237,8 +238,8 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     got = embed_slide(bank, model, r_views=r_views,
                       rng=np.random.default_rng(4))
 
-    # the same draws, one map per view, their rulebooks merged, one
-    # folded eval forward
+    # the same draws, one map per view, one view_pairs adjacency of their
+    # rows that lists the maps' own rulebooks merged, one folded eval forward
     rng = np.random.default_rng(4)
     idx = np.sort(draw_views(rng, [n_tiles] * r_views, tiles), axis=1)
     coords = bank.coords[0].astype(np.int64)
@@ -247,8 +248,12 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
     starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
     want_segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
     want_x = np.concatenate([m.features for m in maps])
-    want_pairs = merge_rulebooks([build_rulebook(m, kernel) for m in maps],
-                                 starts)
+    merged = merge_rulebooks([build_rulebook(m, kernel) for m in maps], starts)
+    want_pairs = view_pairs(np.repeat(np.arange(len(maps)), np.diff(want_segs)[:, 0]),
+                            np.concatenate([m.sites for m in maps]), kernel)
+    assert len(want_pairs) == len(merged)
+    for a, b in zip(want_pairs, merged):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     mean = model.net.embed_rows(want_x, want_pairs, want_segs).mean(axis=0)
     want = (mean / np.linalg.norm(mean)).astype(np.float32)
     assert got.vector.tobytes() == want.tobytes()
@@ -258,8 +263,8 @@ def test_embedding_equals_per_view_oracle(n_tiles, cells, same_pixel, tiles,
                                  dtype)
     assert segs == want_segs
     assert x.tobytes() == want_x.tobytes()
-    assert len(pairs) == len(want_pairs)
-    for a, b in zip(pairs, want_pairs):
+    assert len(pairs) == len(merged)
+    for a, b in zip(pairs, merged):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
 

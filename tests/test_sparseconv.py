@@ -1,5 +1,7 @@
 """Rulebook construction, sparse conv/BN/residual stack, pooling network."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from slidessl.selfcheck import dense_conv_at_active
 from slidessl.sparseconv import (
     BN_EPS,
     BN_MOMENTUM,
+    Adjacency,
     PoolingNetwork,
     PoolingNetworkConfig,
     build_rulebook,
@@ -37,6 +40,11 @@ def make_map(sites, feats=None, dim=3, seed=0):
     if feats is None:
         feats = np.random.default_rng(seed).normal(size=(len(sites), dim))
     return SparseMap(sites, np.asarray(feats, dtype=np.float64))
+
+
+def map_pairs(m, kernel_size):
+    """One map's ``Adjacency``: ``view_pairs`` of a single view."""
+    return view_pairs(np.zeros(m.n_sites, np.int64), m.sites, kernel_size)
 
 
 def random_map(rng, n_sites, dim, extent=8):
@@ -222,21 +230,21 @@ class TestSubmConv:
         rng = np.random.default_rng(seed)
         m = random_map(rng, n, dim=c_in)
         w = rng.normal(size=(k, k, c_in, c_out))
-        return m, w, build_rulebook(m, k).pairs
+        return m, w, map_pairs(m, k)
 
     def test_single_site_center_tap(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=3)
         m = make_map([(5, 7)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
+        out = submconv_forward(m.features, w, map_pairs(m, 3))
         np.testing.assert_allclose(out[0], f @ w[1, 1], rtol=1e-12)
 
     def test_identity_kernel(self):
         m = random_map(np.random.default_rng(2), 12, dim=5)
         w = np.zeros((3, 3, 5, 5))
         w[1, 1] = np.eye(5)
-        out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
+        out = submconv_forward(m.features, w, map_pairs(m, 3))
         np.testing.assert_allclose(out, m.features, rtol=1e-15)
 
     def test_matches_dense_oracle(self):
@@ -245,7 +253,7 @@ class TestSubmConv:
             n = int(rng.integers(1, 30))
             m = random_map(rng, n, dim=3, extent=8)
             w = rng.normal(size=(3, 3, 3, 4))
-            out = submconv_forward(m.features, w, build_rulebook(m, 3).pairs)
+            out = submconv_forward(m.features, w, map_pairs(m, 3))
             ref = dense_conv_at_active(m, w, extent=8)
             np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -253,7 +261,7 @@ class TestSubmConv:
         rng = np.random.default_rng(6)
         m = random_map(rng, 40, dim=2, extent=16)
         w = rng.normal(size=(5, 5, 2, 3))
-        out = submconv_forward(m.features, w, build_rulebook(m, 5).pairs)
+        out = submconv_forward(m.features, w, map_pairs(m, 5))
         ref = dense_conv_at_active(m, w, extent=16)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -265,7 +273,7 @@ class TestSubmConv:
     def test_kernel_size_mismatch_is_stale(self):
         m, w, _ = self.setup_instance(k=3)
         with pytest.raises(DimensionMismatch):
-            submconv_forward(m.features, w, build_rulebook(m, 5).pairs)
+            submconv_forward(m.features, w, map_pairs(m, 5))
 
     def test_channel_mismatch(self):
         m, _, pairs = self.setup_instance()
@@ -284,8 +292,7 @@ class TestSubmConv:
         g = rng.normal(size=4)
         m = make_map([(2, 2)], [f])
         w = rng.normal(size=(3, 3, 3, 4))
-        dx, dw = conv_backward(g[None, :], m.features, w,
-                               build_rulebook(m, 3).pairs)
+        dx, dw = conv_backward(g[None, :], m.features, w, map_pairs(m, 3))
         np.testing.assert_allclose(dw[1, 1], np.outer(f, g), rtol=1e-14)
         np.testing.assert_allclose(dx[0], g @ w[1, 1].T, rtol=1e-14)
         assert not dw[0, 0].any()
@@ -359,7 +366,7 @@ def kernel_cases():
         for m in maps + [far]:
             cases.append((m.features, rng.normal(size=(k, k, c_in, c_out)),
                           rng.normal(size=(m.n_sites, c_out)),
-                          build_rulebook(m, k).pairs))
+                          map_pairs(m, k)))
     # many maps laid out as rows, as training and inference run them
     sizes = [7, 1, 12, 5]
     maps = [random_map(rng, n, dim=3, extent=6) for n in sizes]
@@ -394,9 +401,9 @@ class TestKernelBytes:
 
     def test_zero_offset_must_pair_every_row(self):
         x, w, g, pairs = kernel_cases()[0]
-        center = len(pairs) // 2
-        for bad in (pairs[center][1:], np.concatenate([pairs[center]] * 2)):
-            broken = pairs[:center] + [bad] + pairs[center + 1:]
+        assert isinstance(pairs, Adjacency)
+        for n_rows in (len(x) - 1, 2 * len(x)):
+            broken = replace(pairs, n_rows=n_rows)
             with pytest.raises(DimensionMismatch, match="zero offset"):
                 submconv_forward(x, w, broken)
             with pytest.raises(DimensionMismatch, match="zero offset"):
@@ -413,47 +420,61 @@ def fresh_bn(c):
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
         x = np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])
-        out, _ = sparse_batchnorm_forward(x, *fresh_bn(2), training=True)
+        out, _ = sparse_batchnorm_forward(x, *fresh_bn(2))
         np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
 
     def test_two_point_normalization(self):
         x = np.array([[-1.0], [1.0]])
-        out, _ = sparse_batchnorm_forward(x, *fresh_bn(1), training=True)
+        out, _ = sparse_batchnorm_forward(x, *fresh_bn(1))
         expect = 1.0 / np.sqrt(1.0 + BN_EPS)
         np.testing.assert_allclose(out[:, 0], [-expect, expect], rtol=1e-12)
 
     def test_single_site_train_degenerate(self):
         with pytest.raises(DegenerateBatch):
-            sparse_batchnorm_forward(np.ones((1, 3)), *fresh_bn(3), training=True)
+            sparse_batchnorm_forward(np.ones((1, 3)), *fresh_bn(3))
 
     def test_eval_single_site_allowed(self):
-        out, _ = sparse_batchnorm_forward(np.ones((1, 3)), *fresh_bn(3),
-                                          training=False)
-        assert out.shape == (1, 3)
+        # the eval forward reads the running stats: one site is enough
+        net, _ = build_network(PoolingNetworkConfig(in_channels=3,
+                                                    block_channels=(3,), out_dim=2))
+        m = make_map([(0, 0)])
+        z, cache = net.forward([m], training=False)
+        assert z.shape == (1, 2) and np.isfinite(z).all() and cache is None
+        with pytest.raises(DegenerateBatch):
+            net.forward([m], training=True)
 
     def test_running_stats_momentum_update(self):
         assert BN_MOMENTUM == 0.1
         _, _, mean, var = bn = fresh_bn(1)
         x = np.array([[2.0], [4.0]])  # mean 3, biased var 1
-        sparse_batchnorm_forward(x, *bn, training=True)
+        sparse_batchnorm_forward(x, *bn)
         np.testing.assert_allclose(mean, [0.9 * 0.0 + 0.1 * 3.0])
         np.testing.assert_allclose(var, [0.9 * 1.0 + 0.1 * 1.0])
 
     def test_eval_uses_running_stats_and_keeps_them(self):
-        _, _, mean, var = bn = fresh_bn(1)
-        mean[:] = 5.0
-        var[:] = 4.0
-        x = np.array([[7.0], [9.0]])
-        out, _ = sparse_batchnorm_forward(x, *bn, training=False)
-        np.testing.assert_allclose(out[:, 0], (x[:, 0] - 5.0) / np.sqrt(4.0 + BN_EPS))
-        assert mean[0] == 5.0 and var[0] == 4.0
+        # one channel, 1 x 1 convs of weight 1, gamma 1, beta 0, head 1 and 0:
+        # embed_rows is the mean of relu(bn2(relu(bn1(x))) + x)
+        cfg = PoolingNetworkConfig(in_channels=1, block_channels=(1,),
+                                   kernel_size=1, out_dim=1)
+        net, store = build_network(cfg)
+        for name in store.params:
+            store[name][...] = 1.0 if name.endswith((".w", "gamma")) else 0.0
+        net.buffers["net.block0.bn1.run_mean"][:] = 5.0
+        net.buffers["net.block0.bn1.run_var"][:] = 4.0
+        m = make_map([(0, 0), (0, 1)], [[7.0], [9.0]])
+        z = net.embed_rows(m.features, map_pairs(m, 1), [(0, 2)])
+        a = np.maximum((m.features - 5.0) / np.sqrt(4.0 + BN_EPS), 0.0)
+        want = np.maximum(a / np.sqrt(1.0 + BN_EPS) + m.features, 0.0).mean()
+        np.testing.assert_allclose(z, [[want]], rtol=1e-12)
+        assert net.buffers["net.block0.bn1.run_mean"][0] == 5.0
+        assert net.buffers["net.block0.bn1.run_var"][0] == 4.0
 
     def test_affine_params_applied(self):
         gamma, beta, _, _ = bn = fresh_bn(1)
         gamma[:] = 2.0
         beta[:] = 0.5
         x = np.array([[-1.0], [1.0]])
-        out, _ = sparse_batchnorm_forward(x, *bn, training=True)
+        out, _ = sparse_batchnorm_forward(x, *bn)
         expect = 2.0 / np.sqrt(1.0 + BN_EPS)
         np.testing.assert_allclose(out[:, 0], [0.5 - expect, 0.5 + expect],
                                    rtol=1e-12)
@@ -466,8 +487,7 @@ class TestBatchNorm:
         r = rng.normal(size=(9, 4))
 
         def run(xx, g, b):
-            return sparse_batchnorm_forward(xx, g, b, np.zeros(4), np.ones(4),
-                                            training=True)
+            return sparse_batchnorm_forward(xx, g, b, np.zeros(4), np.ones(4))
 
         out, cache = run(x, gamma, beta)
         dx, dg, db = sparse_batchnorm_backward(r, cache)
@@ -481,23 +501,6 @@ class TestBatchNorm:
         assert max_rel_err(
             db, finite_diff_grad(
                 lambda b: float(np.sum(run(x, gamma, b)[0] * r)), beta)) < 1e-5
-
-    def test_backward_eval_mode(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(5, 3))
-        gamma, _, mean, var = bn = fresh_bn(3)
-        mean[:] = rng.normal(size=3)
-        var[:] = rng.uniform(0.5, 2.0, size=3)
-        gamma[:] = rng.normal(size=3)
-        r = rng.normal(size=(5, 3))
-        out, cache = sparse_batchnorm_forward(x, *bn, training=False)
-        dx, _, _ = sparse_batchnorm_backward(r, cache)
-
-        def f(xx):
-            o, _ = sparse_batchnorm_forward(xx, *bn, training=False)
-            return float(np.sum(o * r))
-
-        assert max_rel_err(dx, finite_diff_grad(f, x)) < 1e-5
 
     def test_backward_requires_cache(self):
         with pytest.raises(NoForwardCache):
@@ -515,7 +518,7 @@ class TestBatchNorm:
         stats = [np.full(shape[1], 0.5, dtype), np.full(shape[1], 2.0, dtype)]
         want_stats = [a.copy() for a in stats]
         want, want_cache = reference_bn(x, gamma, beta, *want_stats, training=True)
-        got, cache = sparse_batchnorm_forward(x, gamma, beta, *stats, training=True)
+        got, cache = sparse_batchnorm_forward(x, gamma, beta, *stats)
         assert same_bytes(got, want)
         for a, b in zip(stats, want_stats):
             assert same_bytes(a, b)
@@ -639,15 +642,17 @@ def build_network(config, seed=0, dtype=np.float64):
     return PoolingNetwork(config, store), store
 
 
-def block_forward(net, block, m, training=False):
+def block_forward(net, block, m):
     """One residual block of the network over a single map's rows."""
-    pairs = build_rulebook(m, net.config.kernel_size).pairs
-    out, _ = net._block_forward(block, m.features, pairs, training)
+    out, _ = net._block_forward(block, m.features,
+                                map_pairs(m, net.config.kernel_size))
     return out
 
 
 def reference_bn(x, gamma, beta, run_mean, run_var, training, eps=1e-5):
-    """Batch norm as plain formulas; updates the running stats given."""
+    """Batch norm as plain formulas: in training, with the batch statistics,
+    which it folds into the running stats given; in eval, with the running
+    stats, which it leaves as they are."""
     if training:
         mean, var = x.mean(axis=0), x.var(axis=0)
         run_mean += 0.1 * (mean - run_mean)
@@ -657,10 +662,55 @@ def reference_bn(x, gamma, beta, run_mean, run_var, training, eps=1e-5):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
     return gamma * xhat + beta, {"xhat": xhat, "inv_std": inv_std,
-                                 "gamma": gamma, "training": training}
+                                 "gamma": gamma}
 
 
-def reference_rows(net, x, pairs, segs, training, grad_z):
+def reference_eval(net, x, pairs, segs):
+    """The eval network written out in float64 with batch norm applied,
+    not folded: per-pair convolutions, ``reference_bn`` on the running
+    stats, explicit ReLU and skip, per-segment mean, head."""
+    st = {n: a.astype(np.float64) for n, a in net.store.params.items()}
+    buffers = {n: b.astype(np.float64) for n, b in net.buffers.items()}
+    x = x.astype(np.float64)
+    for b in range(net.config.n_blocks):
+        p = f"net.block{b}."
+        h = x
+        for i in (1, 2):
+            bn = f"{p}bn{i}."
+            h, _ = reference_bn(loop_submconv_forward(h, st[f"{p}conv{i}.w"], pairs),
+                                st[bn + "gamma"], st[bn + "beta"],
+                                buffers[bn + "run_mean"], buffers[bn + "run_var"],
+                                training=False)
+            if i == 1:
+                h = np.maximum(h, 0.0)
+        skip = x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
+        x = np.maximum(h + skip, 0.0)
+    pooled = np.stack([x[s:e].mean(axis=0) for s, e in segs])
+    return pooled @ st["net.head.w"] + st["net.head.b"]
+
+
+def reference_folded(net, x, pairs, segs):
+    """``embed_rows`` as block formulas in the network's dtype: each batch
+    norm folded into its conv as ``W s`` and ``beta - run_mean s``, with
+    ``s = gamma / sqrt(run_var + eps)``, then the per-pair convolution, the
+    bias, explicit ReLU and skip, pool and head. No in-place update."""
+    st, buffers = net.store, net.buffers
+    for b in range(net.config.n_blocks):
+        p = f"net.block{b}."
+        h = x
+        for i in (1, 2):
+            bn = f"{p}bn{i}."
+            s = st[bn + "gamma"] / np.sqrt(buffers[bn + "run_var"] + BN_EPS)
+            h = (loop_submconv_forward(h, st[f"{p}conv{i}.w"] * s, pairs)
+                 + (st[bn + "beta"] - buffers[bn + "run_mean"] * s))
+            if i == 1:
+                h = np.maximum(h, 0.0)
+        skip = x @ st[p + "proj.w"][0, 0] if p + "proj.w" in st else x
+        x = np.maximum(h + skip, 0.0)
+    return global_average_pool(x, segs) @ st["net.head.w"] + st["net.head.b"]
+
+
+def reference_rows(net, x, pairs, segs, grad_z):
     """``forward_rows`` then ``backward`` of ``net`` written out block by
     block with the per-pair convolution, explicit ReLU masks and no
     in-place update. Returns (z, parameter grads, buffers) without
@@ -675,7 +725,7 @@ def reference_rows(net, x, pairs, segs, training, grad_z):
         def bn(v, name):
             return reference_bn(v, st[p + name + ".gamma"], st[p + name + ".beta"],
                                 buffers[p + name + ".run_mean"],
-                                buffers[p + name + ".run_var"], training)
+                                buffers[p + name + ".run_var"], training=True)
 
         y1n, bn1 = bn(loop_submconv_forward(x, st[p + "conv1.w"], pairs), "bn1")
         a1 = np.maximum(y1n, 0.0)
@@ -727,10 +777,14 @@ class TestResidualBlock:
                                    atol=1e-15)
 
     def test_single_site_equals_dense_vector_math(self):
+        # the eval forward of a one-site map, batch norm on running stats
         cfg = PoolingNetworkConfig(in_channels=3, block_channels=(5,))
         net, store = build_network(cfg, seed=16)
+        rng = np.random.default_rng(16)
+        for buf in net.buffers.values():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
         m = make_map([(4, 4)], seed=17, dim=3)
-        out = block_forward(net, 0, m)
+        z = net.embed_rows(m.features, map_pairs(m, 3), [(0, 1)])
 
         p = "net.block0."
         x = m.features[0]
@@ -745,8 +799,8 @@ class TestResidualBlock:
         a1 = np.maximum(bn_eval(y1, p + "bn1"), 0.0)
         y2 = a1 @ store[p + "conv2.w"][1, 1]
         pre = bn_eval(y2, p + "bn2") + x @ store[p + "proj.w"][0, 0]
-        np.testing.assert_allclose(out[0], np.maximum(pre, 0.0),
-                                   rtol=1e-12)
+        want = np.maximum(pre, 0.0) @ store["net.head.w"] + store["net.head.b"]
+        np.testing.assert_allclose(z[0], want, rtol=1e-12, atol=1e-14)
 
     def test_preserves_sites(self):
         cfg = PoolingNetworkConfig(in_channels=3, block_channels=(4,))
@@ -757,6 +811,9 @@ class TestResidualBlock:
 
 
 class TestRowsBytes:
+    """``forward_rows`` and ``backward`` (training), and ``embed_rows``
+    (eval), equal their block formulas byte for byte."""
+
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("blocks,k", [((4, 5), 3), ((3, 3), 5), ((1,), 3)])
@@ -775,14 +832,19 @@ class TestRowsBytes:
         segs = view_segments(sizes)
         grad_z = rng.normal(size=(4, 6)).astype(dtype)
 
-        want_z, want_grads, want_buffers = reference_rows(
-            net, x, pairs, segs, training, grad_z)
-        z, cache = net.forward_rows(x, pairs, segs, training)
-        store.zero_grads()
-        assert net.backward(grad_z, cache) is None
+        if training:
+            want_z, want_grads, want_buffers = reference_rows(
+                net, x, pairs, segs, grad_z)
+            z, cache = net.forward_rows(x, pairs, segs)
+            store.zero_grads()
+            assert net.backward(grad_z, cache) is None
+            for name in store.params:
+                assert same_bytes(store.grads[name], want_grads[name]), name
+        else:
+            want_z = reference_folded(net, x, pairs, segs)
+            want_buffers = {n: b.copy() for n, b in net.buffers.items()}
+            z = net.embed_rows(x, pairs, segs)
         assert same_bytes(z, want_z)
-        for name in store.params:
-            assert same_bytes(store.grads[name], want_grads[name]), name
         for name, buf in net.buffers.items():
             assert same_bytes(buf, want_buffers[name]), name
 
@@ -807,8 +869,8 @@ class TestSparseViewBytes:
                                    out_dim=6)
         net, store = build_network(cfg, seed=63, dtype=dtype)
         grad_z = rng.normal(size=(6, 6)).astype(dtype)
-        _, want_grads, _ = reference_rows(net, x, pairs, segs, True, grad_z)
-        _, cache = net.forward_rows(x, pairs, segs, training=True)
+        _, want_grads, _ = reference_rows(net, x, pairs, segs, grad_z)
+        _, cache = net.forward_rows(x, pairs, segs)
         store.zero_grads()
         net.backward(grad_z, cache)
         for name in store.params:
@@ -848,9 +910,10 @@ class TestSparseViewBytes:
 
 class TestFoldedEval:
     """``embed_rows`` folds each eval batch norm into the conv before it, so
-    it equals ``forward_rows(training=False)`` only up to rounding: within
-    ``FOLD_BOUND[dtype]`` times ``max|z|``, with running statistics and
-    affine parameters far from their initial 0 and 1."""
+    it equals the float64 eval network with batch norm applied
+    (``reference_eval``) only up to rounding: within ``FOLD_BOUND[dtype]``
+    times ``max|z|``, with running statistics and affine parameters far
+    from their initial 0 and 1."""
 
     FOLD_BOUND = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -881,7 +944,7 @@ class TestFoldedEval:
         buffer_before = store.buffer.copy()
         buffers_before = {n: b.copy() for n, b in net.buffers.items()}
 
-        want, _ = net.forward_rows(x, pairs, segs, training=False)
+        want = reference_eval(net, x, pairs, segs)
         got = net.embed_rows(x, pairs, segs)
         assert got.dtype == dtype and got.shape == want.shape
         err = float(np.max(np.abs(got - want)))
@@ -927,6 +990,21 @@ class TestPoolingNetwork:
         zb, _ = net.forward([SparseMap(m.sites + [3, 11], m.features)],
                             training=True)
         assert np.array_equal(za, zb)
+
+    def test_eval_forward_is_embed_rows(self):
+        # forward lays the maps out as rows once; eval mode embeds them
+        net, _ = build_network(self.small_cfg(), seed=23)
+        rng = np.random.default_rng(32)
+        for buf in net.buffers.values():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+        sizes = [6, 1, 9]
+        maps = [random_map(rng, n, dim=3) for n in sizes]
+        z, cache = net.forward(maps, training=False)
+        pairs = view_pairs(np.repeat(np.arange(3), sizes),
+                           np.concatenate([m.sites for m in maps]), 3)
+        x = np.concatenate([m.features for m in maps])
+        assert cache is None
+        assert same_bytes(z, net.embed_rows(x, pairs, view_segments(sizes)))
 
     def test_eval_batch_rows_match_single(self):
         net, _ = build_network(self.small_cfg(), seed=23)

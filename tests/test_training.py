@@ -32,7 +32,8 @@ from slidessl.numcore import (
     mlp_projector_backward,
     mlp_projector_forward,
 )
-from slidessl.sparseconv import PoolingNetworkConfig, build_rulebook, merge_rulebooks
+from slidessl.sparseconv import (PoolingNetworkConfig, build_rulebook, merge_rulebooks,
+                                 view_pairs)
 from slidessl.sparsemap import (
     SlideAugParams,
     augment_sparse_map,
@@ -163,6 +164,10 @@ class TestConfigFile:
 
 
 class TestSampleView:
+    """``sample_view`` returns its map and ``draw_batch``'s draws of one
+    view: slice indices ``(1, 1)`` shared or ``(1, T)``, tile set ``(1, T)``,
+    and five slide augmentation values or None."""
+
     def cfg(self, **kw):
         base = dict(tiles=3, batch_size=2, slide_aug=False)
         base.update(kw)
@@ -170,47 +175,48 @@ class TestSampleView:
 
     def test_exact_tile_budget_uses_all_tiles(self):
         bank = make_bank(n=3)
-        smap, spec = sample_view(bank, self.cfg(tiles=3),
-                                 np.random.default_rng(0))
-        assert spec.tile_indices == (0, 1, 2)
+        smap, (_, tiles, _) = sample_view(bank, self.cfg(tiles=3),
+                                          np.random.default_rng(0))
+        assert tiles.tolist() == [[0, 1, 2]]
         assert smap.n_sites == 3
 
     def test_deterministic(self):
         bank = make_bank()
-        a_map, a_spec = sample_view(bank, self.cfg(slide_aug=True),
-                                    np.random.default_rng(42))
-        b_map, b_spec = sample_view(bank, self.cfg(slide_aug=True),
-                                    np.random.default_rng(42))
-        assert a_spec == b_spec
+        a_map, a_draws = sample_view(bank, self.cfg(slide_aug=True),
+                                     np.random.default_rng(42))
+        b_map, b_draws = sample_view(bank, self.cfg(slide_aug=True),
+                                     np.random.default_rng(42))
+        for a, b in zip(a_draws[:2] + a_draws[2], b_draws[:2] + b_draws[2]):
+            assert np.array_equal(a, b)
         assert np.array_equal(a_map.sites, b_map.sites)
         assert np.array_equal(a_map.features, b_map.features)
 
     def test_shared_view_stays_within_one_slice(self):
         bank = slice_tagged_bank()
         for seed in range(20):
-            smap, spec = sample_view(bank, self.cfg(), np.random.default_rng(seed))
+            smap, (slices, _, _) = sample_view(bank, self.cfg(),
+                                               np.random.default_rng(seed))
             values = np.unique(smap.features)
             assert len(values) == 1  # one slice tag across all tiles
-            assert values[0] == spec.aug_indices[0]
-            assert spec.shared
+            assert slices.shape == (1, 1)
+            assert values[0] == slices[0, 0]
 
     def test_identity_slice_never_drawn(self):
         bank = slice_tagged_bank()
         rng = np.random.default_rng(1)
         for cfg in (self.cfg(), self.cfg(shared_aug=False)):
             for _ in range(200):
-                _, spec = sample_view(bank, cfg, rng)
-                assert all(k >= 1 for k in spec.aug_indices)
+                _, (slices, _, _) = sample_view(bank, cfg, rng)
+                assert (slices >= 1).all()
 
     def test_not_shared_mixes_slices(self):
         bank = slice_tagged_bank()
         rng = np.random.default_rng(2)
         mixed = 0
         for _ in range(50):
-            smap, spec = sample_view(bank, self.cfg(shared_aug=False), rng)
-            assert not spec.shared
-            assert len(spec.aug_indices) == 3
-            if len(set(spec.aug_indices)) > 1:
+            _, (slices, _, _) = sample_view(bank, self.cfg(shared_aug=False), rng)
+            assert slices.shape == (1, 3)
+            if len(set(slices[0].tolist())) > 1:
                 mixed += 1
         assert mixed > 25
 
@@ -221,8 +227,8 @@ class TestSampleView:
         counts = np.zeros(6)
         draws = 10_000
         for _ in range(draws):
-            _, spec = sample_view(bank, cfg, rng)
-            for k in spec.aug_indices:
+            _, (slices, _, _) = sample_view(bank, cfg, rng)
+            for k in slices[0]:
                 counts[k] += 1
         freqs = counts[1:] / counts.sum()
         assert counts[0] == 0
@@ -232,8 +238,8 @@ class TestSampleView:
         bank = make_bank(n=5)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            _, spec = sample_view(bank, self.cfg(tiles=5), rng)
-            assert len(set(spec.tile_indices)) == 5
+            _, (_, tiles, _) = sample_view(bank, self.cfg(tiles=5), rng)
+            assert len(set(tiles[0].tolist())) == 5
 
     def test_insufficient_tiles(self):
         bank = make_bank(n=2)
@@ -248,12 +254,13 @@ class TestSampleView:
     def test_slide_aug_recorded(self):
         bank = make_bank()
         rng = np.random.default_rng(5)
-        specs = [sample_view(bank, self.cfg(slide_aug=True), rng)[1]
-                 for _ in range(20)]
-        assert all(s.slide_aug is not None for s in specs)
-        assert any(not s.slide_aug.is_identity for s in specs)
+        augs = [sample_view(bank, self.cfg(slide_aug=True), rng)[1][2]
+                for _ in range(20)]
+        assert all(a is not None and [len(v) for v in a] == [1] * 5 for a in augs)
+        assert any(not SlideAugParams(*(v[0].item() for v in a)).is_identity
+                   for a in augs)
         off = sample_view(bank, self.cfg(), np.random.default_rng(0))[1]
-        assert off.slide_aug is None
+        assert off[2] is None
 
 
 class TestNTXent:
@@ -690,8 +697,9 @@ def tie_bank(slide_id, n, cells, same_pixel, seed, K=3, F=4, dtype=np.float32):
 
 def oracle_batch(banks, draws, kernel_size):
     """One map per view of ``draw_batch``'s draws: ``build_sparse_map`` of
-    the drawn tiles, ``augment_sparse_map`` by the drawn parameters, one
-    rulebook per map, merged."""
+    the drawn tiles, ``augment_sparse_map`` by the drawn parameters. The
+    maps' rows get one ``view_pairs`` adjacency, which must list per offset
+    the pairs of the maps' own rulebooks, merged."""
     slices, tiles, aug = draws
     maps = []
     for v, (s, t) in enumerate(zip(slices, tiles)):
@@ -704,15 +712,20 @@ def oracle_batch(banks, draws, kernel_size):
     starts = np.cumsum([0] + [m.n_sites for m in maps])[:-1].tolist()
     segs = [(s, s + m.n_sites) for s, m in zip(starts, maps)]
     books = [build_rulebook(m, kernel_size) for m in maps]
-    return (np.concatenate([m.features for m in maps]),
-            merge_rulebooks(books, starts), segs)
+    merged = merge_rulebooks(books, starts)
+    pairs = view_pairs(np.repeat(np.arange(len(maps)), [m.n_sites for m in maps]),
+                       np.concatenate([m.sites for m in maps]), kernel_size)
+    assert len(pairs) == len(merged)
+    for got, want in zip(pairs, merged):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return np.concatenate([m.features for m in maps]), pairs, segs
 
 
 def oracle_step(banks, model, cfg, draws):
     """``train_step`` on the rows and pairs of ``oracle_batch``."""
     x, pairs, segs = oracle_batch(banks, draws, model.net_config.kernel_size)
     model.store.zero_grads()
-    pooled, cache = model.net.forward_rows(x, pairs, segs, training=True)
+    pooled, cache = model.net.forward_rows(x, pairs, segs)
     proj, pcache = mlp_projector_forward(pooled, model.store.params)
     loss, dproj = nt_xent(proj, temperature=cfg.temperature)
     dpooled, grads = mlp_projector_backward(dproj, pcache)
